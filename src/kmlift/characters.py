@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactalg import CycloNum
+from .exactalg import CycloNum, _pval
 
 
 def factorize(n: int):
@@ -360,33 +360,6 @@ def kronecker(a: int, n: int) -> int:
     return sign * jacobi(a % n if n > 1 else 0, n) if n > 1 else sign
 
 
-def kronecker_char(D: int) -> "KroneckerChar":
-    return KroneckerChar(D)
-
-
-class KroneckerChar:
-    """chi_D(n) = Kronecker symbol (D/n); for fundamental D a character of
-    conductor |D|.  Quacks like DirichletChar where a real character is needed."""
-
-    __slots__ = ("D", "modulus")
-
-    def __init__(self, D: int):
-        self.D = int(D)
-        self.modulus = abs(self.D) if self.D != 1 else 1
-
-    def __call__(self, n) -> CycloNum:
-        return CycloNum.from_rational(kronecker(self.D, int(n)))
-
-    def value(self, n) -> int:
-        return kronecker(self.D, int(n))
-
-    def parity(self) -> int:
-        return 1 if self.D > 0 else -1
-
-    def __repr__(self):
-        return f"KroneckerChar({self.D})"
-
-
 def hilbert_symbol(a, b, p) -> int:
     """Hilbert symbol (a,b)_p on Q_p; p = -1 or 0 means the real place."""
     a, b = Fraction(a), Fraction(b)
@@ -395,8 +368,8 @@ def hilbert_symbol(a, b, p) -> int:
     if p in (-1, 0):  # real place
         return -1 if a < 0 and b < 0 else 1
     p = int(p)
-    alpha, u = _split_val(a, p)
-    beta, v = _split_val(b, p)
+    alpha, beta = _pval(a, p), _pval(b, p)
+    u, v = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
     if p != 2:
         # tame formula: (-1)^(alpha*beta*(p-1)/2) (u/p)^beta (v/p)^alpha
         res = (-1) ** (alpha * beta * ((p - 1) // 2))
@@ -411,18 +384,6 @@ def hilbert_symbol(a, b, p) -> int:
     om_u, om_v = (uu * uu - 1) // 8 % 2, (vv * vv - 1) // 8 % 2
     s = eps_u * eps_v + alpha * om_v + beta * om_u
     return -1 if s % 2 else 1
-
-
-def _split_val(x: Fraction, p: int):
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
 
 
 def _as_unit_int(u: Fraction, p: int, mod=None):

@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .exactalg import CycloNum
+from .exactalg import CycloNum, mat_det
 from .characters import (DirichletChar, char_group, factorize,
                          find_primitive_root_of_unity_mod, jacobi_sum, lcm,
                          legendre, local_component, subgroup_Dm)
@@ -263,8 +263,8 @@ def count_A_closed(S, T, p) -> Fraction:
     S = [[x % p for x in row] for row in np.asarray(S, dtype=np.int64).tolist()]
     T = [[x % p for x in row] for row in np.asarray(T, dtype=np.int64).tolist()]
     m, r = len(S), len(T)
-    detS = _int_det(S, p)
-    detT = _int_det(T, p)
+    detS = mat_det(S) % p
+    detT = mat_det(T) % p
     if detS % p == 0 or detT % p == 0:
         raise ValueError("closed Lemma 5.1 needs nondegenerate S and T")
     prodf = Fraction(1)
@@ -294,28 +294,6 @@ def _chi_perp(detS, detT, m, r, p):
     return _chi_even(d, size, p)
 
 
-def _int_det(M, mod=None):
-    M = [row[:] for row in M]
-    n = len(M)
-    M = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            f = M[r][c] * inv
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    assert det.denominator == 1
-    return int(det) % mod if mod else int(det)
-
-
 def count_A_display(S, c, p, variant="printed"):
     """The specialized #A(S, c) displays for c a unit scalar.
 
@@ -324,7 +302,7 @@ def count_A_display(S, c, p, variant="printed"):
     """
     S = np.asarray(S, dtype=np.int64).tolist()
     m = len(S)
-    detS = _int_det(S, p)
+    detS = mat_det(S) % p
     if m % 2 == 0:
         return Fraction(p) ** (m // 2 - 1) * (p ** (m // 2) - _chi_even(detS, m, p))
     expo = (m + 1) // 2 if variant == "printed" else (m - 1) // 2
@@ -350,7 +328,7 @@ def count_A0_brute(S, p, budget=DEFAULT_BUDGET) -> int:
 def count_A0_closed(S, p) -> Fraction:
     S = np.asarray(S, dtype=np.int64).tolist()
     m = len(S)
-    detS = _int_det(S, p)
+    detS = mat_det(S) % p
     if detS % p == 0:
         raise ValueError("closed count needs nondegenerate S")
     if m % 2 == 0:
@@ -496,7 +474,7 @@ def _adjugate_mod(Z, p):
         for j in range(n):
             minor = [[Z[r][c] for c in range(n) if c != j]
                      for r in range(n) if r != i]
-            d = _int_det(minor, p) if minor else 1
+            d = mat_det(minor) % p
             adj[j][i] = (-1) ** (i + j) * d % p
     return adj
 
@@ -505,7 +483,7 @@ def bordered_det_sum_brute(eta: DirichletChar, Z1, z, budget=DEFAULT_BUDGET) -> 
     p = eta.modulus
     Z1 = np.asarray(Z1, dtype=np.int64) % p
     lm1 = Z1.shape[0]
-    detZ1 = _int_det(Z1.tolist(), p)
+    detZ1 = mat_det(Z1.tolist()) % p
     adj = np.asarray(_adjugate_mod(Z1.tolist(), p), dtype=np.int64)
     total = p ** lm1
     _check_budget(total, budget)
@@ -529,7 +507,7 @@ def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="derived") -> Cyc
         raise ValueError("Prop 5.4 needs eta^2 nontrivial")
     Z1l = np.asarray(Z1).tolist()
     l = len(Z1l) + 1
-    detZ1 = _int_det(Z1l, p)
+    detZ1 = mat_det(Z1l) % p
     leg = legendre_char(p)
     if detZ1 % p == 0:
         return CycloNum.zero(eta.order)
@@ -705,18 +683,9 @@ def jacobi_symbol_char(N: int) -> DirichletChar:
 def Jm_chi(chi: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:
     """J_m(chi) = J_m(chi (*/N)^(m-1), chi), factored over primes of N."""
     N = chi.modulus
-    if N == 1:
-        return CycloNum.one()
-    fac = factorize(N)
-    if any(e > 1 for _, e in fac) or N % 2 == 0:
+    if any(e > 1 for _, e in factorize(N)) or N % 2 == 0:
         raise ValueError("need odd squarefree modulus")
-    out = CycloNum.one()
-    for p, _ in fac:
-        chip = local_component(chi, p)
-        leg = legendre_char(p)
-        first = chip * (leg ** ((m - 1) % 2)) if m >= 1 else chip
-        out = out * Jm_sum(first, chip, m, mode="auto", budget=budget)
-    return out
+    return _Jm_lambda(chi, m, budget)
 
 
 def thm59_printed(chi: DirichletChar, i: int, m: int, with_p_power=False) -> CycloNum:
@@ -760,7 +729,7 @@ def chi_det_halfintegral(chi: DirichletChar, gram) -> CycloNum:
         raise ValueError("convention defined for odd conductor only")
     G = [list(map(int, row)) for row in np.asarray(gram).tolist()]
     m = len(G)
-    detG = _int_det(G)
+    detG = mat_det(G)
     t = 2 ** (2 * (m // 2))
     num = detG * t
     den = 2 ** m
@@ -831,6 +800,18 @@ class HVariant:
 DEFAULT_H_VARIANT = HVariant()
 
 
+def zero_branch(chi: DirichletChar, n: int) -> bool:
+    """Theorem 5.5/5.6/6.1 branch (1) detector."""
+    N = chi.modulus
+    for p, _ in factorize(N):
+        l = gcd(n, p - 1)
+        u0 = find_primitive_root_of_unity_mod(p, l)
+        chip = local_component(chi, p) if len(factorize(N)) > 1 else chi
+        if not chip(u0) == CycloNum.one():
+            return True
+    return False
+
+
 def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
              budget=DEFAULT_BUDGET):
     """Theorems 5.5/5.6 closed evaluation; exact CycloNum (0 in branch (1))."""
@@ -843,13 +824,8 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
     if any(e > 1 for _, e in fac) or N % 2 == 0:
         raise ValueError("need odd squarefree modulus")
     m = np.asarray(gram).shape[0]
-    primes = [p for p, _ in fac]
-    for p in primes:
-        l = gcd(m, p - 1)
-        u0 = find_primitive_root_of_unity_mod(p, l)
-        chip = local_component(chi, p) if len(fac) > 1 else chi
-        if not chip(u0) == CycloNum.one():
-            return CycloNum.zero(chi.order)
+    if zero_branch(chi, m):
+        return CycloNum.zero(chi.order)
     if m % 2 == 1 and (chi ** 2).conductor != N:
         raise ValueError("odd m closed form needs chi^2 primitive")
     G = char_group(N)
@@ -857,7 +833,7 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
     if tilde is None:
         raise ValueError("no m-th root of chi exists (branch detection bug?)")
     const = Fraction(1)
-    for p in primes:
+    for p, _ in fac:
         g = gamma_const(m, p, variant.gamma_mode)
         if m % 2 == 0:
             sexp = m if variant.sign_exp == "m" else m - 2

@@ -209,8 +209,6 @@ def build_parser():
     ap.add_argument("--out", default="reports", help="output directory")
     ap.add_argument("--budget", type=int, default=charsums.DEFAULT_BUDGET,
                     help="elementary-step budget for exhaustive enumeration")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker-count knob (current build runs sequentially)")
     ap.add_argument("--seed", type=int, default=11)
     sub = ap.add_subparsers(dest="command", required=True)
 

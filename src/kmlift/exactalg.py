@@ -1,5 +1,6 @@
-"""Exact arithmetic kernel: cyclotomic numbers, quadratic extensions Q(sqrt p),
-integer polynomials, symmetric Laurent polynomials, and truncated power series.
+"""Exact arithmetic kernel: p-adic valuations and determinants, cyclotomic
+numbers, quadratic extensions Q(sqrt p), integer polynomials, symmetric Laurent
+polynomials, and truncated power series.
 
 Rationals are stdlib ``fractions.Fraction`` throughout (already canonical:
 reduced, positive denominator).  A cyclotomic number is stored at an explicit
@@ -14,6 +15,45 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+
+# ---------------------------------------------------------------------------
+# valuations and determinants
+
+def _pval(x, p: int):
+    """nu_p of a nonzero int or Fraction; None at 0."""
+    if x == 0:
+        return None
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def mat_det(G):
+    """Exact determinant of an integer matrix (list of rows)."""
+    M = [[Fraction(x) for x in row] for row in G]
+    n = len(M)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, n):
+            f = M[r][c] / M[c][c]
+            if f:
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    assert det.denominator == 1
+    return int(det)
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +129,6 @@ def cyclotomic_poly(L: int):
 @lru_cache(maxsize=None)
 def _phi(L: int) -> int:
     return len(cyclotomic_poly(L)) - 1
-
-
-def euler_phi(n: int) -> int:
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
 
 
 def _reduce_mod_cyclo(coeffs, L):
@@ -311,10 +336,17 @@ class CycloNum:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        # equal values may sit at different levels (zeta_4 == zeta_8^2), so
+        # hash the value at the least level whose field holds it
         if self.is_rational():
             return hash(self.rational_value())
-        a = self
-        return hash((a.level, tuple(sorted(a.coeffs.items()))))
+        for d in range(3, self.level + 1):
+            if self.level % d == 0:
+                try:
+                    low = self.lower_level(d)
+                except ValueError:
+                    continue
+                return hash((d, tuple(sorted(low.coeffs.items()))))
 
     def __repr__(self):
         if self.is_rational():
@@ -477,9 +509,6 @@ class Laurent:
     def is_symmetric(self):
         return all(_eq_vals(self.coeffs.get(-j), v) for j, v in self.coeffs.items())
 
-    def substitute_inverse(self):
-        return Laurent({-j: v for j, v in self.coeffs.items()})
-
     def __repr__(self):
         return "Laurent(" + ", ".join(f"X^{j}: {v}" for j, v in sorted(self.coeffs.items())) + ")"
 
@@ -609,10 +638,6 @@ def _laurent_or_val_zero(v):
 
 
 def _mul_val(a, b):
-    return a * b
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return a * b
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
-from .characters import DirichletChar, kronecker
+from .characters import DirichletChar, divisors, kronecker
 from .exactalg import CycloNum
 
 
@@ -28,28 +29,14 @@ def bernoulli_number(k: int) -> Fraction:
         return Fraction(1)
     total = Fraction(0)
     for j in range(k):
-        total += Fraction(_binom(k + 1, j)) * bernoulli_number(j)
+        total += Fraction(comb(k + 1, j)) * bernoulli_number(j)
     return -total / (k + 1)
-
-
-def _factorial_int(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 @lru_cache(maxsize=None)
 def bernoulli_poly_coeffs(k: int):
     """Coefficients of B_k(x), constant term first."""
-    return tuple(Fraction(_binom(k, j)) * bernoulli_number(k - j)
+    return tuple(Fraction(comb(k, j)) * bernoulli_number(k - j)
                  for j in range(k + 1))
 
 
@@ -94,24 +81,14 @@ def zeta_at_negative(m: int) -> Fraction:
     return -bernoulli_number(m + 1) / (m + 1)
 
 
+def zeta_even_rational(i: int) -> Fraction:
+    """zeta(2i) / pi^(2i) as an exact rational."""
+    return Fraction((-1) ** (i + 1)) * bernoulli_number(2 * i) \
+        * 2 ** (2 * i - 1) / factorial(2 * i)
+
+
 # ---------------------------------------------------------------------------
 # Cohen function and Cohen-Eisenstein series
-
-def divisors_int(n):
-    out = [1]
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out = [d * p ** t for d in out for t in range(e + 1)]
-        p += 1
-    if m > 1:
-        out = [d * m ** t for d in out for t in range(2)]
-    return sorted(out)
-
 
 def moebius(n):
     out = 1
@@ -129,7 +106,7 @@ def moebius(n):
 
 
 def sigma_power(n, s):
-    return sum(Fraction(d) ** s for d in divisors_int(n))
+    return sum(Fraction(d) ** s for d in divisors(n))
 
 
 def cohen_L(D: int, s: int) -> Fraction:
@@ -150,7 +127,7 @@ def cohen_L(D: int, s: int) -> Fraction:
     else:
         Lval = -gen_bernoulli_kronecker(dk, k) / k
     total = Fraction(0)
-    for a in divisors_int(f):
+    for a in divisors(f):
         mu = moebius(a)
         if mu == 0:
             continue
@@ -341,9 +318,6 @@ class DirStream:
             if not self.coeff(k) == other.coeff(k):
                 return False
         return True
-
-    def nonzero_indices(self):
-        return sorted(self.coeffs)
 
 
 def unit_stream(bound) -> DirStream:

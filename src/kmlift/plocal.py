@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 
-from .characters import factorize, hilbert_symbol, legendre
-from .exactalg import (Laurent, QSqrt, TruncSeries, cyclotomic_poly,
-                       geometric_inverse, p_half_power)
-from .quadforms import GramMat, fundamental_split, mat_det
+from .characters import factorize, hilbert_symbol, kronecker, legendre
+from .exactalg import (Laurent, QSqrt, TruncSeries, _pval, _reduce_mod_cyclo,
+                       geometric_inverse, mat_det, p_half_power)
+from .lseries import gen_bernoulli_kronecker, zeta_even_rational
+from .quadforms import GramMat, fundamental_split
 
 DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
@@ -37,16 +38,11 @@ def xi_tilde(p: int, c) -> int:
     c = Fraction(c)
     if c == 0:
         raise ValueError("xi~ undefined at 0")
-    v = 0
-    num, den = c.numerator, c.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v = _pval(c, p)
     if v % 2:
         return 0
+    u = c / Fraction(p) ** v
+    num, den = u.numerator, u.denominator
     if p == 2:
         u = (num * pow(den, -1, 8)) % 8
         return {1: 1, 5: -1, 3: 0, 7: 0}[u]
@@ -121,20 +117,6 @@ def jordan_decompose(G, p: int) -> JordanSymbol:
 def _int_rows(G):
     rows = G.entries if isinstance(G, GramMat) else G
     return [list(map(int, r)) for r in rows]
-
-
-def _pval(x: Fraction, p: int):
-    if x == 0:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def _unit_class(u: Fraction, p: int) -> int:
@@ -288,7 +270,7 @@ def _density_dyadic_blocks(blocks, n, budget) -> Fraction:
         val = Fraction(order, 2 ** (n * (n - 1) // 2 + 1))
     else:
         rep = _dyadic_representative(blocks)
-        nu = _val_int(abs(mat_det(rep)), 2)
+        nu = _pval(mat_det(rep), 2)
         # odd-type constituents need one extra dyadic digit before the count
         # settles (a = 1 undercounts the identity form by a factor 2)
         floor = 2 if any(b.kind == "odd" for b in blocks) else 1
@@ -330,7 +312,7 @@ def _density_brute(G, p: int, budget=DEFAULT_BUDGET, a=None) -> Fraction:
     """Backtracking count of #A_a(A, A); verifies stabilization when a is None."""
     A = np.asarray(_int_rows(G), dtype=np.int64)
     if a is None:
-        a0 = _pval(Fraction(mat_det(A.tolist())), p) + 1
+        a0 = _pval(mat_det(A.tolist()), p) + 1
         v1 = _aut_cong_count(A, p, a0, budget)
         v2 = _aut_cong_count(A, p, a0 + 1, budget)
         if v1 != v2:
@@ -449,7 +431,7 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     if n % 2:
         raise ValueError("Siegel series implemented for even rank")
     detG = G.det()
-    nu = _val_int(detG, p)
+    nu = _pval(detG, p)
     xi = xi_tilde(p, Fraction((-1) ** (n // 2) * detG))  # det T same square class
     nu_d = _local_d_part_val(p, nu, xi)
     deg = nu - nu_d
@@ -471,14 +453,6 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     if extra_checks and not sp.symmetric:
         raise RuntimeError(f"F~ functional equation failed: {sp}")
     return sp
-
-
-def _val_int(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def _solve_F_from_A(A, p, n, xi, deg):
@@ -577,7 +551,7 @@ def _snf_valuations(M, p, cap):
         for i in range(r, n):
             for j in range(r, n):
                 if M[i][j]:
-                    v = _val_int(abs(M[i][j]), p)
+                    v = _pval(M[i][j], p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None or best[0] >= cap:
@@ -606,7 +580,7 @@ def _snf_valuations(M, p, cap):
 def _div_exact_mod(x, piv, p, cap):
     # x / piv in Z_p to precision p^(cap + margin); works since v(piv) <= v(x)
     mod = p ** (cap + 4)
-    vp = _val_int(abs(piv), p) if piv else cap
+    vp = _pval(piv, p) if piv else cap
     u = piv // p ** vp
     xv = x // p ** vp
     return xv * pow(u % mod, -1, mod) % mod
@@ -653,26 +627,17 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
             if sel.any():
                 np.add.at(counts, (bk[sel].astype(np.int64), tr[sel]), 1)
         for bucket in range(1, J + 1):
-            acc[bucket] += _root_of_unity_sum(counts[bucket], p, j)
+            acc[bucket] += _rational_root_sum(counts[bucket], q)
     return acc
 
 
-def _root_of_unity_sum(counts, p, j) -> Fraction:
-    """sum_k counts[k] zeta_{p^j}^k, reduced mod Phi; must be rational."""
-    q = p ** j
-    c = [Fraction(int(x)) for x in counts]
-    phi = cyclotomic_poly(q)
-    dphi = len(phi) - 1
-    for k in range(q - 1, dphi - 1, -1):
-        v = c[k]
-        if v:
-            c[k] = Fraction(0)
-            for i in range(dphi):
-                c[k - dphi + i] -= v * phi[i]
-    for k in range(1, dphi):
-        if c[k] != 0:
-            raise RuntimeError("exponential sum not rational (bug)")
-    return c[0]
+def _rational_root_sum(counts, q) -> Fraction:
+    """sum_k counts[k] zeta_q^k, which must be rational."""
+    terms = {k: Fraction(int(x)) for k, x in enumerate(counts) if x}
+    c = _reduce_mod_cyclo(terms, q)
+    if set(c) - {0}:
+        raise RuntimeError("root-of-unity sum not rational (bug)")
+    return c.get(0, Fraction(0))
 
 
 # -- stratified route (independent of the full enumeration)
@@ -730,7 +695,7 @@ def _stratified_A1(G, p) -> Fraction:
 def _ramanujan(q_prime, j, t) -> int:
     """Ramanujan sum c_{p^j}(t) = sum over units a mod p^j of zeta^{at}."""
     p, q = q_prime, q_prime ** j
-    v = _val_int(gcd(t % q if t % q else q, q), p) if t % q else j
+    v = _pval(gcd(t % q, q), p) if t % q else j
     # c_{p^j}(t) with p^v || gcd(t, p^j)
     if v >= j:
         return q // p * (p - 1)
@@ -841,25 +806,7 @@ def _rank2_direct(G, p) -> Fraction:
             M[b][a] = v
         if _fp_rank(M, p) == 2:
             zq[_tr_TS_int(G, M) % p] += 1
-    return _weight_zp(zq, p)
-
-
-def _weight_zp(zq, p) -> Fraction:
-    # sum counts[k] zeta_p^k with rationality: = counts[0] - average of rest
-    # valid only if counts constant on nonzero residues? use exact reduction.
-    c = [Fraction(x) for x in zq]
-    phi = cyclotomic_poly(p)
-    dphi = len(phi) - 1
-    for k in range(p - 1, dphi - 1, -1):
-        v = c[k]
-        if v:
-            c[k] = Fraction(0)
-            for i in range(dphi):
-                c[k - dphi + i] -= v * phi[i]
-    for k in range(1, dphi):
-        if c[k] != 0:
-            raise RuntimeError("rank-2 sum not rational (bug)")
-    return c[0]
+    return _rational_root_sum(zq, p)
 
 
 def _fp_rank(M, p):
@@ -1032,12 +979,6 @@ def p_series_closed(n: int, p: int, d0, omega: str, prec: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # mass formula
 
-def _gen_bern_kron(d: int, k: int) -> Fraction:
-    """B_{k, chi_d} for the Kronecker character chi_d (exact)."""
-    from .lseries import gen_bernoulli_kronecker
-    return gen_bernoulli_kronecker(d, k)
-
-
 def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
     """kappa_n 2^{-n/2} det(A)^{(n+1)/2} prod_p alpha_p(A)^{-1}, assembled
     exactly via functional equations; the overall 2-power is reported by the
@@ -1050,37 +991,35 @@ def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
     k = n // 2
     bad = sorted({q for q, _ in factorize(2 * detG)})
     # kappa_n = Gamma_C(n/2) prod Gamma_C(2i), Gamma_C(s) = 2^(1-s) pi^-s (s-1)!
-    rat = Fraction(2) * Fraction(1, 2 ** k) * _factorial(k - 1)
+    rat = Fraction(2) * Fraction(1, 2 ** k) * factorial(k - 1)
     pi_pow = -k
     for i in range(1, k):
-        rat *= Fraction(2) * Fraction(1, 2 ** (2 * i)) * _factorial(2 * i - 1)
+        rat *= Fraction(2) * Fraction(1, 2 ** (2 * i)) * factorial(2 * i - 1)
         pi_pow += -2 * i
     # 2^{-n/2}
     rat *= Fraction(1, 2 ** k)
     # zeta(2i) for i = 1..k-1 with bad Euler factors removed
     for i in range(1, k):
-        z_rat = Fraction((-1) ** (i + 1)) * _bernoulli(2 * i) * 2 ** (2 * i - 1) / _factorial(2 * i)
         pi_pow += 2 * i
-        rat *= z_rat
+        rat *= zeta_even_rational(i)
         for q in bad:
             rat *= 1 - Fraction(1, q ** (2 * i))
     # L(k, chi_d) via the functional equation to L(1-k, chi_d)
-    B = _gen_bern_kron(d, k)
+    B = gen_bernoulli_kronecker(d, k)
     Lneg = -B / k
     if d > 0:
         if k % 2 != 0:
             raise ValueError("d > 0 needs n = 0 mod 4")
-        fe = Fraction((-4) ** (k // 2)) * _factorial(k // 2) \
-            / (_factorial(k) * _factorial(k // 2 - 1))
+        fe = Fraction((-4) ** (k // 2)) * factorial(k // 2) \
+            / (factorial(k) * factorial(k // 2 - 1))
     else:
         if k % 2 != 1:
             raise ValueError("d < 0 needs n = 2 mod 4")
-        fe = Fraction((-4) ** ((k - 1) // 2), _factorial(k - 1))
+        fe = Fraction((-4) ** ((k - 1) // 2), factorial(k - 1))
     rat *= fe * Lneg
     pi_pow += k
     dpow = Fraction(1 - 2 * k, 2)            # |d|^{1/2 - k} from the FE
     for q in bad:
-        from .characters import kronecker
         rat *= 1 - Fraction(kronecker(d, q), q ** k)
     assert pi_pow == 0, pi_pow
     # assemble |d|^(dpow) * det^((n+1)/2) exactly: det = |d| f^2 (up to sign)
@@ -1092,15 +1031,3 @@ def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
         alpha = local_density(G, q, mode="closed", budget=budget)
         rat /= alpha
     return rat
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _bernoulli(k: int) -> Fraction:
-    from .lseries import bernoulli_number
-    return bernoulli_number(k)

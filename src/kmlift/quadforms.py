@@ -13,30 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import factorize, hilbert_symbol
+from .exactalg import mat_det
 
 
 def _as_tuple(G):
     return tuple(tuple(int(x) for x in row) for row in G)
-
-
-def mat_det(G):
-    M = [[Fraction(x) for x in row] for row in G]
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        for r in range(c + 1, n):
-            f = M[r][c] / M[c][c]
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def mat_mul(A, B):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from kmlift.exactalg import (CycloNum, Laurent, PPow, QSqrt, SymLaurent,
                              TruncSeries, cyclo_normalize, cyclotomic_poly,
                              p_half_power, poly_deg, rational_fn_expand)
@@ -15,6 +17,18 @@ def test_cyclo_basic_relations():
     for e in range(1, 5):
         s = s + CycloNum.zeta(5, e)
     assert s.is_zero()
+
+
+@pytest.mark.parametrize("a,b", [
+    (CycloNum.zeta(4), CycloNum.zeta(8, 2)),
+    (CycloNum.zeta(3), CycloNum.zeta(6, 2)),
+    (CycloNum.from_rational(5), CycloNum.from_rational(5, 12)),
+    (CycloNum.zeta(12, 3), CycloNum.zeta(4)),
+], ids=["z4/z8^2", "z3/z6^2", "5@1/5@12", "z12^3/z4"])
+def test_cyclo_hash_agrees_with_eq_across_levels(a, b):
+    assert a.level != b.level and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_cyclo_normalize_idempotent():

@@ -1,0 +1,68 @@
+"""Byte-identity guard: CLI reports must not change under refactoring.
+
+Each case runs ``kmlift.cli.main`` in-process and compares the sha256 of the
+report's ``.json`` and ``.txt``.  Manifests are not compared: they hold wall
+times and the config echo.  The digests were taken before the arithmetic
+helpers were folded into one home each; a digest is only edited when a
+report is meant to change.
+"""
+
+import hashlib
+
+import pytest
+
+from kmlift.cli import main
+
+CASES = [
+    ("charsum-prop5.10", ["charsum", "--identity", "prop5.10"],
+     "a41ca1d00e61ea701f5122276e5ff90a426aa6262c6b645963c766056af819d3",
+     "e8fe1b1f889f76391efdfc75f4a4fc2c5f82b84624579e0646072a640cdaa10d"),
+    ("charsum-lemma5.1",
+     ["charsum", "--identity", "lemma5.1", "--primes", "3", "--m", "2",
+      "--pairs", "20"],
+     "630cb4802e01b670651b76f1f7696a25ebf0704a0637055e16dcaf64f668989a",
+     "e2bb78d2a5e002f968875bd59ea9b11cd85736a483a32114637e61b16ebd904e"),
+    ("charsum-prop5.4",
+     ["charsum", "--identity", "prop5.4", "--primes", "5", "7"],
+     "a645402eaeba6f02c1b4f6131fb59e333403b936c0a732445c88f779c6c5433a",
+     "9fc69585053f49f5261430939499bf740c851e72905eaac8b2e3ed0a1cf4607f"),
+    ("charsum-lemma5.3",
+     ["charsum", "--identity", "lemma5.3", "--primes", "5", "7"],
+     "77f17ecf30069d01c234f3caac3f57fa11d3a41c066bcda1935e7a9c526ac60f",
+     "fe40de15943f641c3f7ded3f75289b2f4422a4c7d1f5d122f60b812af080f08b"),
+    ("jacobi", ["jacobi", "--chi", "7:1", "--m", "3"],
+     "537a249e743a80f6998b9ef0cb4caf40e8306ae6282d879eda1efb4c143a95f8",
+     "22d055de14c9c49b9bd57f06716cc306b7f7e7dc1e29623f24b4e6709190817f"),
+    ("local-density", ["local", "density", "--p", "2", "--mode", "closed"],
+     "427a6ab63c624506257602686f797c5e90caead77eca90f7f2de0c104ae4024c",
+     "80cbb596ad72d8a29ee0d056c81deb043004347f0b38c50c3cc54894f99b48a5"),
+    ("local-density", ["local", "density", "--p", "3", "--mode", "brute"],
+     "3a0d15bcc707d9c01ecff129902f47381b5251d383c07372fa54fd42e69ccf81",
+     "8382807fe92b2cb53155eec616bd082ea281f8a8ba18776685aa220bd7ea7c03"),
+    ("local-siegel", ["local", "siegel", "--p", "3", "--mode", "stratified"],
+     "449e88dbd2bd2b2ed95a224cd1f8d202024f00925f834956a41566efe52d4702",
+     "37a25ed03cdda0712c21d2c83c3a47e8912bc4a3e709cc16046ac442820f104b"),
+    ("local-siegel", ["local", "siegel", "--p", "3", "--mode", "oracle"],
+     "449e88dbd2bd2b2ed95a224cd1f8d202024f00925f834956a41566efe52d4702",
+     "37a25ed03cdda0712c21d2c83c3a47e8912bc4a3e709cc16046ac442820f104b"),
+    ("local-pseries",
+     ["local", "pseries", "--n", "2", "--p", "3", "--prec", "4"],
+     "3514bc4ce1b9b51557aaf6e58246fcf3b95ef6498b96b3aa6bc4ab016cea4db7",
+     "6b5074c4ecf7087a389ca7a381cd4e714ef6bcca91c7399d59a27a9721702e55"),
+    ("lseries-cohen", ["lseries", "cohen"],
+     "dbe2f1a03bcb8f6327e8ed4cba4ecb880e66a1d226b7c159bfe06904f6e88e94",
+     "1097fc7dea9f6095aed78ddf7889a11229b4d08f21d3acd05b9417602b4b0483"),
+    ("lseries-stream",
+     ["lseries", "stream", "--chi", "5:1", "--bound", "20"],
+     "737f0a62c3d737ab343b95ebe21cf413b09c5ba2de9237347d3020d289073754",
+     "2a60732674f6b742ec3f478bb101b0a1a7a68412e935b12234c0988200d903a6"),
+]
+
+
+@pytest.mark.parametrize("name,argv,json_sha,txt_sha", CASES,
+                         ids=[" ".join(c[1]) for c in CASES])
+def test_golden_report(tmp_path, name, argv, json_sha, txt_sha):
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    for ext, want in ((".json", json_sha), (".txt", txt_sha)):
+        got = hashlib.sha256((tmp_path / (name + ext)).read_bytes()).hexdigest()
+        assert got == want, f"{name}{ext} changed"

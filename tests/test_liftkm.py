@@ -123,6 +123,16 @@ def test_verify_thm41_flagship(flagship):
     assert rep5.constants == rep.constants      # depend only on n
 
 
+def test_no_pass_without_a_checked_index(flagship):
+    # bound 1 leaves no fit pair; bound 0 leaves no index at all
+    h, cl, table = flagship
+    rep = verify_thm41(h, char_group(1).trivial(), table, 8, 4, bound=1)
+    assert rep.residuals == [] and not rep.passed
+    rep = verify_thm511_61(h, parse_descriptor("7:2"), table, 8, 4, bound=0)
+    assert rep.residuals == [] and not rep.passed
+    assert "checked" not in rep.to_dict()
+
+
 def test_zero_branch_detector():
     for chi in char_group(5):
         if not chi.is_trivial():
