@@ -599,6 +599,14 @@ def _require_prime(p):
         raise ValueError(f"odd prime modulus required, got {p}")
 
 
+def _odd_squarefree_factors(N):
+    """factorize(N), or ValueError unless N is odd and squarefree."""
+    fac = factorize(N)
+    if any(e > 1 for _, e in fac) or N % 2 == 0:
+        raise ValueError("need odd squarefree modulus")
+    return fac
+
+
 def Jm_recursion(chi: DirichletChar, eta: DirichletChar, m: int,
                  variant="derived") -> CycloNum:
     """Prop 5.8 single step, recursing to J_1 = Jacobi sum, J_0 = 1.
@@ -668,9 +676,7 @@ def Im_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
 
 def jacobi_symbol_char(N: int) -> DirichletChar:
     """(* / N) for odd squarefree N as a Dirichlet character mod N."""
-    fac = factorize(N)
-    if any(e > 1 for _, e in fac) or N % 2 == 0:
-        raise ValueError("need odd squarefree N")
+    fac = _odd_squarefree_factors(N)
     chi = None
     for p, _ in fac:
         comp = legendre_char(p).extend(N)
@@ -682,9 +688,7 @@ def jacobi_symbol_char(N: int) -> DirichletChar:
 
 def Jm_chi(chi: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:
     """J_m(chi) = J_m(chi (*/N)^(m-1), chi), factored over primes of N."""
-    N = chi.modulus
-    if any(e > 1 for _, e in factorize(N)) or N % 2 == 0:
-        raise ValueError("need odd squarefree modulus")
+    _odd_squarefree_factors(chi.modulus)
     return _Jm_lambda(chi, m, budget)
 
 
@@ -751,9 +755,7 @@ def h_brute_sl(gram, chi: DirichletChar, budget=DEFAULT_BUDGET) -> CycloNum:
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
-    fac = factorize(N)
-    if any(e > 1 for _, e in fac) or N % 2 == 0:
-        raise ValueError("need odd squarefree modulus")
+    fac = _odd_squarefree_factors(N)
     m = np.asarray(gram).shape[0]
     total = CycloNum.one()
     for p, _ in fac:
@@ -770,9 +772,7 @@ def h_brute_sym(gram, chi: DirichletChar, gamma_mode="corrected",
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
-    fac = factorize(N)
-    if any(e > 1 for _, e in fac) or N % 2 == 0:
-        raise ValueError("need odd squarefree modulus")
+    fac = _odd_squarefree_factors(N)
     m = np.asarray(gram).shape[0]
     total = CycloNum.one()
     for p, _ in fac:
@@ -820,9 +820,7 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
-    fac = factorize(N)
-    if any(e > 1 for _, e in fac) or N % 2 == 0:
-        raise ValueError("need odd squarefree modulus")
+    fac = _odd_squarefree_factors(N)
     m = np.asarray(gram).shape[0]
     if zero_branch(chi, m):
         return CycloNum.zero(chi.order)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 
 # ---------------------------------------------------------------------------
@@ -35,25 +36,58 @@ def _pval(x, p: int):
     return v
 
 
-def mat_det(G):
-    """Exact determinant of an integer matrix (list of rows)."""
-    M = [[Fraction(x) for x in row] for row in G]
+def _int_matrix(G):
+    # operator.index: numpy ints become Python ints (no int64 overflow) and a
+    # Fraction or float entry raises TypeError instead of being truncated
+    return [[index(x) for x in row] for row in G]
+
+
+def _bareiss_step(M, k, prev):
+    """One fraction-free elimination step below the pivot M[k][k]; the
+    division by the previous pivot is exact (Sylvester's identity)."""
     n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        for r in range(c + 1, n):
-            f = M[r][c] / M[c][c]
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    assert det.denominator == 1
-    return int(det)
+    pk, rowk = M[k][k], M[k]
+    for i in range(k + 1, n):
+        row, a = M[i], M[i][k]
+        for j in range(k + 1, n):
+            row[j] = (pk * row[j] - a * rowk[j]) // prev
+
+
+def mat_det(G):
+    """Exact determinant of an integer matrix (list of rows), by Bareiss
+    fraction-free elimination with row swaps."""
+    M = _int_matrix(G)
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if piv is None:
+                return 0
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        _bareiss_step(M, k, prev)
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1] if n else 1
+
+
+def leading_minors(G):
+    """[det G[:k, :k] for k = 1..n] of an integer matrix: Bareiss elimination
+    without row swaps, whose k-th pivot is the k-th leading minor.  After a
+    zero minor the remaining ones come from ``mat_det``."""
+    A = _int_matrix(G)
+    M = [row[:] for row in A]
+    n = len(M)
+    out, prev = [], 1
+    for k in range(n):
+        out.append(M[k][k])
+        if M[k][k] == 0:
+            out.extend(mat_det([row[:j] for row in A[:j]])
+                       for j in range(k + 2, n + 1))
+            break
+        _bareiss_step(M, k, prev)
+        prev = M[k][k]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .characters import factorize, hilbert_symbol, kronecker, legendre
+from .characters import (_as_unit_int, factorize, hilbert_symbol, kronecker,
+                         legendre)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _pval, _reduce_mod_cyclo,
                        geometric_inverse, mat_det, p_half_power)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
@@ -42,12 +43,9 @@ def xi_tilde(p: int, c) -> int:
     if v % 2:
         return 0
     u = c / Fraction(p) ** v
-    num, den = u.numerator, u.denominator
     if p == 2:
-        u = (num * pow(den, -1, 8)) % 8
-        return {1: 1, 5: -1, 3: 0, 7: 0}[u]
-    u = (num * pow(den, -1, p)) % p
-    return legendre(u, p)
+        return {1: 1, 5: -1, 3: 0, 7: 0}[_as_unit_int(u, 2, mod=8)]
+    return _unit_class(u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def _int_rows(G):
 
 
 def _unit_class(u: Fraction, p: int) -> int:
-    return legendre((u.numerator * pow(u.denominator, -1, p)) % p, p)
+    return legendre(_as_unit_int(u, p), p)
 
 
 def symbol_diagonal(sym: JordanSymbol, p: int):
@@ -165,7 +163,7 @@ def dyadic_jordan(G) -> tuple:
                     row[0], row[dpiv] = row[dpiv], row[0]
             d = M[0][0]
             u = d / Fraction(2) ** vmin
-            blocks.append(DyadicBlock(vmin, "odd", (int(u.numerator * pow(u.denominator, -1, 8) % 8),)))
+            blocks.append(DyadicBlock(vmin, "odd", (_as_unit_int(u, 2, mod=8),)))
             M = [[M[i][k] - M[i][0] * M[0][k] / d for k in range(1, size)]
                  for i in range(1, size)]
             continue
@@ -177,7 +175,7 @@ def dyadic_jordan(G) -> tuple:
         B = [[M[0][0], M[0][1]], [M[1][0], M[1][1]]]
         s = Fraction(2) ** vmin
         det = (B[0][0] * B[1][1] - B[0][1] ** 2) / s ** 2
-        u8 = int((-det).numerator * pow((-det).denominator, -1, 8) % 8)
+        u8 = _as_unit_int(-det, 2, mod=8)
         kind = "H" if u8 == 1 else "V"
         blocks.append(DyadicBlock(vmin, kind))
         if size == 2:

@@ -3,17 +3,22 @@ Gram matrices G = 2T: reduction, class enumeration by bounded determinant,
 isometry testing under SL_n(Z), automorphism counts e(T), Hasse invariants,
 and the fundamental-discriminant splitting of (-1)^(n/2) det(2T).
 
-All arithmetic is exact (int / Fraction); short-vector enumeration uses a
-rational Cholesky split of the Gram matrix.
+All arithmetic is exact.  Determinants and positive definiteness use
+integer (Bareiss) elimination from ``exactalg``; short-vector enumeration
+uses a rational Cholesky split of the Gram matrix.  A ``GramMat`` keeps the
+vectors of each norm it was asked for, with their images G v, as per-instance
+pools, so the isometry and automorphism searches against one representative
+enumerate each norm once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .characters import factorize, hilbert_symbol
-from .exactalg import mat_det
+from .exactalg import leading_minors, mat_det
 
 
 def _as_tuple(G):
@@ -33,22 +38,14 @@ def transform(G, U):
 
 
 def is_positive_definite(G) -> bool:
-    M = [[Fraction(x) for x in row] for row in G]
-    n = len(M)
-    for c in range(n):
-        if M[c][c] <= 0:
-            return False
-        for r in range(c + 1, n):
-            f = M[r][c] / M[c][c]
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return True
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return all(d > 0 for d in leading_minors(G))
 
 
 class GramMat:
     """Even-diagonal integral symmetric Gram matrix G = 2T, T half-integral."""
 
-    __slots__ = ("entries", "_det")
+    __slots__ = ("entries", "_det", "_pools")
 
     def __init__(self, entries):
         self.entries = _as_tuple(entries)
@@ -60,6 +57,7 @@ class GramMat:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         self._det = None
+        self._pools = None
 
     @property
     def n(self):
@@ -69,6 +67,20 @@ class GramMat:
         if self._det is None:
             self._det = mat_det(self.entries)
         return self._det
+
+    def pool(self, t: int):
+        """[(v, G v) for v in vectors_of_norm(G, t)], built once per norm t
+        and kept on this instance (not part of its value: eq/hash use
+        ``entries`` only)."""
+        if self._pools is None:
+            self._pools = {}
+        p = self._pools.get(t)
+        if p is None:
+            G = self.entries
+            p = self._pools[t] = [
+                (v, tuple(sum(map(mul, row, v)) for row in G))
+                for v in vectors_of_norm(G, t)]
+        return p
 
     def det_T(self) -> Fraction:
         return Fraction(self.det(), 2 ** self.n)
@@ -241,8 +253,7 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
     n = G1.n
     if G2.n != n or G1.det() != G2.det():
         return 0 if count_all else None
-    norms = sorted({G2.entries[j][j] for j in range(n)})
-    pool = {t: vectors_of_norm(G1.entries, t) for t in norms}
+    G2e = G2.entries
     cols = []
     found = [0]
     witness = [None]
@@ -263,15 +274,12 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                 return False
             witness[0] = U
             return True
-        for v in pool[G2.entries[j][j]]:
-            ok = True
+        # column j is compatible when cols[i]^t G1 v = G2[i][j] for i < j
+        for v, Gv in G1.pool(G2e[j][j]):
             for i in range(j):
-                s = sum(G1.entries[a][b] * cols[i][a] * v[b]
-                        for a in range(n) for b in range(n))
-                if s != G2.entries[i][j]:
-                    ok = False
+                if sum(map(mul, cols[i], Gv)) != G2e[i][j]:
                     break
-            if ok:
+            else:
                 cols.append(v)
                 if rec(j + 1):
                     return True
@@ -368,10 +376,8 @@ def enumerate_classes(n: int, B: int, margin: Fraction = None,
                     G[i][i] = diag[i]
                 for (i, j), v in zip(pairs, entries):
                     G[i][j] = G[j][i] = v
-                if not is_positive_definite(G):
-                    return
-                d = mat_det(G)
-                if 0 < d <= B:
+                minors = leading_minors(G)
+                if all(d > 0 for d in minors) and minors[-1] <= B:
                     candidates.append(GramMat(G))
                 return
             for v in range(-bounds[k], bounds[k] + 1):

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kmlift.exactalg import (CycloNum, Laurent, PPow, QSqrt, SymLaurent,
                              TruncSeries, cyclo_normalize, cyclotomic_poly,
-                             p_half_power, poly_deg, rational_fn_expand)
+                             leading_minors, mat_det, p_half_power, poly_deg,
+                             rational_fn_expand)
+from kmlift.quadforms import is_positive_definite
 
 
 def test_cyclo_basic_relations():
@@ -123,3 +129,90 @@ def test_ppow_integrality():
         pass
     else:
         raise AssertionError("fractional exponent must refuse to collapse")
+
+
+# ---------------------------------------------------------------------------
+# determinants against the Leibniz permutation expansion
+
+
+def _leibniz(M):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        for i in range(n):
+            sign *= M[i][perm[i]]
+        total += sign
+    return total
+
+
+def _leibniz_minors(M):
+    return [_leibniz([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+
+
+@st.composite
+def _int_matrices(draw, lo=-6, hi=6):
+    """Square integer matrices, n <= 4; zeros are common (row swaps), and a
+    repeated or scaled row makes some of them singular."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(lo, hi))
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        M[-1] = [c * x for x in M[draw(st.integers(0, n - 2))]]
+    return M
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 4))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(st.integers(-4, 8) if i == j
+                                     else st.integers(-4, 4))
+    return M
+
+
+@given(_int_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0], [0, 0]])
+def test_mat_det_matches_leibniz(M):
+    assert mat_det(M) == _leibniz(M)
+
+
+@given(_int_matrices())
+@example([[0, 1], [1, 0]])
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 5]])
+@example([[2, 1, 0], [1, 0, 3], [0, 3, 1]])
+def test_leading_minors_match_leibniz(M):
+    assert leading_minors(M) == _leibniz_minors(M)
+
+
+@given(_symmetric_matrices())
+@example([[2, 1], [1, 0]])
+@example([[0, 1], [1, 2]])
+def test_positive_definite_is_sylvester(M):
+    assert is_positive_definite(M) == all(d > 0 for d in _leibniz_minors(M))
+
+
+@given(_int_matrices(lo=-(2 ** 62), hi=2 ** 62))
+def test_mat_det_exact_on_int64_input(M):
+    A = np.asarray(M, dtype=np.int64)
+    d = mat_det(A)
+    assert type(d) is int
+    assert d == _leibniz(M)
+
+
+def test_mat_det_refuses_fraction_entries():
+    with pytest.raises(TypeError):
+        mat_det([[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(TypeError):
+        leading_minors([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from kmlift.quadforms import (GramMat, automorphism_count,
@@ -61,6 +62,56 @@ def test_isometry_invariants():
     assert U is not None
     assert transform(A2.entries, U) == [[2, -1], [-1, 2]]
     assert mat_det(U) == 1
+
+
+def _random_sl4(rng, steps):
+    """A product of elementary matrices 1 + c E_ij (i != j, c = +-1)."""
+    U = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(steps):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice((-1, 1))
+        for r in range(4):
+            U[r][j] += c * U[r][i]
+    return U
+
+
+def test_isometry_witness_cold_and_warm_pools(classlist16):
+    rng = random.Random(11)
+    forms = [D4.rows(), I4.rows()] + [c.gram.rows()
+                                      for c in classlist16.by_det(16)]
+    for rows in forms:
+        G = GramMat(rows)
+        h = hash(G)
+        for _ in range(3):
+            U = _random_sl4(rng, 4)
+            target = transform(G.entries, U)
+            for _ in range(2):  # first call fills the pools, repeat reads them
+                W = isometry_test(G, GramMat(target))
+                assert W is not None
+                assert transform(G.entries, W) == target
+                assert mat_det(W) == 1
+        assert G._pools
+        assert hash(G) == h
+        assert G == GramMat(G.rows()) and hash(G) == hash(GramMat(G.rows()))
+
+
+# det(2T) <= 40 quaternary classes: multiset of (det, e), 43 classes
+DET40_DET_E = {
+    (4, 576): 1, (5, 120): 1, (8, 48): 1, (9, 144): 1, (12, 48): 2,
+    (13, 24): 1, (16, 48): 1, (16, 192): 1, (17, 12): 1, (20, 12): 1,
+    (20, 48): 2, (21, 24): 2, (24, 16): 1, (24, 24): 1, (24, 48): 1,
+    (25, 36): 1, (28, 12): 1, (28, 16): 1, (28, 48): 1, (29, 12): 1,
+    (29, 24): 1, (32, 12): 2, (32, 16): 1, (32, 48): 2, (33, 8): 1,
+    (33, 12): 1, (33, 24): 1, (36, 24): 1, (36, 32): 1, (36, 48): 2,
+    (36, 72): 1, (37, 6): 1, (37, 24): 1, (40, 8): 1, (40, 12): 1,
+    (40, 16): 1, (40, 48): 1,
+}
+
+
+def test_class_table_det40(flagship):
+    h, cl, table = flagship
+    assert len(cl.classes) == 43
+    assert Counter((c.gram.det(), c.e) for c in cl.classes) == DET40_DET_E
 
 
 def test_class_enumeration_binary():
