@@ -7,7 +7,8 @@ Two independent routes exist for every Siegel series within budget: ``oracle``
 enumerates cosets R = S/p^j of S_n(Q_p)/S_n(Z_p) and extracts F_p from the
 exponential-sum series by exact division, while ``stratified`` computes the
 first two series coefficients from rank-stratified parametrizations (projective
-quadric counts and Ramanujan sums) and completes the polynomial through the
+quadric counts and Ramanujan sums, with the rank-2 stratum summed over the
+planes of F_p^n for every prime p) and completes the polynomial through the
 X <-> 1/X functional equation, which is then re-checked coefficient by
 coefficient.  Dyadic support is scoped to nu_2(f_T) <= 1, i.e. deg F_2 <= 2.
 """
@@ -640,18 +641,6 @@ def _rational_root_sum(counts, q) -> Fraction:
 
 # -- stratified route (independent of the full enumeration)
 
-def _tr_TS_int(G, S):
-    """tr(T S) = tr(G S)/2 as an exact integer."""
-    n = len(S)
-    t = 0
-    Gr = G.rows() if isinstance(G, GramMat) else G
-    for i in range(n):
-        for j in range(n):
-            t += Gr[i][j] * S[j][i]
-    assert t % 2 == 0
-    return t // 2
-
-
 def _proj_points(p, n):
     """Canonical representatives of P^{n-1}(F_p)."""
     pts = []
@@ -730,18 +719,17 @@ def _stratified_A2(G, p) -> Fraction:
 
 
 def _rank2_modp_sum(G, p) -> Fraction:
-    n = G.n
-    if p <= 3:
-        return _rank2_direct(G, p)
+    """Sum of e(tr(T S)/p) over the rank-2 symmetric S mod p, for every prime p.
+
+    Each such S is B^t C B for a unique plane W = row space of B (its RREF
+    basis from ``_planes``) and a unique invertible symmetric 2x2 C, with
+    tr(T B^t C B) = tr(T_W C) for the restricted form T_W = B T B^t."""
     total = Fraction(0)
-    zeta_cache = {}
-    for W in _planes(p, n):
-        # restricted half-integral form: entries of T_V as (2x2) with T = G/2
-        w1, w2 = W
+    for w1, w2 in _planes(p, G.n):
         q11 = _qval(G, w1)
         q22 = _qval(G, w2)
-        q12_2 = _bil_G(G, w1, w2)        # 2 * T_V off-diagonal = w1^t G w2
-        total += _plane_rank2_sum(q11, q22, q12_2, p, zeta_cache)
+        q12_2 = _bil_G(G, w1, w2)        # 2 * T_W off-diagonal = w1^t G w2
+        total += _plane_rank2_sum(q11, q22, q12_2, p)
     return total
 
 
@@ -751,9 +739,10 @@ def _bil_G(G, v, w) -> int:
     return sum(Gr[i][j] * v[i] * w[j] for i in range(n) for j in range(n))
 
 
-def _plane_rank2_sum(q11, q22, q12_2, p, cache) -> Fraction:
+def _plane_rank2_sum(q11, q22, q12_2, p) -> Fraction:
     """sum over rank-2 C in S_2(F_p) of e((q11 c11 + q22 c22 + q12_2 c12)/p)."""
-    # full sum minus rank <= 1
+    # full sum minus rank <= 1: C = 0 and C = a u u^t (u in P^1, a a unit),
+    # where sum_a e(a t/p) is p - 1 or -1, for p = 2 as well
     full = Fraction(p ** 3) if (q11 % p == 0 and q22 % p == 0 and q12_2 % p == 0) else Fraction(0)
     low = Fraction(1)  # C = 0
     for u in _proj_points(p, 2):
@@ -763,7 +752,8 @@ def _plane_rank2_sum(q11, q22, q12_2, p, cache) -> Fraction:
 
 
 def _planes(p, n):
-    """Canonical bases of the 2-dimensional subspaces of F_p^n (RREF)."""
+    """Canonical (RREF) bases of the 2-dimensional subspaces of F_p^n, any
+    prime p: the planes over which ``_rank2_modp_sum`` runs."""
     out = []
     for p1 in range(n):
         for p2 in range(p1 + 1, n):
@@ -783,46 +773,6 @@ def _planes(p, n):
                     x //= p
                 out.append((tuple(v1), tuple(v2)))
     return out
-
-
-def _rank2_direct(G, p) -> Fraction:
-    """Direct sum over rank-2 symmetric matrices mod p (small p)."""
-    n = G.n
-    E = n * (n + 1) // 2
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    tot = 0
-    zq = [0] * p
-    for idx in range(p ** E):
-        x = idx
-        ent = []
-        for _ in range(E):
-            ent.append(x % p)
-            x //= p
-        M = [[0] * n for _ in range(n)]
-        for (a, b), v in zip(pairs, ent):
-            M[a][b] = v
-            M[b][a] = v
-        if _fp_rank(M, p) == 2:
-            zq[_tr_TS_int(G, M) % p] += 1
-    return _rational_root_sum(zq, p)
-
-
-def _fp_rank(M, p):
-    M = [row[:] for row in M]
-    n = len(M)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if M[i][c] % p), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        for i in range(n):
-            if i != r and M[i][c] % p:
-                f = M[i][c] * inv % p
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
-        r += 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +859,6 @@ def p_series(n: int, p: int, d0, omega: str, prec: int, mode="brute",
         return p_series_closed(n, p, d0, omega, prec)
     if p == 2:
         raise ValueError("brute genus series needs p odd")
-    one = QSqrt(1, 0, p)
     coeffs: dict = {}
     for sym in enumerate_zp_classes(n, p, d0, prec - 1):
         nu = sym.valuation()

@@ -378,7 +378,9 @@ def enumerate_classes(n: int, B: int, margin: Fraction = None,
                     G[i][j] = G[j][i] = v
                 minors = leading_minors(G)
                 if all(d > 0 for d in minors) and minors[-1] <= B:
-                    candidates.append(GramMat(G))
+                    cand = GramMat(G)
+                    cand._det = minors[-1]      # the last leading minor
+                    candidates.append(cand)
                 return
             for v in range(-bounds[k], bounds[k] + 1):
                 fill(k + 1, entries + [v])

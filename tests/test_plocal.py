@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kmlift.characters import legendre
@@ -7,8 +9,9 @@ from kmlift.plocal import (dyadic_jordan, density_from_symbol,
                            enumerate_zp_classes, jordan_decompose,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
-                           _density_brute)
-from kmlift.quadforms import GramMat
+                           _density_brute, _plane_rank2_sum, _planes,
+                           _rank2_modp_sum)
+from kmlift.quadforms import GramMat, is_positive_definite
 
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
@@ -97,6 +100,102 @@ def test_siegel_series_good_prime_and_dyadic():
     so = siegel_series(D4, 2, mode="oracle")
     assert so.fcoeffs == s.fcoeffs
     assert s.check_symmetry()
+
+
+def _sym_mats_mod_p(n, p):
+    """(M, ent, pairs): every symmetric n x n matrix mod p as an (N, n, n)
+    array M, and its upper-triangle entries ent (N, E) in the order of the
+    index pairs ``pairs``."""
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    E = len(pairs)
+    ent = (np.arange(p ** E)[:, None] // p ** np.arange(E)) % p
+    M = np.zeros((p ** E, n, n), dtype=np.int64)
+    for k, (a, b) in enumerate(pairs):
+        M[:, a, b] = M[:, b, a] = ent[:, k]
+    return M, ent, pairs
+
+
+def _ranks_mod_p(M, p):
+    """F_p-ranks of a stack of square matrices by Gaussian elimination run on
+    all of them at once: a pivot row per column, never reused."""
+    M = M % p
+    N, n, _ = M.shape
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    used = np.zeros((N, n), dtype=bool)
+    rank = np.zeros(N, dtype=np.int64)
+    rows = np.arange(N)
+    for c in range(n):
+        cand = (M[:, :, c] != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        R = M[rows, piv]
+        f = M[:, :, c] * inv[R[:, c]][:, None] % p
+        f[used | ~has[:, None]] = 0
+        f[rows, piv] = 0
+        M = (M - f[:, :, None] * R[:, None, :]) % p
+        used[rows[has], piv[has]] = True
+        rank += has
+    return rank
+
+
+def _rank2_brute(G, p, rank2, pairs):
+    """sum over rank-2 S in S_n(F_p) of e(tr(T S)/p), T = G/2, given the
+    upper-triangle entries ``rank2`` of every such S."""
+    w = np.array([G[a, b] // 2 if a == b else G[a, b] for a, b in pairs])
+    counts = np.bincount(rank2 @ w % p, minlength=p)
+    assert len(set(counts[1:])) == 1          # the sum is rational
+    return Fraction(int(counts[0] - counts[1]))
+
+
+def _random_even_pd(n, rng):
+    while True:
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            M[i][i] = 2 * rng.randint(1, 4)
+            for j in range(i + 1, n):
+                M[i][j] = M[j][i] = rng.randint(-2, 2)
+        if is_positive_definite(M):
+            return GramMat(M)
+
+
+# |{rank-2 S in S_n(F_p)}| from a direct enumeration of all symmetric matrices
+RANK2_COUNTS = {(2, 2): 4, (2, 3): 18, (4, 2): 140, (4, 3): 2340}
+
+
+@pytest.mark.parametrize("n,p", sorted(RANK2_COUNTS))
+def test_rank2_plane_route_matches_every_symmetric_matrix(n, p):
+    M, ent, pairs = _sym_mats_mod_p(n, p)
+    rank2 = ent[_ranks_mod_p(M, p) == 2]
+    assert len(rank2) == RANK2_COUNTS[n, p]
+    rng = random.Random(1000 * n + p)
+    for _ in range(8):
+        G = _random_even_pd(n, rng)
+        assert _rank2_modp_sum(G, p) == _rank2_brute(G, p, rank2, pairs), G
+
+
+def test_ranks_mod_p_reference():
+    M = np.array([[[1, 1], [1, 1]], [[2, 1], [1, 2]], [[0, 0], [0, 0]],
+                  [[0, 1], [1, 0]]])
+    assert _ranks_mod_p(M, 3).tolist() == [1, 1, 0, 2]
+    assert _ranks_mod_p(M, 2).tolist() == [1, 2, 0, 2]
+
+
+@pytest.mark.parametrize("n,p", sorted(RANK2_COUNTS))
+def test_plane_sum_with_zero_form_counts_rank2_matrices(n, p):
+    assert sum(_plane_rank2_sum(0, 0, 0, p) for _ in _planes(p, n)) == \
+        RANK2_COUNTS[n, p]
+
+
+def test_siegel_series_stratified_pinned_p3_n4():
+    # fcoeffs computed with the rank-2 stratum summed over every symmetric
+    # matrix mod 3
+    cases = [(A2A2, (1, -36, 243)),
+             (GramMat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 18]]),
+              (1, -9, 243)),
+             (GramMat([[4, 1, 1, 1], [1, 4, 1, 1], [1, 1, 4, 1], [1, 1, 1, 4]]),
+              (1, 0, 243))]
+    for G, want in cases:
+        assert siegel_series(G, 3, mode="stratified").fcoeffs == want, G
 
 
 def test_enumerate_zp_classes():
