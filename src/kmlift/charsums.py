@@ -51,7 +51,10 @@ def _digit_arrays(lo, hi, N, E):
 
 
 def _det_batch(M, m, N):
-    """Determinant mod N of a batch given as nested entry arrays M[i][j]."""
+    """Determinant mod N of a batch given as nested entry arrays M[i][j]
+    (1 for m = 0)."""
+    if m == 0:
+        return 1
     if m == 1:
         return M[0][0] % N
     if m == 2:
@@ -108,39 +111,70 @@ def sym_det_trace_counts_cached(m, N, budget=DEFAULT_BUDGET):
     return _SYM_DT_CACHE[key]
 
 
+def _sym_adj_batch(M, k, N, size):
+    """Adjugate entries Adj[a, b] (a <= b) mod N of a batch of symmetric
+    k x k matrices given as nested entry arrays, one column per entry."""
+    cols = []
+    for a in range(k):
+        for b in range(a, k):
+            minor = [[M[i][j] for j in range(k) if j != a]
+                     for i in range(k) if i != b]
+            cof = (-1) ** (a + b) * _det_batch(minor, k - 1, N) % N
+            cols.append(np.broadcast_to(cof, (size,)))
+    return np.stack(cols, axis=1) if cols else np.zeros((size, 0), np.int64)
+
+
 def sym_dettarget_trace_counts(A, N, det_target=1, budget=DEFAULT_BUDGET,
                                forms=None):
     """For each form B in ``forms`` (defaults to [A]): counts[t] over
-    {Z in S_m(Z/N): det Z = det_target, tr(B Z) = t}."""
+    {Z in S_m(Z/N): det Z = det_target, tr(B Z) = t}.
+
+    Every Z is bordered as [[Z1, w], [w^t, z]], so that
+    det Z = z det Z1 - w^t Adj(Z1) w and
+    tr(BZ) = tr(B1 Z1) + sum_a (B[a,k] + B[k,a]) w_a + B[k,k] z.
+    For each block of Z1 the pairs (w^t Adj(Z1) w, trace without z) are
+    tallied over every w; z then runs over every residue, so each cell of
+    S_m(Z/N) is counted once and the count is exact for composite N too."""
     A = np.asarray(A, dtype=np.int64)
     m = A.shape[0]
     if forms is None:
         forms = [A]
-    forms = [np.asarray(B, dtype=np.int64) for B in forms]
-    E = m * (m + 1) // 2
-    total = N ** E
-    _check_budget(total, budget)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
+    _check_budget(N ** (m * (m + 1) // 2), budget)
+    k = m - 1
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    nw = N ** k
+    W = _digit_arrays(0, nw, N, k)
+    mono = np.array([W[a] * W[b] * (1 if a == b else 2) % N
+                     for a, b in pairs], dtype=np.int64).reshape(len(pairs), nw)
+    # the zeros keep each trace part an array when its coefficients vanish
+    tw = [sum((int(B[a, k] + B[k, a]) % N) * W[a] for a in range(k))
+          + np.zeros(nw, dtype=np.int64) for B in forms]
+    zs = np.arange(N, dtype=np.int64)
     out = [np.zeros(N, dtype=np.int64) for _ in forms]
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        digs = _digit_arrays(lo, hi, N, E)
-        M = [[None] * m for _ in range(m)]
+    total = N ** len(pairs)
+    step = max(1, _CHUNK // max(nw, N * N))
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        size = hi - lo
+        digs = _digit_arrays(lo, hi, N, len(pairs))
+        M = [[None] * k for _ in range(k)]
         for (i, j), d in zip(pairs, digs):
             M[i][j] = d
             M[j][i] = d
-        det = _det_batch(M, m, N)
-        mask = det == (det_target % N)
-        if not mask.any():
-            continue
-        sel = [[M[i][j][mask] for j in range(m)] for i in range(m)]
-        for k, B in enumerate(forms):
-            tr = 0
-            for i in range(m):
-                for j in range(m):
-                    if B[i][j]:
-                        tr = tr + int(B[i][j]) * sel[i][j]
-            np.add.at(out[k], tr % N, 1)
+        d1 = np.broadcast_to(_det_batch(M, k, N), (size,))
+        Q = _sym_adj_batch(M, k, N, size) @ mono % N
+        # the value of w^t Adj(Z1) w that puts det Z on target, per (z, Z1)
+        need = (zs[:, None] * d1[None, :] - det_target) % N
+        rows = np.arange(size, dtype=np.int64)
+        for f, B in enumerate(forms):
+            t1 = sum(int(B[i, j]) * M[i][j] for i in range(k)
+                     for j in range(k)) + np.zeros(size, dtype=np.int64)
+            key = (rows[:, None] * N + Q) * N + (t1[:, None] + tw[f]) % N
+            H = np.bincount(key.ravel(), minlength=size * N * N)
+            H = H.reshape(size, N, N)[rows[None, :], need].sum(axis=1)
+            for z in range(N):
+                out[f] += np.roll(H[z], int(B[k, k]) * z % N)
     return out if len(out) > 1 else out[0]
 
 
@@ -234,27 +268,61 @@ def _chi_even(detval: int, size: int, p: int) -> int:
 
 
 def count_A_brute(S, T, p, budget=DEFAULT_BUDGET) -> int:
+    """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion.
+
+    The rows of Y are fixed one at a time: row i must have S-norm T[i, i]
+    and S-pairing T[j, i] with each earlier row j.  Each later row keeps a
+    boolean mask over F_p^m of the vectors still allowed, narrowed as rows
+    are fixed; the last two rows are one masked count."""
     S = np.asarray(S, dtype=np.int64) % p
     T = np.asarray(T, dtype=np.int64) % p
     m, r = S.shape[0], T.shape[0]
-    total = p ** (r * m)
-    _check_budget(total, budget)
+    _check_budget(p ** (r * m), budget)
+    if r == 0:
+        return 1
+    nvec = p ** m
+    if r == 1:
+        step = max(1, _CHUNK // max(1, m))
+        return sum(int((_norms(_vectors(lo, min(nvec, lo + step), p, m), S, p)
+                        == T[0, 0]).sum()) for lo in range(0, nvec, step))
+    X = _vectors(0, nvec, p, m)
+    norms = _norms(X, S, p)
+    return _count_rows(X, S, T, p, [norms == T[i, i] for i in range(r)], 0)
+
+
+def _vectors(lo, hi, p, m):
+    """The vectors of F_p^m with base-p index in [lo, hi), one per row."""
+    return np.array(_digit_arrays(lo, hi, p, m),
+                    dtype=np.int64).reshape(m, hi - lo).T
+
+
+def _norms(X, S, p):
+    """x S x^t mod p for every row x of X."""
+    return (X @ S % p * X).sum(axis=1) % p
+
+
+def _count_rows(X, S, T, p, masks, i):
+    """Completions of the rows i.. of Y, rows < i fixed; masks[j] is the
+    candidate mask of row j over the vectors X."""
+    r = len(masks)
+    if i == r - 2:
+        left = X[masks[i]] @ S % p
+        right = X[masks[i + 1]].T
+        count = 0
+        step = max(1, _CHUNK // max(1, right.shape[1]))
+        for lo in range(0, left.shape[0], step):
+            pair = left[lo:lo + step] @ right % p
+            count += int((pair == T[i, i + 1]).sum())
+        return count
     count = 0
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        digs = _digit_arrays(lo, hi, p, r * m)
-        Y = [[digs[i * m + j] for j in range(m)] for i in range(r)]
-        ok = np.ones(hi - lo, dtype=bool)
-        for i in range(r):
-            for j in range(i, r):
-                v = 0
-                for a in range(m):
-                    ya = Y[i][a]
-                    for b in range(m):
-                        if S[a, b]:
-                            v = v + ya * Y[j][b] * int(S[a, b])
-                ok &= (v % p) == int(T[i, j])
-        count += int(ok.sum())
+    for x in X[masks[i]]:
+        xs = x @ S % p
+        rest = []
+        for j in range(i + 1, r):
+            mask = masks[j].copy()
+            mask[mask] = X[mask] @ xs % p == T[i, j]
+            rest.append(mask)
+        count += _count_rows(X, S, T, p, masks[:i + 1] + rest, i + 1)
     return count
 
 

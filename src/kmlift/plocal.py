@@ -23,13 +23,15 @@ import numpy as np
 
 from .characters import (_as_unit_int, factorize, hilbert_symbol, kronecker,
                          legendre)
+from .charsums import DEFAULT_BUDGET, BudgetExceeded
 from .exactalg import (Laurent, QSqrt, TruncSeries, _pval, _reduce_mod_cyclo,
                        geometric_inverse, mat_det, p_half_power)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
 from .quadforms import GramMat, fundamental_split
 
-DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
+# largest S_n(Z/p^j) table the oracle route enumerates
+_ORACLE_CAP = 4_500_000
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +519,8 @@ def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
     q = p ** j
     E = n * (n + 1) // 2
     total = q ** E
-    if total > 4_500_000:
-        raise RuntimeError(f"oracle bucket table size {total} over budget")
+    if total > _ORACLE_CAP:
+        raise BudgetExceeded(total, _ORACLE_CAP)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     buckets = np.full(total, -1, dtype=np.int8)
     ent = [0] * E
@@ -589,11 +591,9 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
     """A_0..A_J (J = deg + 1 when affordable) of b_p(T, s) by enumeration."""
     n = G.n
     E = n * (n + 1) // 2
-    J = deg + 1
-    while J > deg and (p ** (J * E)) > 4_500_000:
-        J -= 1
-    if J < deg:
-        raise RuntimeError("oracle route over budget for the required degree")
+    if p ** (deg * E) > _ORACLE_CAP:
+        raise BudgetExceeded(p ** (deg * E), _ORACLE_CAP)
+    J = deg + 1 if p ** ((deg + 1) * E) <= _ORACLE_CAP else deg
     acc = [Fraction(0)] * (J + 1)
     acc[0] = Fraction(1)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]

@@ -215,20 +215,25 @@ def vectors_of_norm(G, t: int):
 
 
 def _floor_sqrt_pos(shift: Fraction, bound: Fraction) -> int:
-    # max integer x with (x + shift)^2 <= bound
+    # max integer x with (x + shift)^2 <= bound; -10^9 when there is none
     if bound < 0:
         return -10 ** 9
     x = int(_isqrt_frac(bound) - shift) + 2
     while (x + shift) ** 2 > bound:
+        if x + shift < 0:
+            return -10 ** 9
         x -= 1
     return x
 
 
 def _ceil_sqrt_neg(shift: Fraction, bound: Fraction) -> int:
+    # min integer x with (x + shift)^2 <= bound; 10^9 when there is none
     if bound < 0:
         return 10 ** 9
     x = int(-_isqrt_frac(bound) - shift) - 2
     while (x + shift) ** 2 > bound:
+        if x + shift > 0:
+            return 10 ** 9
         x += 1
     return x
 

@@ -1,18 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from kmlift.characters import char_group, jacobi_sum
-from kmlift.charsums import (DEFAULT_H_VARIANT, Im_closed, Im_sum, Jm_brute,
-                             Jm_chi, Jm_recursion, bordered_det_sum_brute,
+from kmlift.charsums import (DEFAULT_H_VARIANT, BudgetExceeded, Im_closed,
+                             Im_sum, Jm_brute, Jm_chi, Jm_recursion,
+                             bordered_det_sum_brute,
                              bordered_det_sum_closed, chi_det_halfintegral,
                              count_A0_brute, count_A0_closed, count_A_brute,
                              count_A_closed, count_A_display, gamma_const,
                              h_brute_sl, h_brute_sym, h_closed,
                              quad_char_sum_brute, run_lemma51_suite,
                              run_lemma53_suite, run_prop510_suite,
-                             run_prop54_suite)
-from kmlift.exactalg import CycloNum
+                             run_prop54_suite, sym_dettarget_trace_counts)
+from kmlift.exactalg import CycloNum, mat_det
 
 
 def test_lemma51_examples():
@@ -214,3 +217,115 @@ def test_h_composite_direct_enumeration():
 def _weight_counts_local(counts, chi):
     from kmlift.charsums import _weight_counts
     return _weight_counts(counts, chi)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive kernels against reference enumerations written here
+
+def _ref_dettarget_counts(m, N, forms):
+    """{(form index, det mod N): counts over tr(BZ)} over every Z in
+    S_m(Z/N), one Python loop per symmetric matrix."""
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    ref = {}
+    for ent in itertools.product(range(N), repeat=len(pairs)):
+        Z = [[0] * m for _ in range(m)]
+        for (i, j), v in zip(pairs, ent):
+            Z[i][j] = Z[j][i] = v
+        d = mat_det(Z) % N
+        for f, B in enumerate(forms):
+            t = sum(B[i][j] * Z[j][i] for i in range(m) for j in range(m)) % N
+            ref.setdefault((f, d), [0] * N)[t] += 1
+    return ref
+
+
+def _forms(m, N, rng):
+    """A symmetric, a non-symmetric, a mostly zero and the zero form."""
+    sym = rng.integers(0, N, size=(m, m))
+    odd = rng.integers(0, N, size=(m, m))
+    corner = np.zeros((m, m), dtype=np.int64)
+    corner[m - 1, 0] = 1
+    return [(sym + sym.T) % N, odd, corner, np.zeros((m, m), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("m,N", [(1, 3), (1, 9), (1, 15), (2, 3), (2, 5),
+                                 (2, 7), (2, 9), (2, 15), (3, 3), (3, 5),
+                                 (3, 7)])
+def test_sym_dettarget_trace_counts_matches_reference(m, N):
+    rng = np.random.default_rng(10 * m + N)
+    forms = _forms(m, N, rng)
+    ref = _ref_dettarget_counts(m, N, [B.tolist() for B in forms])
+    for det_target in (0, 1, 2):
+        got = sym_dettarget_trace_counts(forms[0], N, det_target, forms=forms)
+        for f in range(len(forms)):
+            expect = ref.get((f, det_target % N), [0] * N)
+            assert got[f].tolist() == expect, (f, det_target)
+        # a single form returns its counts directly
+        one = sym_dettarget_trace_counts(forms[1], N, det_target)
+        assert one.tolist() == ref.get((1, det_target % N), [0] * N)
+
+
+def test_sym_dettarget_trace_counts_every_cell_counted():
+    # summed over det targets, each of the N^E symmetric matrices once
+    for m, N in ((2, 6), (3, 4)):
+        B = np.arange(m * m).reshape(m, m)
+        total = sum(sym_dettarget_trace_counts(B, N, d).sum() for d in range(N))
+        assert total == N ** (m * (m + 1) // 2)
+
+
+def _ref_count_A(S, T, p):
+    """#{Y : Y_i S Y_j^t = T[i, j] for i <= j} over every Y in F_p^{r x m}."""
+    m, r = len(S), len(T)
+    count = 0
+    for ent in itertools.product(range(p), repeat=r * m):
+        Y = [ent[i * m:(i + 1) * m] for i in range(r)]
+        count += all(
+            sum(Y[i][a] * S[a][b] * Y[j][b] for a in range(m)
+                for b in range(m)) % p == T[i][j] % p
+            for i in range(r) for j in range(i, r))
+    return count
+
+
+def _count_A_cases():
+    rng = np.random.default_rng(51)
+    cases = []
+    for p, m, r in ((3, 2, 2), (5, 2, 2), (7, 2, 2), (3, 3, 2), (3, 2, 3),
+                    (2, 2, 4), (3, 3, 3), (2, 3, 4), (5, 1, 3), (3, 4, 2)):
+        S = rng.integers(0, p, size=(m, m))
+        T = rng.integers(0, p, size=(r, r))
+        cases.append((S + S.T, T + T.T, p))      # symmetric, non-diagonal
+        cases.append((S, T, p))                  # non-symmetric
+        low = np.outer(S[0], S[0]) % p           # rank <= 1
+        cases.append((low, T + T.T, p))
+        cases.append((S + S.T, np.outer(T[0], T[0]) % p, p))
+        cases.append((S + S.T, np.zeros((r, r), dtype=np.int64), p))
+    return cases
+
+
+def test_count_A_brute_matches_reference():
+    for S, T, p in _count_A_cases():
+        got = count_A_brute(S, T, p)
+        assert got == _ref_count_A(S.tolist(), T.tolist(), p), (S, T, p)
+
+
+def test_count_A_brute_edge_shapes():
+    S = np.array([[1, 2], [2, 0]])
+    assert count_A_brute(S, np.zeros((0, 0), dtype=np.int64), 5) == 1
+    assert count_A_brute(S, [[3]], 5) == _ref_count_A(S.tolist(), [[3]], 5)
+    assert count_A_brute(np.zeros((2, 2), dtype=np.int64),
+                         np.zeros((5, 5), dtype=np.int64), 2) == 2 ** 10
+
+
+def test_exhaustive_kernels_budget_pins():
+    A = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    cost = 5 ** 6
+    with pytest.raises(BudgetExceeded) as exc:
+        sym_dettarget_trace_counts(A, 5, 1, budget=cost - 1)
+    assert exc.value.cost == cost
+    assert sym_dettarget_trace_counts(A, 5, 1, budget=cost).sum() > 0
+    S, T = np.eye(3, dtype=np.int64), np.array([[1, 1], [1, 2]])
+    cost = 3 ** (2 * 3)
+    with pytest.raises(BudgetExceeded) as exc:
+        count_A_brute(S, T, 3, budget=cost - 1)
+    assert exc.value.cost == cost
+    assert count_A_brute(S, T, 3, budget=cost) == _ref_count_A(
+        S.tolist(), T.tolist(), 3)

@@ -1,16 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kmlift.characters import legendre
+from kmlift.charsums import BudgetExceeded
 from kmlift.plocal import (dyadic_jordan, density_from_symbol,
                            enumerate_zp_classes, jordan_decompose,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
-                           _density_brute, _plane_rank2_sum, _planes,
-                           _rank2_modp_sum)
+                           _SNF_BUCKET_CACHE, _density_brute,
+                           _oracle_A_coeffs, _plane_rank2_sum, _planes,
+                           _rank2_modp_sum, _snf_buckets)
 from kmlift.quadforms import GramMat, is_positive_definite
 
 A2 = GramMat([[2, 1], [1, 2]])
@@ -273,3 +276,17 @@ def test_zp_class_reconstruction_audit():
         rep = _diag_mat(symbol_diagonal(sym, 3))
         back = jordan_decompose(rep, 3)
         assert back == sym
+
+
+def test_oracle_caps_refuse_with_computed_cost():
+    # S_3(Z/27) has 27^6 entries: refused before any entry is classified
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        _snf_buckets(3, 3, 3)
+    assert exc.value.cost == 27 ** 6
+    assert time.perf_counter() - t0 < 1.0
+    assert (3, 3, 3) not in _SNF_BUCKET_CACHE
+    # degree 2 at n = 4, p = 3 needs the 3^20 table
+    with pytest.raises(BudgetExceeded) as exc:
+        _oracle_A_coeffs(I4, 3, 2)
+    assert exc.value.cost == 3 ** 20

@@ -1,6 +1,15 @@
+import ast
+import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
+
+import kmlift
 
 from kmlift.quadforms import (GramMat, automorphism_count,
                               automorphism_count_full, disc_split,
@@ -11,6 +20,8 @@ from kmlift.quadforms import (GramMat, automorphism_count,
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
 I4 = GramMat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+
+_KMLIFT_ROOT = str(Path(kmlift.__file__).resolve().parent.parent)
 
 
 def test_automorphism_counts():
@@ -169,3 +180,32 @@ def test_vectors_of_norm():
     assert len(vs) == 6          # minimal vectors of the hexagonal lattice
     vs4 = vectors_of_norm(I4.entries, 2)
     assert len(vs4) == 8
+
+
+def test_vectors_of_norm_returns_on_empty_ranges():
+    # This det-64 form reaches a coordinate with bound 0 and shift +-1/2,
+    # where no integer fits; run in a child with a timeout so that a
+    # regression fails instead of hanging the suite.
+    G = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 4, -2], [-1, -1, -2, 6]]
+    t = 4
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_KMLIFT_ROOT, env.get("PYTHONPATH")) if p)
+    code = ("from kmlift.quadforms import vectors_of_norm; "
+            f"print(sorted(vectors_of_norm({G}, {t})))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    got = ast.literal_eval(r.stdout)
+    # box enumeration: v_i^2 <= t (G^-1)_ii = t det(G_ii) / det(G)
+    n, det = len(G), mat_det(G)
+    box = []
+    for i in range(n):
+        minor = [[G[a][b] for b in range(n) if b != i]
+                 for a in range(n) if a != i]
+        box.append(isqrt(t * mat_det(minor) // det) + 1)
+    expect = sorted(
+        v for v in itertools.product(*(range(-b, b + 1) for b in box))
+        if sum(v[a] * G[a][b] * v[b] for a in range(n) for b in range(n)) == t)
+    assert len(expect) == 6
+    assert got == expect
