@@ -329,3 +329,50 @@ def test_exhaustive_kernels_budget_pins():
     assert exc.value.cost == cost
     assert count_A_brute(S, T, 3, budget=cost) == _ref_count_A(
         S.tolist(), T.tolist(), 3)
+
+
+def _echelon_rank_mod(M, p):
+    """Rank over F_p by plain row reduction (a reference for the tests)."""
+    M = [[x % p for x in row] for row in M]
+    rank = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][c], -1, p)
+        for i in range(len(M)):
+            if i != rank and M[i][c]:
+                f = M[i][c] * inv % p
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+def _random_symmetric_of_rank(rng, m, r, p):
+    """B^t D B mod p with B an r x m matrix and D = diag of units: rank <= r."""
+    B = rng.integers(0, p, size=(r, m))
+    D = np.diag(rng.integers(1, p, size=r))
+    return (B.T @ D @ B % p).tolist()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_rank_and_det0_against_references(p):
+    from kmlift.characters import legendre
+    from kmlift.charsums import _rank_and_det0
+    rng = np.random.default_rng(100 + p)
+    cases = [[[0]], [[0, 0], [0, 0]], [[0, 1], [1, 0]], [[p, 1], [1, p]]]
+    for m in range(1, 6):
+        for r in range(0, m + 1):
+            cases += [_random_symmetric_of_rank(rng, m, r, p) for _ in range(4)]
+    for S in cases:
+        r, det0 = _rank_and_det0(np.asarray(S), p)
+        assert r == _echelon_rank_mod(S, p), S
+        if r == 0:
+            continue
+        # a symmetric matrix of rank r has a nonsingular principal r x r
+        # minor, and its square class is that of the nondegenerate part
+        minor = next(d for idx in itertools.combinations(range(len(S)), r)
+                     if (d := mat_det([[S[i][j] for j in idx]
+                                       for i in idx]) % p))
+        assert legendre(det0, p) == legendre(minor, p), S

@@ -56,6 +56,12 @@ CASES = [
      ["lseries", "stream", "--chi", "5:1", "--bound", "20"],
      "737f0a62c3d737ab343b95ebe21cf413b09c5ba2de9237347d3020d289073754",
      "2a60732674f6b742ec3f478bb101b0a1a7a68412e935b12234c0988200d903a6"),
+    ("lift-coeffs", ["lift", "coeffs", "--det-bound", "16"],
+     "c9c8b77249165488eec9c24263377a7088a92ad1778092a1c395898b67fbb70f",
+     "6d360c53f2de9dba9397f46feaa6a5682c2d90e73b1d2eb05140f78d4d899b89"),
+    ("kmverify", ["kmverify", "--det-bound", "16"],
+     "7674dd7784444d5c6728509aa5057e66807a52850920abcf3f8992ffad5178d7",
+     "885cca133920c88b2d0073186ba6de50f5508adebb4009627f81d5fcb5c718ae"),
 ]
 
 

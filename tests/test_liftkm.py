@@ -195,3 +195,29 @@ def test_hecke_tp2_trivial_precision():
     h = build_plus_eigenform(8, 4, prec=120)
     t = hecke_Tp2(h.qexp, 3, 6)
     assert t.prec >= 13
+
+
+# R^(chi) for chi = 7:2 with the section-7 'printed' weights, as the two
+# coordinates over (1, zeta_6) of every nonzero coefficient; taken before the
+# assembly was built on the Theorem 4.1 stream builders
+PRINTED_RCHI_7_2 = {
+    1: ("-49/3", "49/2"), 4: ("2940", "5880"), 5: ("18816", "-94080"),
+    8: ("47040", "-70560"), 9: ("114660", "-38220"),
+    12: ("1128960", "-5644800"), 13: ("-4139520", "-1034880"),
+    16: ("-1732640", "1732640/3"), 17: ("1881600", "-1505280"),
+    20: ("9031680", "2257920"), 24: ("152409600", "-121927680"),
+    25: ("-3308970", "-6617940"), 29: ("4656960", "-6985440"),
+    32: ("-4327680", "-8655360"), 33: ("-30481920", "152409600"),
+    36: ("27518400", "-41277600"), 37: ("-70207200", "23402400"),
+    40: ("129077760", "-645388800"),
+}
+
+
+def test_r_chi_printed_variant_pinned(flagship):
+    h, cl, table = flagship
+    R = r_chi_assemble(h, parse_descriptor("7:2"), 8, 4, 40, variant="printed")
+    want = {D: CycloNum.from_rational(Fraction(a))
+            + CycloNum.zeta(6) * Fraction(b)
+            for D, (a, b) in PRINTED_RCHI_7_2.items()}
+    for D in range(1, 41):
+        assert R.coeff(D) == want.get(D, CycloNum.zero()), D

@@ -290,3 +290,102 @@ def test_oracle_caps_refuse_with_computed_cost():
     with pytest.raises(BudgetExceeded) as exc:
         _oracle_A_coeffs(I4, 3, 2)
     assert exc.value.cost == 3 ** 20
+
+
+# Exact values taken before symmetric congruence reduction had one home:
+# Jordan symbols at p = 3, 5 as (scale, dim, detclass) blocks, dyadic blocks
+# as (scale, kind, units), and Hasse invariants at (-1, 2, 3, 5).  The forms
+# reach every pivot rule: a diagonal pivot, an off-diagonal one that is
+# folded into a diagonal (p odd, Q) and a 2x2 dyadic block.
+PINNED_FORMS = [
+    [[2, 1], [1, 2]],
+    [[2, 0], [0, 18]],
+    [[2, 1], [1, 8]],
+    [[0, 1], [1, 0]],
+    [[3, 1], [1, 3]],
+    [[5, 1], [1, 5]],
+    [[4, 2], [2, 4]],
+    [[0, 2], [2, 0]],
+    [[1, 0], [0, 3]],
+    [[6, 3], [3, -12]],
+    [[2, 1, 0], [1, 4, 1], [0, 1, 6]],
+    [[6, 3, 0], [3, 6, 3], [0, 3, 12]],
+    [[0, 5, 1], [5, 0, 3], [1, 3, 10]],
+    [[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]],
+    [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+    [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]],
+    [[6, 3, 0, 0], [3, 6, 0, 0], [0, 0, 2, 1], [0, 0, 1, 50]],
+    [[10, 5, 0, 5], [5, 0, 15, 1], [0, 15, 6, 3], [5, 1, 3, -4]],
+    [[0, 6, 2, 0], [6, 4, 0, 9], [2, 0, 12, 3], [0, 9, 3, 8]],
+]
+PINNED_JORDAN = [
+    (((0, 1, -1), (1, 1, -1)), ((0, 2, -1),)),
+    (((0, 1, -1), (2, 1, -1)), ((0, 2, 1),)),
+    (((0, 1, -1), (1, 1, 1)), ((0, 1, -1), (1, 1, 1))),
+    (((0, 2, -1),), ((0, 2, 1),)),
+    (((0, 2, -1),), ((0, 2, -1),)),
+    (((0, 1, -1), (1, 1, 1)), ((0, 2, 1),)),
+    (((0, 1, 1), (1, 1, 1)), ((0, 2, -1),)),
+    (((0, 2, -1),), ((0, 2, 1),)),
+    (((0, 1, 1), (1, 1, 1)), ((0, 2, -1),)),
+    (((1, 1, -1), (3, 1, 1)), ((0, 2, 1),)),
+    (((0, 3, 1),), ((0, 2, -1), (1, 1, 1))),
+    (((1, 3, 1),), ((0, 2, -1), (1, 1, -1))),
+    (((0, 3, -1),), ((0, 2, 1), (1, 1, 1))),
+    (((0, 4, 1),), ((0, 4, 1),)),
+    (((0, 2, 1), (1, 2, 1)), ((0, 4, 1),)),
+    (((0, 3, 1), (1, 1, -1)), ((0, 4, -1),)),
+    (((0, 1, -1), (1, 1, -1), (2, 2, -1)), ((0, 4, -1),)),
+    (((0, 3, -1), (1, 1, -1)), ((0, 3, 1), (1, 1, -1))),
+    (((0, 4, 1),), ((0, 4, 1),)),
+]
+PINNED_DYADIC = [
+    ((0, "V", ()),),
+    ((1, "odd", (1,)), (1, "odd", (1,))),
+    ((0, "H", ()),),
+    ((0, "H", ()),),
+    ((0, "odd", (3,)), (3, "odd", (3,))),
+    ((0, "odd", (5,)), (3, "odd", (7,))),
+    ((1, "V", ()),),
+    ((1, "H", ()),),
+    ((0, "odd", (1,)), (0, "odd", (3,))),
+    ((0, "H", ()),),
+    ((0, "H", ()), (3, "odd", (3,))),
+    ((0, "V", ()), (1, "odd", (5,))),
+    ((0, "H", ()), (2, "odd", (7,))),
+    ((0, "V", ()), (1, "V", ())),
+    ((0, "V", ()), (0, "V", ())),
+    ((0, "V", ()), (1, "H", ())),
+    ((0, "V", ()), (0, "V", ())),
+    ((0, "H", ()), (1, "H", ())),
+    ((0, "H", ()), (4, "odd", (7,)), (5, "odd", (1,))),
+]
+PINNED_HASSE = [
+    (1, 1, 1, 1), (1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, 1, 1),
+    (1, 1, 1, 1), (1, 1, 1, 1), (1, -1, -1, 1), (-1, -1, 1, 1),
+    (1, -1, -1, 1), (-1, -1, 1, 1), (1, -1, 1, -1), (1, -1, 1, -1),
+    (-1, -1, 1, 1), (1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, -1, 1),
+    (1, -1, -1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1),
+]
+
+
+@pytest.mark.parametrize("i", range(len(PINNED_FORMS)))
+def test_pinned_jordan_dyadic_hasse(i):
+    from kmlift.quadforms import hasse_invariant
+    G = PINNED_FORMS[i]
+    got = tuple(tuple((b.scale, b.dim, b.detclass)
+                      for b in jordan_decompose(G, p).blocks) for p in (3, 5))
+    assert got == PINNED_JORDAN[i]
+    assert tuple((b.scale, b.kind, b.units)
+                 for b in dyadic_jordan(G)) == PINNED_DYADIC[i]
+    assert tuple(hasse_invariant(G, p) for p in (-1, 2, 3, 5)) == PINNED_HASSE[i]
+    with pytest.raises(ValueError):
+        jordan_decompose(G, 2)
+
+
+def test_pinned_mass_formula():
+    # A2 takes the d < 0 branch of L(n/2, chi_d); the others d > 0
+    assert mass_formula(A2) == Fraction(1, 12)
+    assert mass_formula(D4) == Fraction(1, 1152)
+    assert mass_formula(A2A2) == Fraction(1, 288)
+    assert mass_formula(I4) == Fraction(1, 384)
