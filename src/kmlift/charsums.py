@@ -18,8 +18,8 @@ from math import gcd
 
 import numpy as np
 
-from .exactalg import CycloNum, mat_det
-from .characters import (DirichletChar, char_group, factorize,
+from .exactalg import CycloNum, _congruence_blocks, mat_det
+from .characters import (DirichletChar, _as_unit_int, char_group, factorize,
                          find_primitive_root_of_unity_mod, jacobi_sum, lcm,
                          legendre, local_component, subgroup_Dm)
 
@@ -468,36 +468,15 @@ def _weight_counts(counts, chi: DirichletChar) -> CycloNum:
 
 
 def _rank_and_det0(S, p):
-    """Rank over F_p and det class of a maximal nondegenerate block, by
-    symmetric congruence reduction (p odd)."""
-    M = [[int(x) % p for x in row] for row in np.asarray(S).tolist()]
+    """Rank over F_p and det class of a maximal nondegenerate block: the unit
+    pivots of the congruence reduction of S mod p over Z_p (p odd)."""
+    S = [[int(x) % p for x in row] for row in np.asarray(S).tolist()]
     rank, det0 = 0, 1
-    while M:
-        size = len(M)
-        piv = next((i for i in range(size) if M[i][i] % p), None)
-        if piv is None:
-            od = next(((i, j) for i in range(size) for j in range(i + 1, size)
-                       if M[i][j] % p), None)
-            if od is None:
-                break
-            i, j = od
-            # add row/col j into i; new diagonal = 2 M[i][j] != 0 for p odd
-            for k in range(size):
-                M[i][k] = (M[i][k] + M[j][k]) % p
-            for k in range(size):
-                M[k][i] = (M[k][i] + M[k][j]) % p
-            piv = i
-        if piv != 0:
-            M[0], M[piv] = M[piv], M[0]
-            for row in M:
-                row[0], row[piv] = row[piv], row[0]
-        d = M[0][0] % p
-        det0 = det0 * d % p
-        rank += 1
-        dinv = pow(d, -1, p)
-        M = [[(M[i][k] - M[i][0] * M[0][k] * dinv) % p
-              for k in range(1, size)] for i in range(1, size)]
-    return rank, det0 % p
+    for [[d]] in _congruence_blocks(S, p):
+        if d.numerator % p:
+            rank += 1
+            det0 = det0 * _as_unit_int(d, p) % p
+    return rank, det0
 
 
 def quad_char_sum_closed(eta: DirichletChar, S, c) -> CycloNum:

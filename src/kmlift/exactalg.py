@@ -36,6 +36,53 @@ def _pval(x, p: int):
     return v
 
 
+def _congruence_blocks(A, p=None):
+    """Symmetric congruence reduction of A over Q (p None) or Z_p; yields the
+    pivot blocks (lists of rows of Fractions) until the rest is zero.
+
+    Each step takes the first diagonal entry of least key (nu_p, or nonzero
+    over Q).  If only an off-diagonal (i, j), i < j, attains it, row and
+    column j are added into i (p odd or Q), or for p = 2 the 2x2 block on
+    i, j is the pivot.  The pivot is moved to the front and its Schur
+    complement is reduced next."""
+    M = [[Fraction(x) for x in row] for row in A]
+    while M:
+        size = len(M)
+        keys = [[_pval(x, p) if p else 0 for x in row] for row in M]
+        kmin = min((k for i, row in enumerate(keys) for j, k in enumerate(row)
+                    if M[i][j]), default=None)
+        if kmin is None:
+            return
+        piv = next((i for i in range(size) if M[i][i] and keys[i][i] == kmin), None)
+        perm = None
+        if piv is None:
+            i, j = next((i, j) for i in range(size) for j in range(i + 1, size)
+                        if M[i][j] and keys[i][j] == kmin)
+            if p == 2:
+                perm = [i, j] + [k for k in range(size) if k not in (i, j)]
+            else:
+                for k in range(size):
+                    M[i][k] += M[j][k]
+                for k in range(size):
+                    M[k][i] += M[k][j]
+                piv = i
+        if perm is None:
+            perm = list(range(size))
+            perm[0], perm[piv] = piv, 0
+        M = [[M[a][b] for b in perm] for a in perm]
+        k = 1 if piv is not None else 2
+        B = [row[:k] for row in M[:k]]
+        yield B
+        if k == 1:
+            inv = [[1 / B[0][0]]]
+        else:
+            det = B[0][0] * B[1][1] - B[0][1] * B[1][0]
+            inv = [[B[1][1] / det, -B[0][1] / det], [-B[1][0] / det, B[0][0] / det]]
+        M = [[M[a][b] - sum(M[a][x] * inv[x][y] * M[y][b]
+                            for x in range(k) for y in range(k))
+              for b in range(k, size)] for a in range(k, size)]
+
+
 def _int_matrix(G):
     # operator.index: numpy ints become Python ints (no int64 overflow) and a
     # Fraction or float entry raises TypeError instead of being truncated

@@ -24,8 +24,9 @@ import numpy as np
 from .characters import (_as_unit_int, factorize, hilbert_symbol, kronecker,
                          legendre)
 from .charsums import DEFAULT_BUDGET, BudgetExceeded
-from .exactalg import (Laurent, QSqrt, TruncSeries, _pval, _reduce_mod_cyclo,
-                       geometric_inverse, mat_det, p_half_power)
+from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
+                       _reduce_mod_cyclo, geometric_inverse, mat_det,
+                       p_half_power)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
 from .quadforms import GramMat, fundamental_split
 
@@ -74,50 +75,27 @@ class JordanSymbol:
 
 
 def jordan_decompose(G, p: int) -> JordanSymbol:
-    """p odd: symmetric congruence reduction over Z_p with exact rationals."""
+    """p odd: the 1x1 pivots of the congruence reduction over Z_p, grouped by
+    valuation with the product of their unit classes."""
     if p == 2:
         raise ValueError("use dyadic_jordan for p = 2")
-    M = [[Fraction(x) for x in row] for row in (G.entries if isinstance(G, GramMat) else G)]
     if mat_det(_int_rows(G)) == 0:
         raise ValueError("degenerate form")
-    entries = []
-    while M:
-        size = len(M)
-        vals = [[_pval(M[i][j], p) for j in range(size)] for i in range(size)]
-        vmin = min(v for row in vals for v in row if v is not None)
-        piv = next((i for i in range(size) if vals[i][i] == vmin), None)
-        if piv is None:
-            i, j = next((i, j) for i in range(size) for j in range(size)
-                        if i != j and vals[i][j] == vmin)
-            for k in range(size):
-                M[i][k] += M[j][k]
-            for k in range(size):
-                M[k][i] += M[k][j]
-            piv = i
-        if piv != 0:
-            M[0], M[piv] = M[piv], M[0]
-            for row in M:
-                row[0], row[piv] = row[piv], row[0]
-        d = M[0][0]
+    blocks: dict = {}
+    for [[d]] in _congruence_blocks(_rows(G), p):
         a = _pval(d, p)
-        u = d / Fraction(p) ** a
-        entries.append((a, _unit_class(u, p)))
-        M = [[M[i][k] - M[i][0] * M[0][k] / d for k in range(1, size)]
-             for i in range(1, size)]
-    scales = sorted({a for a, _ in entries})
-    blocks = []
-    for s in scales:
-        cls = [c for a, c in entries if a == s]
-        det = 1
-        for c in cls:
-            det *= c
-        blocks.append(JordanBlock(s, len(cls), det))
-    return JordanSymbol(p, tuple(blocks))
+        dim, det = blocks.get(a, (0, 1))
+        blocks[a] = (dim + 1, det * _unit_class(d / Fraction(p) ** a, p))
+    return JordanSymbol(p, tuple(JordanBlock(a, dim, det)
+                                 for a, (dim, det) in sorted(blocks.items())))
+
+
+def _rows(G):
+    return G.entries if isinstance(G, GramMat) else G
 
 
 def _int_rows(G):
-    rows = G.entries if isinstance(G, GramMat) else G
-    return [list(map(int, r)) for r in rows]
+    return [list(map(int, r)) for r in _rows(G)]
 
 
 def _unit_class(u: Fraction, p: int) -> int:
@@ -151,49 +129,19 @@ class DyadicBlock:
 
 
 def dyadic_jordan(G) -> tuple:
-    """Dyadic block splitting by greedy congruence reduction; exact."""
-    M = [[Fraction(x) for x in row] for row in (G.entries if isinstance(G, GramMat) else G)]
-    blocks = []
-    while M:
-        size = len(M)
-        vals = [[_pval(M[i][j], 2) for j in range(size)] for i in range(size)]
-        vmin = min(v for row in vals for v in row if v is not None)
-        dpiv = next((i for i in range(size) if vals[i][i] == vmin), None)
-        if dpiv is not None:
-            if dpiv != 0:
-                M[0], M[dpiv] = M[dpiv], M[0]
-                for row in M:
-                    row[0], row[dpiv] = row[dpiv], row[0]
-            d = M[0][0]
-            u = d / Fraction(2) ** vmin
-            blocks.append(DyadicBlock(vmin, "odd", (_as_unit_int(u, 2, mod=8),)))
-            M = [[M[i][k] - M[i][0] * M[0][k] / d for k in range(1, size)]
-                 for i in range(1, size)]
-            continue
-        i, j = next((i, j) for i in range(size) for j in range(i + 1, size)
-                    if vals[i][j] == vmin)
-        # bring the 2x2 block to the front
-        perm = [i, j] + [k for k in range(size) if k not in (i, j)]
-        M = [[M[a][b] for b in perm] for a in perm]
-        B = [[M[0][0], M[0][1]], [M[1][0], M[1][1]]]
-        s = Fraction(2) ** vmin
-        det = (B[0][0] * B[1][1] - B[0][1] ** 2) / s ** 2
-        u8 = _as_unit_int(-det, 2, mod=8)
-        kind = "H" if u8 == 1 else "V"
-        blocks.append(DyadicBlock(vmin, kind))
-        if size == 2:
-            break
-        dB = B[0][0] * B[1][1] - B[0][1] ** 2
-        inv = [[B[1][1] / dB, -B[0][1] / dB], [-B[0][1] / dB, B[0][0] / dB]]
-        rest = []
-        for a in range(2, size):
-            row = []
-            for b in range(2, size):
-                corr = sum(M[a][x] * inv[x][y] * M[y][b]
-                           for x in range(2) for y in range(2))
-                row.append(M[a][b] - corr)
-            rest.append(row)
-        M = rest
+    """Dyadic blocks from the congruence reduction over Z_2: a 1x1 pivot is
+    an odd block (unit mod 8), a 2x2 pivot is H or V by -det mod 8; exact."""
+    blocks, dim = [], 0
+    for B in _congruence_blocks(_rows(G), 2):
+        dim += len(B)
+        v = _pval(B[0][-1], 2)
+        if len(B) == 1:
+            blocks.append(DyadicBlock(v, "odd", (_as_unit_int(B[0][0] / Fraction(2) ** v, 2, mod=8),)))
+        else:
+            det = (B[0][0] * B[1][1] - B[0][1] ** 2) / Fraction(4) ** v
+            blocks.append(DyadicBlock(v, "H" if _as_unit_int(-det, 2, mod=8) == 1 else "V"))
+    if dim < len(_rows(G)):
+        raise ValueError("degenerate form")
     return tuple(sorted(blocks, key=lambda b: (b.scale, b.kind, b.units)))
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .characters import factorize, hilbert_symbol
-from .exactalg import leading_minors, mat_det
+from .exactalg import _congruence_blocks, leading_minors, mat_det
 
 
 def _as_tuple(G):
@@ -456,40 +456,11 @@ def disc_split(G: GramMat) -> DiscSplit:
     return fundamental_split((-1) ** (G.n // 2) * G.det())
 
 
-def rational_diagonalize(A):
-    """Diagonal entries of a Q-congruent diagonal form of the symmetric A."""
-    M = [[Fraction(x) for x in row] for row in A]
-    n = len(M)
-    diag = []
-    idx = list(range(n))
-    while M:
-        size = len(M)
-        piv = next((i for i in range(size) if M[i][i] != 0), None)
-        if piv is None:
-            od = next(((i, j) for i in range(size) for j in range(i + 1, size)
-                       if M[i][j] != 0), None)
-            if od is None:
-                raise ValueError("degenerate form")
-            i, j = od
-            for k in range(size):
-                M[i][k] += M[j][k]
-            for k in range(size):
-                M[k][i] += M[k][j]
-            piv = i
-        if piv != 0:
-            M[0], M[piv] = M[piv], M[0]
-            for row in M:
-                row[0], row[piv] = row[piv], row[0]
-        d = M[0][0]
-        diag.append(d)
-        M = [[M[i][k] - M[i][0] * M[0][k] / d for k in range(1, size)]
-             for i in range(1, size)]
-    return diag
-
-
 def hasse_invariant(A, p) -> int:
-    """epsilon(A) = prod_{i<=j} (a_i, a_j)_p over a Q_p-diagonalization."""
-    diag = rational_diagonalize(A)
+    """epsilon(A) = prod_{i<=j} (a_i, a_j)_p over a Q-diagonalization."""
+    diag = [B[0][0] for B in _congruence_blocks(A)]
+    if len(diag) < len(A):
+        raise ValueError("degenerate form")
     eps = 1
     for i in range(len(diag)):
         for j in range(i, len(diag)):
