@@ -223,11 +223,10 @@ def _gram_trace_values(A, p):
     E = m * (m + 1) // 2
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
     digs = _digit_arrays(0, p ** E, p, E)
-    tr = 0
+    tr = np.zeros(p ** E, dtype=np.int64)
     for (i, j), d in zip(pairs, digs):
         w = int(A[i, j]) if i == j else 2 * int(A[i, j])
-        if w % p:
-            tr = tr + (w % p) * d
+        tr += (w % p) * d
     return tr % p
 
 
@@ -384,13 +383,7 @@ def count_A0_brute(S, p, budget=DEFAULT_BUDGET) -> int:
     m = S.shape[0]
     total = p ** m
     _check_budget(total, budget)
-    digs = _digit_arrays(0, total, p, m)
-    v = 0
-    for a in range(m):
-        for b in range(m):
-            if S[a, b]:
-                v = v + digs[a] * digs[b] * int(S[a, b])
-    return int(((v % p) == 0).sum())
+    return int((_norms(_vectors(0, total, p, m), S, p) == 0).sum())
 
 
 def count_A0_closed(S, p) -> Fraction:
@@ -446,13 +439,7 @@ def quad_char_sum_brute(eta: DirichletChar, S, c, budget=DEFAULT_BUDGET) -> Cycl
     counts = np.zeros(p, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         hi = min(total, lo + _CHUNK)
-        digs = _digit_arrays(lo, hi, p, l)
-        v = 0
-        for a in range(l):
-            for b in range(l):
-                if S[a, b]:
-                    v = v + digs[a] * digs[b] * int(S[a, b])
-        np.add.at(counts, (v + c) % p, 1)
+        np.add.at(counts, (_norms(_vectors(lo, hi, p, l), S, p) + c) % p, 1)
     return _weight_counts(counts, eta)
 
 
@@ -534,15 +521,9 @@ def bordered_det_sum_brute(eta: DirichletChar, Z1, z, budget=DEFAULT_BUDGET) -> 
     adj = np.asarray(_adjugate_mod(Z1.tolist(), p), dtype=np.int64)
     total = p ** lm1
     _check_budget(total, budget)
-    digs = _digit_arrays(0, total, p, lm1)
     # det [[Z1, w],[w^t, z]] = -Adj(Z1)[w] + det(Z1) z
-    q = 0
-    for a in range(lm1):
-        for b in range(lm1):
-            if adj[a, b]:
-                q = q + digs[a] * digs[b] * int(adj[a, b])
-    vals = (-q + detZ1 * z) % p
-    counts = np.bincount(vals.astype(np.int64), minlength=p)
+    vals = (-_norms(_vectors(0, total, p, lm1), adj, p) + detZ1 * z) % p
+    counts = np.bincount(vals, minlength=p)
     return _weight_counts(counts, eta)
 
 

@@ -376,3 +376,62 @@ def test_rank_and_det0_against_references(p):
                      if (d := mat_det([[S[i][j] for j in idx]
                                        for i in idx]) % p))
         assert legendre(det0, p) == legendre(minor, p), S
+
+
+# zero forms made the accumulators of these kernels stay the int 0: one
+# term per chunk instead of one per cell, or a crash on .sum()/bincount
+KERNEL_FORMS = [[[0, 0], [0, 0]], [[0, 0], [0, 3]], [[1, 2], [2, 0]],
+                [[2, 1], [1, 4]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                [[1, 0, 2], [0, 0, 1], [2, 1, 3]]]
+
+
+def _qform(S, w):
+    return sum(S[a][b] * w[a] * w[b] for a in range(len(w)) for b in range(len(w)))
+
+
+@pytest.mark.parametrize("S", KERNEL_FORMS)
+def test_count_A0_brute_matches_product(S):
+    for p in (3, 5):
+        want = sum(_qform(S, w) % p == 0
+                   for w in itertools.product(range(p), repeat=len(S)))
+        assert count_A0_brute(S, p) == want
+
+
+@pytest.mark.parametrize("S", KERNEL_FORMS)
+def test_quad_char_sum_brute_matches_product(S):
+    from kmlift.charsums import legendre_char
+    for eta in (legendre_char(5), next(e for e in char_group(5) if e.order == 4)):
+        for c in (0, 1, 3):
+            want = CycloNum.zero()
+            for w in itertools.product(range(5), repeat=len(S)):
+                want = want + eta((_qform(S, w) + c) % 5)
+            assert quad_char_sum_brute(eta, S, c) == want
+
+
+@pytest.mark.parametrize("Z1", KERNEL_FORMS)
+def test_bordered_det_sum_brute_matches_product(Z1):
+    from kmlift.charsums import legendre_char
+    eta = legendre_char(5)
+    k = len(Z1)
+    for z in (0, 1, 2):
+        want = CycloNum.zero()
+        for w in itertools.product(range(5), repeat=k):
+            Z = [list(Z1[i]) + [w[i]] for i in range(k)] + [list(w) + [z]]
+            want = want + eta(mat_det(Z) % 5)
+        assert bordered_det_sum_brute(eta, Z1, z) == want
+
+
+@pytest.mark.parametrize("A", [[[0, 0], [0, 0]], [[0, 0], [0, 1]],
+                               [[1, 1], [1, 2]], [[2, 0], [0, 1]]])
+def test_sl_trace_counts_matches_product(A):
+    from kmlift.charsums import sl_trace_counts
+    p = 3
+    want = [0] * p
+    for x in itertools.product(range(p), repeat=4):
+        X = [[x[0], x[1]], [x[2], x[3]]]
+        if mat_det(X) % p != 1:
+            continue
+        # tr(A[X]) = tr(X^t A X)
+        want[sum(X[a][i] * A[a][b] * X[b][i]
+                 for a in range(2) for b in range(2) for i in range(2)) % p] += 1
+    assert sl_trace_counts(A, p).tolist() == want
