@@ -372,7 +372,7 @@ def hilbert_symbol(a, b, p) -> int:
     u, v = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
     if p != 2:
         # tame formula: (-1)^(alpha*beta*(p-1)/2) (u/p)^beta (v/p)^alpha
-        res = (-1) ** (alpha * beta * ((p - 1) // 2))
+        res = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
         if beta % 2:
             res *= legendre(_as_unit_int(u, p), p)
         if alpha % 2:

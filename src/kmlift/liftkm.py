@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .characters import (DirichletChar, char_group, factorize, jacobi_sum,
                          kronecker, subgroup_Dm)
@@ -20,12 +19,12 @@ from .charsums import (HVariant, _Jm_lambda, gamma_const, h_sum,
                        jacobi_symbol_char, zero_branch)
 from .exactalg import CycloNum, PPow, _pval
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
-                      gen_bernoulli_kronecker, lfactor_stream, rankin_stream,
-                      shifted_L_stream, theta_series, weight2_eisenstein_odd,
-                      zeta_even_rational)
+                      lfactor_stream, rankin_stream, shifted_L_stream,
+                      theta_series, weight2_eisenstein_odd)
 from .plocal import (DyadicBlock, SiegelPoly, _density_dyadic_blocks,
-                     _diag_mat, density_from_symbol, enumerate_zp_classes,
-                     hasse_from_symbol, siegel_series, symbol_diagonal)
+                     _diag_mat, _kappa_zeta_L, density_from_symbol,
+                     enumerate_zp_classes, hasse_from_symbol, siegel_series,
+                     symbol_diagonal)
 from .quadforms import (ClassList, GramMat, disc_split, fundamental_split,
                         hasse_invariant)
 
@@ -294,18 +293,22 @@ class FitReport:
                 "passed": self.passed}
 
 
-def thm41_rhs_streams(h: PlusForm, chi, k: int, n: int, bound: int):
-    """(r1, r2): the Rankin-side and the pure-L-side integer-index streams."""
+def rankin_side_stream(h: PlusForm, chi: DirichletChar, k: int, n: int,
+                       bound: int) -> DirStream:
+    """r1 of Theorem 4.1: the chi-twisted Rankin stream of h and the Cohen
+    Eisenstein series, times prod_{1 <= j < n/2} L(2s - 2j, S(h), chi^2)."""
     E = cohen_eisenstein(n // 2, max(bound + 1, h.qexp.prec))
-    chi2 = chi * chi if isinstance(chi, DirichletChar) else chi
-    k1 = k - n // 2
-    k2 = n // 2
-    r1 = rankin_stream(h.qexp, E, chi, k1, k2, bound, variant="R")
+    r1 = rankin_stream(h.qexp, E, chi, k - n // 2, n // 2, bound, variant="R")
     for j in range(1, n // 2):
-        r1 = r1.convolve(lfactor_stream(h.shimura, chi2, 2 * j, bound))
-    r2 = shifted_L_stream(h.shimura, chi2,
-                          [2 * j - 1 for j in range(1, n // 2 + 1)], bound)
-    return r1, r2
+        r1 = r1.convolve(lfactor_stream(h.shimura, chi * chi, 2 * j, bound))
+    return r1
+
+
+def shifted_l_side_stream(h: PlusForm, chi: DirichletChar, n: int,
+                          bound: int) -> DirStream:
+    """r2 of Theorem 4.1: prod_{1 <= j <= n/2} L(2s - 2j + 1, S(h), chi^2)."""
+    return shifted_L_stream(h.shimura, chi * chi,
+                            [2 * j - 1 for j in range(1, n // 2 + 1)], bound)
 
 
 def admissible_indices(bound: int, nu2_cap: int = 2):
@@ -319,7 +322,8 @@ def verify_thm41(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     admissible index exactly; the 2^(ns)-type monomial is the identity map
     D = integer index (reported, not assumed silently)."""
     lhs = km_stream(table, chi, "second", bound)
-    r1, r2 = thm41_rhs_streams(h, chi, k, n, bound)
+    r1 = rankin_side_stream(h, chi, k, n, bound)
+    r2 = shifted_l_side_stream(h, chi, n, bound)
     idxs = admissible_indices(bound, nu2_cap)
     pair = None
     for i, D1 in enumerate(idxs):
@@ -407,7 +411,8 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     comb61 = {D: CycloNum.zero() for D in idxs}
     for lam, w in _eta_weights(tilde, n):
         second = km_stream(table, lam, "second", bound)
-        r1, r2 = thm41_rhs_streams(h, lam, k, n, bound)
+        r1 = rankin_side_stream(h, lam, k, n, bound)
+        r2 = shifted_l_side_stream(h, lam, n, bound)
         for D in idxs:
             comb[D] = comb[D] + w * second.coeff(D)
             if cn is not None:
@@ -449,16 +454,12 @@ def r_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
     N = chi.modulus
     if (chi ** n).conductor != N:
         raise ValueError("chi^n must be primitive for the section-7 assembly")
-    E = cohen_eisenstein(n // 2, max(bound + 1, h.qexp.prec))
     total = DirStream(bound, {})
     for lam, w in _eta_weights(chi, n):
         if variant == "printed":
             J1 = jacobi_sum(lam, jacobi_symbol_char(N))
             w = w * J1.conjugate() / J1
-        r = rankin_stream(h.qexp, E, lam, k - n // 2, n // 2, bound, variant="R")
-        for j in range(1, n // 2):
-            r = r.convolve(lfactor_stream(h.shimura, lam * lam, 2 * j, bound))
-        total = total + r.scale(w)
+        total = total + rankin_side_stream(h, lam, k, n, bound).scale(w)
     return total
 
 
@@ -467,9 +468,7 @@ def mchi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
     """The companion M^(chi) combination of pure shifted-L products."""
     total = DirStream(bound, {})
     for lam, w in _eta_weights(chi, n):
-        r = shifted_L_stream(h.shimura, lam * lam,
-                             [2 * j - 1 for j in range(1, n // 2 + 1)], bound)
-        total = total + r.scale(w)
+        total = total + shifted_l_side_stream(h, lam, n, bound).scale(w)
     return total
 
 
@@ -509,37 +508,12 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     for D in idxs:
         d0, f = fundamental_split(D)
         ch = Fraction(h.coeff(abs(d0)))
-        pp = PPow(1)
-        # kappa_n: Gamma_C(n/2) Gamma_C(2)...: rational part with pi-powers
-        kk = n // 2
-        rat = Fraction(2, 2 ** kk) * Fraction(factorial(kk - 1))
-        pi_pow = -kk
-        for i in range(1, kk):
-            rat *= Fraction(2, 2 ** (2 * i)) * factorial(2 * i - 1)
-            pi_pow -= 2 * i
-        rat *= Fraction(1, 2 ** (1 + kk))         # the 2^{-1-n/2}
         bad = sorted({q for q, _ in factorize(2 * D)})
-        # good primes: zeta(2i) and L(n/2, chi_d0) with bad Euler factors removed
-        for i in range(1, kk):
-            rat *= zeta_even_rational(i)
-            pi_pow += 2 * i
-            for q in bad:
-                rat *= 1 - Fraction(1, q ** (2 * i))
-        Bk = gen_bernoulli_kronecker(d0, kk)
-        Lneg = -Bk / kk
-        fe = Fraction((-4) ** (kk // 2)) * factorial(kk // 2) \
-            / (factorial(kk) * factorial(kk // 2 - 1))
-        rat *= fe * Lneg
-        pi_pow += kk
-        pp = pp * PPow(1, {q: Fraction(1 - 2 * kk, 2) * e
-                           for q, e in factorize(abs(d0))}) if abs(d0) > 1 else pp
-        for q in bad:
-            rat *= 1 - Fraction(kronecker(d0, q), q ** kk)
-        assert pi_pow == 0
-        # |d0|^{(n+1-2k)/4}
-        if abs(d0) > 1:
-            pp = pp * PPow(1, {q: Fraction(n + 1 - 2 * k, 4) * e
-                               for q, e in factorize(abs(d0))})
+        # kappa_n zeta(2i) L(n/2, chi_d0) times the 2^{-1-n/2}; pp holds the
+        # |d0|^{1/2 - n/2} left by the functional equation and |d0|^{(n+1-2k)/4}
+        rat = _kappa_zeta_L(n, d0, bad) / 2 ** (1 + n // 2)
+        expo = Fraction(1 - n, 2) + Fraction(n + 1 - 2 * k, 4)
+        pp = PPow(1, {q: expo * e for q, e in factorize(abs(d0))})
         # finite local factors
         branch = {"iota": PPow(1), "eps": PPow(1)}
         a2, eps2 = _dyadic_unimodular_factor(d0 % 8)

@@ -874,34 +874,19 @@ def p_series_closed(n: int, p: int, d0, omega: str, prec: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # mass formula
 
-def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
-    """kappa_n 2^{-n/2} det(A)^{(n+1)/2} prod_p alpha_p(A)^{-1}, assembled
-    exactly via functional equations; the overall 2-power is reported by the
-    genus audit, not assumed here."""
-    n = G.n
-    if n % 2:
-        raise ValueError("even rank only")
-    detG = G.det()
-    d, f = fundamental_split((-1) ** (n // 2) * detG)
+def _kappa_zeta_L(n: int, d: int, bad) -> Fraction:
+    """Rational part of kappa_n prod_{i<n/2} zeta(2i) L(n/2, chi_d) with the
+    Euler factors at the primes in bad removed; its powers of pi cancel.
+
+    kappa_n = Gamma_C(n/2) prod_{i<n/2} Gamma_C(2i), Gamma_C(s) = 2^(1-s)
+    pi^-s (s-1)!, and L(n/2, chi_d) comes from L(1 - n/2, chi_d) through the
+    functional equation, up to the power |d|^(1/2 - n/2) the callers keep."""
     k = n // 2
-    bad = sorted({q for q, _ in factorize(2 * detG)})
-    # kappa_n = Gamma_C(n/2) prod Gamma_C(2i), Gamma_C(s) = 2^(1-s) pi^-s (s-1)!
-    rat = Fraction(2) * Fraction(1, 2 ** k) * factorial(k - 1)
-    pi_pow = -k
+    rat = Fraction(2 * factorial(k - 1), 2 ** k)
     for i in range(1, k):
-        rat *= Fraction(2) * Fraction(1, 2 ** (2 * i)) * factorial(2 * i - 1)
-        pi_pow += -2 * i
-    # 2^{-n/2}
-    rat *= Fraction(1, 2 ** k)
-    # zeta(2i) for i = 1..k-1 with bad Euler factors removed
-    for i in range(1, k):
-        pi_pow += 2 * i
-        rat *= zeta_even_rational(i)
+        rat *= Fraction(2 * factorial(2 * i - 1), 2 ** (2 * i)) * zeta_even_rational(i)
         for q in bad:
             rat *= 1 - Fraction(1, q ** (2 * i))
-    # L(k, chi_d) via the functional equation to L(1-k, chi_d)
-    B = gen_bernoulli_kronecker(d, k)
-    Lneg = -B / k
     if d > 0:
         if k % 2 != 0:
             raise ValueError("d > 0 needs n = 0 mod 4")
@@ -911,18 +896,25 @@ def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
         if k % 2 != 1:
             raise ValueError("d < 0 needs n = 2 mod 4")
         fe = Fraction((-4) ** ((k - 1) // 2), factorial(k - 1))
-    rat *= fe * Lneg
-    pi_pow += k
-    dpow = Fraction(1 - 2 * k, 2)            # |d|^{1/2 - k} from the FE
+    rat *= fe * -gen_bernoulli_kronecker(d, k) / k
     for q in bad:
         rat *= 1 - Fraction(kronecker(d, q), q ** k)
-    assert pi_pow == 0, pi_pow
-    # assemble |d|^(dpow) * det^((n+1)/2) exactly: det = |d| f^2 (up to sign)
-    absd = abs(d)
-    half_exp = Fraction(n + 1, 2) + dpow     # on |d|; plus f^(n+1)
-    assert half_exp.denominator == 1
-    rat *= Fraction(absd) ** int(half_exp) * Fraction(f) ** (n + 1)
+    return rat
+
+
+def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
+    """kappa_n 2^{-n/2} det(A)^{(n+1)/2} prod_p alpha_p(A)^{-1}, assembled
+    exactly via functional equations; the overall 2-power is reported by the
+    genus audit, not assumed here."""
+    n = G.n
+    if n % 2:
+        raise ValueError("even rank only")
+    detG = G.det()
+    d, f = fundamental_split((-1) ** (n // 2) * detG)
+    bad = sorted({q for q, _ in factorize(2 * detG)})
+    rat = _kappa_zeta_L(n, d, bad) / 2 ** (n // 2)
+    # |d|^(1/2 - n/2) det^((n+1)/2) with det = |d| f^2 (up to sign)
+    rat *= Fraction(abs(d)) * Fraction(f) ** (n + 1)
     for q in bad:
-        alpha = local_density(G, q, mode="closed", budget=budget)
-        rat /= alpha
+        rat /= local_density(G, q, mode="closed", budget=budget)
     return rat

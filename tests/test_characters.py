@@ -114,3 +114,13 @@ def test_conductor():
     ind = chi5.extend(35)
     assert ind.conductor == 5
     assert char_group(9).trivial().conductor == 1
+
+
+def test_hilbert_symbol_is_int_at_negative_valuations():
+    # (-1)^e with e < 0 is a float; the symbol stays the int +-1
+    for a, b in ((Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), 3),
+                 (Fraction(1, 5), Fraction(2, 5)), (Fraction(1, 3), 6)):
+        for p in (3, 5, 7):
+            v = hilbert_symbol(a, b, p)
+            assert type(v) is int and v in (1, -1)
+    assert hilbert_symbol(Fraction(1, 3), 3, 3) == hilbert_symbol(3, 3, 3)
