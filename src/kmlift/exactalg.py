@@ -46,28 +46,27 @@ def _congruence_blocks(A, p=None):
     i, j is the pivot.  The pivot is moved to the front and its Schur
     complement is reduced next."""
     M = [[Fraction(x) for x in row] for row in A]
+    key = (lambda x: _pval(x, p)) if p else (lambda x: 0 if x else None)
     while M:
-        size = len(M)
-        keys = [[_pval(x, p) if p else 0 for x in row] for row in M]
-        kmin = min((k for i, row in enumerate(keys) for j, k in enumerate(row)
-                    if M[i][j]), default=None)
+        n = len(M)
+        keys = [[key(x) for x in row] for row in M]
+        kmin = min((v for row in keys for v in row if v is not None), default=None)
         if kmin is None:
             return
-        piv = next((i for i in range(size) if M[i][i] and keys[i][i] == kmin), None)
-        perm = None
+        piv = next((i for i in range(n) if keys[i][i] == kmin), None)
         if piv is None:
-            i, j = next((i, j) for i in range(size) for j in range(i + 1, size)
-                        if M[i][j] and keys[i][j] == kmin)
-            if p == 2:
-                perm = [i, j] + [k for k in range(size) if k not in (i, j)]
-            else:
-                for k in range(size):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if keys[i][j] == kmin)
+            if p != 2:
+                for k in range(n):
                     M[i][k] += M[j][k]
-                for k in range(size):
+                for k in range(n):
                     M[k][i] += M[k][j]
                 piv = i
-        if perm is None:
-            perm = list(range(size))
+        if piv is None:
+            perm = [i, j] + [k for k in range(n) if k not in (i, j)]
+        else:
+            perm = list(range(n))
             perm[0], perm[piv] = piv, 0
         M = [[M[a][b] for b in perm] for a in perm]
         k = 1 if piv is not None else 2
@@ -80,7 +79,7 @@ def _congruence_blocks(A, p=None):
             inv = [[B[1][1] / det, -B[0][1] / det], [-B[1][0] / det, B[0][0] / det]]
         M = [[M[a][b] - sum(M[a][x] * inv[x][y] * M[y][b]
                             for x in range(k) for y in range(k))
-              for b in range(k, size)] for a in range(k, size)]
+              for b in range(k, n)] for a in range(k, n)]
 
 
 def _int_matrix(G):

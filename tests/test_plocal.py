@@ -296,7 +296,9 @@ def test_oracle_caps_refuse_with_computed_cost():
 # Jordan symbols at p = 3, 5 as (scale, dim, detclass) blocks, dyadic blocks
 # as (scale, kind, units), and Hasse invariants at (-1, 2, 3, 5).  The forms
 # reach every pivot rule: a diagonal pivot, an off-diagonal one that is
-# folded into a diagonal (p odd, Q) and a 2x2 dyadic block.
+# folded into a diagonal (p odd, Q) and a 2x2 dyadic block.  Dyadic blocks
+# are not invariants: the last form's depend on the order the rows left
+# after a pivot keep.
 PINNED_FORMS = [
     [[2, 1], [1, 2]],
     [[2, 0], [0, 18]],
@@ -317,6 +319,7 @@ PINNED_FORMS = [
     [[6, 3, 0, 0], [3, 6, 0, 0], [0, 0, 2, 1], [0, 0, 1, 50]],
     [[10, 5, 0, 5], [5, 0, 15, 1], [0, 15, 6, 3], [5, 1, 3, -4]],
     [[0, 6, 2, 0], [6, 4, 0, 9], [2, 0, 12, 3], [0, 9, 3, 8]],
+    [[-6, 0, 9], [0, 8, 3], [9, 3, 81]],
 ]
 PINNED_JORDAN = [
     (((0, 1, -1), (1, 1, -1)), ((0, 2, -1),)),
@@ -338,6 +341,7 @@ PINNED_JORDAN = [
     (((0, 1, -1), (1, 1, -1), (2, 2, -1)), ((0, 4, -1),)),
     (((0, 3, -1), (1, 1, -1)), ((0, 3, 1), (1, 1, -1))),
     (((0, 4, 1),), ((0, 4, 1),)),
+    (((0, 1, -1), (1, 1, 1), (2, 1, 1)), ((0, 3, -1),)),
 ]
 PINNED_DYADIC = [
     ((0, "V", ()),),
@@ -359,13 +363,14 @@ PINNED_DYADIC = [
     ((0, "V", ()), (0, "V", ())),
     ((0, "H", ()), (1, "H", ())),
     ((0, "H", ()), (4, "odd", (7,)), (5, "odd", (1,))),
+    ((0, "odd", (1,)), (0, "odd", (7,)), (1, "odd", (1,))),
 ]
 PINNED_HASSE = [
     (1, 1, 1, 1), (1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, 1, 1),
     (1, 1, 1, 1), (1, 1, 1, 1), (1, -1, -1, 1), (-1, -1, 1, 1),
     (1, -1, -1, 1), (-1, -1, 1, 1), (1, -1, 1, -1), (1, -1, 1, -1),
     (-1, -1, 1, 1), (1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, -1, 1),
-    (1, -1, -1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1),
+    (1, -1, -1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1),
 ]
 
 
