@@ -62,6 +62,11 @@ CASES = [
     ("kmverify", ["kmverify", "--det-bound", "16"],
      "7674dd7784444d5c6728509aa5057e66807a52850920abcf3f8992ffad5178d7",
      "885cca133920c88b2d0073186ba6de50f5508adebb4009627f81d5fcb5c718ae"),
+    ("firstkind",
+     ["firstkind", "--n", "4", "--k", "8", "--chi", "7:2", "--det-bound", "16",
+      "--with-thm41"],
+     "7d179f5e932b842247ebd7241d6c1c2184a32efab4eeae50074201d5aa7d4077",
+     "2011d66b2a4b95ae3499ebf126e0f10488ae9207bdf44659f9a782c4da7843e4"),
 ]
 
 

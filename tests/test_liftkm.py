@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,21 @@ def test_plus_eigenform_shimura_audit(flagship):
     # eigenvalues equal the Shimura correspondent's Hecke eigenvalues
     for p in (2, 3, 5):
         assert h.eigenvalues[p] == h.shimura.coeff(p)
+
+
+def _qexp_sha(f, prec=260):
+    text = ",".join(str(Fraction(f.coeff(e))) for e in range(prec))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_plus_eigenform_coefficients_pinned(flagship):
+    # c_h(e) and c_Delta(e) for e < 260, digests taken before the q-expansion
+    # layer moved to integer kernels
+    h, cl, table = flagship
+    assert _qexp_sha(h.qexp) == \
+        "1e85a59683646a4c9d2ade6a44c5720cbc639b391e9924c5ee0e07968682d565"
+    assert _qexp_sha(h.shimura) == \
+        "a30de5852337eb2d49c193b27f72deb5240ffdc0e70f791fd795ad0404f4b2cf"
 
 
 def test_satake_symmetric_two_path(flagship):
