@@ -411,13 +411,15 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     comb61 = {D: CycloNum.zero() for D in idxs}
     for lam, w in _eta_weights(tilde, n):
         second = km_stream(table, lam, "second", bound)
+        for D in idxs:
+            comb[D] = comb[D] + w * second.coeff(D)
+        if cn is None:
+            continue
         r1 = rankin_side_stream(h, lam, k, n, bound)
         r2 = shifted_l_side_stream(h, lam, n, bound)
         for D in idxs:
-            comb[D] = comb[D] + w * second.coeff(D)
-            if cn is not None:
-                comb61[D] = comb61[D] + w * (cn * r1.coeff(D)
-                                             + dn * Fraction(h.coeff(1)) * r2.coeff(D))
+            comb61[D] = comb61[D] + w * (cn * r1.coeff(D)
+                                         + dn * Fraction(h.coeff(1)) * r2.coeff(D))
     for D in idxs:
         rhs = comb[D] * CN
         if not (direct.coeff(D) == rhs):

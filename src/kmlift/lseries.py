@@ -5,15 +5,17 @@ Rankin-Selberg convolutions of half-integral weight forms, and the shifted
 L-factor streams; everything at nonpositive integer arguments, so every value
 is an exact rational (or cyclotomic, under a twist).
 
-A DirStream is a finite map index -> coefficient; re-indexings like the
-L(2s - a, *) prefactors land on square indices d^2 with weight d^a.
+A QExp holds integer numerators over one common denominator, so q-expansion
+products are integer convolutions.  A DirStream is a finite map index ->
+coefficient; re-indexings like the L(2s - a, *) prefactors land on square
+indices d^2 with weight d^a.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .characters import DirichletChar, divisors, kronecker
 from .exactalg import CycloNum
@@ -56,17 +58,15 @@ def gen_bernoulli(chi: DirichletChar, k: int) -> CycloNum:
 
 
 def gen_bernoulli_kronecker(d: int, k: int) -> Fraction:
-    """B_{k, chi_d} for the Kronecker character of the fundamental d (d=1: B_k)."""
+    """B_{k, chi_d} for the Kronecker character of the fundamental d (d=1: B_k).
+
+    f^{k-1} sum_a chi_d(a) B_k(a/f) = sum_j C(k,j) B_{k-j} f^{k-1-j} S_j with
+    the integer power sums S_j = sum_{a=1}^{f} chi_d(a) a^j.
+    """
     f = abs(d) if d != 1 else 1
-    coeffs = bernoulli_poly_coeffs(k)
-    total = Fraction(0)
-    for a in range(1, f + 1):
-        c = kronecker(d, a)
-        if not c:
-            continue
-        x = Fraction(a, f)
-        total += c * sum(cc * x ** j for j, cc in enumerate(coeffs))
-    return total * Fraction(f) ** (k - 1)
+    chi = [(a, kronecker(d, a)) for a in range(1, f + 1)]
+    return sum(c * sum(v * a ** j for a, v in chi if v) * Fraction(f) ** (k - 1 - j)
+               for j, c in enumerate(bernoulli_poly_coeffs(k)))
 
 
 def L_at_nonpositive(chi: DirichletChar, k: int) -> CycloNum:
@@ -146,44 +146,58 @@ def cohen_H(l: int, m: int) -> Fraction:
 
 
 class QExp:
-    """Truncated q-expansion; weight tag is (numerator, denominator)."""
+    """Truncated q-expansion sum_{k < prec} (num[k] / den) q^k; weight tag is
+    twice the weight, so half-integral weights stay integral."""
 
-    __slots__ = ("weight2", "prec", "coeffs")
+    __slots__ = ("weight2", "prec", "num", "den")
 
     def __init__(self, weight2: int, prec: int, coeffs):
-        # weight2 = twice the weight, so half-integral weights stay integral
+        vals = {int(k): Fraction(v) for k, v in coeffs.items()
+                if 0 <= int(k) < prec and v}
+        den = lcm(*(v.denominator for v in vals.values()))
+        num = [0] * prec
+        for k, v in vals.items():
+            num[k] = v.numerator * (den // v.denominator)
+        self._set(weight2, prec, num, den)
+
+    @classmethod
+    def _from_ints(cls, weight2, prec, num, den):
+        q = cls.__new__(cls)
+        q._set(weight2, prec, num, den)
+        return q
+
+    def _set(self, weight2, prec, num, den):
+        g = gcd(den, *num)
         self.weight2 = weight2
         self.prec = prec
-        self.coeffs = {int(k): Fraction(v) for k, v in coeffs.items()
-                       if 0 <= int(k) < prec and v}
+        self.num = [c // g for c in num] if g > 1 else num
+        self.den = den // g
 
     def coeff(self, k) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+        if 0 <= k < self.prec:
+            return Fraction(self.num[k], self.den)
+        return Fraction(0)
 
     def __add__(self, other):
         assert self.weight2 == other.weight2
         prec = min(self.prec, other.prec)
-        c = {k: v for k, v in self.coeffs.items() if k < prec}
-        for k, v in other.coeffs.items():
-            if k < prec:
-                c[k] = c.get(k, Fraction(0)) + v
-        return QExp(self.weight2, prec, c)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return QExp._from_ints(self.weight2, prec,
+                               [a * sa + b * sb for a, b in
+                                zip(self.num[:prec], other.num[:prec])], den)
 
     def scale(self, v):
-        return QExp(self.weight2, self.prec,
-                    {k: c * v for k, c in self.coeffs.items()})
+        v = Fraction(v)
+        return QExp._from_ints(self.weight2, self.prec,
+                               [c * v.numerator for c in self.num],
+                               self.den * v.denominator)
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
-        c = {}
-        for k1, v1 in self.coeffs.items():
-            if k1 >= prec:
-                continue
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                if k < prec:
-                    c[k] = c.get(k, Fraction(0)) + v1 * v2
-        return QExp(self.weight2 + other.weight2, prec, c)
+        return QExp._from_ints(self.weight2 + other.weight2, prec,
+                               _mul_trunc(self.num, other.num, prec),
+                               self.den * other.den)
 
     def power(self, e: int):
         out = QExp(0, self.prec, {0: 1})
@@ -194,6 +208,16 @@ class QExp:
             base = base * base if e > 1 else base
             e >>= 1
         return out
+
+
+def _mul_trunc(a, b, prec):
+    """Integer coefficients of a * b below q^prec."""
+    out = [0] * prec
+    for i, x in enumerate(a[:prec]):
+        if x:
+            for j, y in enumerate(b[:prec - i], i):
+                out[j] += x * y
+    return out
 
 
 def cohen_eisenstein(l: int, prec: int) -> QExp:
@@ -235,36 +259,13 @@ def weight2_eisenstein_odd(prec: int) -> QExp:
 def delta_qexp(prec: int) -> QExp:
     """Delta = q prod (1 - q^n)^24 with exact integer coefficients."""
     # prod (1-q^n) truncated, then 24th power, then shift by q
-    prod = [Fraction(1)] + [Fraction(0)] * (prec - 1)
+    prod = [1] + [0] * (prec - 1)
     for n in range(1, prec):
-        new = list(prod)
-        for k in range(prec - n):
+        for k in range(prec - 1 - n, -1, -1):
             if prod[k]:
-                new[k + n] -= prod[k]
-        prod = new
-    out = [Fraction(1)] + [Fraction(0)] * (prec - 1)
-    power = prod
-    e = 24
-    while e:
-        if e & 1:
-            out = _mul_trunc(out, power, prec)
-        e >>= 1
-        if e:
-            power = _mul_trunc(power, power, prec)
-    coeffs = {k + 1: out[k] for k in range(prec - 1) if out[k]}
-    return QExp(24, prec, coeffs)
-
-
-def _mul_trunc(a, b, prec):
-    out = [Fraction(0)] * prec
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j >= prec:
-                    break
-                if y:
-                    out[i + j] += x * y
-    return out
+                prod[k + n] -= prod[k]
+    out = QExp._from_ints(0, prec, prod, 1).power(24)
+    return QExp._from_ints(24, prec, [0] + out.num[:prec - 1], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,18 @@ def test_verify_thm511_61(flagship):
     assert thm56_constant(4, 7) * Fraction(-1, 48) == -16464
 
 
+def test_verify_thm511_without_constants_builds_no_streams(flagship, monkeypatch):
+    import kmlift.liftkm as lk
+    h, cl, table = flagship
+    calls = []
+    for name in ("rankin_side_stream", "shifted_l_side_stream"):
+        monkeypatch.setattr(lk, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    rep = verify_thm511_61(h, parse_descriptor("7:2"), table, 8, 4, 40)
+    assert rep.passed and rep.checked == len(admissible_indices(40))
+    assert calls == []
+
+
 def test_first_kind_conjugation_equivariance(flagship):
     h, cl, table = flagship
     chi7 = parse_descriptor("7:2")

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
-from kmlift.characters import char_group
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from kmlift.characters import char_group, kronecker
 from kmlift.exactalg import CycloNum
-from kmlift.lseries import (DirStream, L_at_nonpositive, bernoulli_number,
-                            cohen_H, cohen_eisenstein, delta_qexp,
-                            gen_bernoulli, gen_bernoulli_kronecker,
+from kmlift.lseries import (DirStream, L_at_nonpositive, QExp,
+                            bernoulli_number, cohen_H, cohen_eisenstein,
+                            delta_qexp, gen_bernoulli, gen_bernoulli_kronecker,
                             hecke_stream, lfactor_stream, rankin_stream,
                             theta_series, zeta_at_negative)
 
@@ -42,6 +46,112 @@ def test_gen_bernoulli_kronecker():
     assert gen_bernoulli_kronecker(1, 2) == Fraction(1, 6)
     assert gen_bernoulli_kronecker(-4, 1) == Fraction(-1, 2)
     assert gen_bernoulli_kronecker(-3, 1) == Fraction(-1, 3)
+
+
+def _bernoulli_at(k):
+    """B_k (B_1 = -1/2) by the Akiyama-Tanigawa algorithm."""
+    A = []
+    for m in range(k + 1):
+        A.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            A[j - 1] = j * (A[j - 1] - A[j])
+    return -A[0] if k == 1 else A[0]
+
+
+def _is_fundamental(d):
+    def squarefree(m):
+        return all(m % (p * p) for p in range(2, abs(m) + 1))
+    if d == 1 or d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def test_gen_bernoulli_kronecker_defining_sum():
+    # f^{k-1} sum_{a=1}^{f} chi_d(a) B_k(a/f), B_k(x) = sum_j C(k,j) B_{k-j} x^j
+    from math import comb
+    bern = [_bernoulli_at(j) for j in range(9)]
+    discs = [d for d in range(-100, 101) if d and _is_fundamental(d)]
+    assert 1 in discs and -4 in discs and 5 in discs and -100 not in discs
+    for k in range(1, 9):
+        poly = [comb(k, j) * bern[k - j] for j in range(k + 1)]
+        for d in discs:
+            f = abs(d)
+            total = Fraction(0)
+            for a in range(1, f + 1):
+                x = Fraction(a, f)
+                total += kronecker(d, a) * sum(c * x ** j
+                                               for j, c in enumerate(poly))
+            assert gen_bernoulli_kronecker(d, k) == total * f ** (k - 1), (d, k)
+    assert gen_bernoulli_kronecker(1, 1) == Fraction(1, 2)
+
+
+_coeff_dicts = st.dictionaries(
+    st.integers(0, 24),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=12)
+
+
+def _naive_product(a, b, prec):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j < prec:
+                out[i + j] = out.get(i + j, Fraction(0)) + x * y
+    return out
+
+
+def _assert_series(f, want, prec):
+    assert f.prec == prec
+    for e in range(prec + 3):
+        got = f.coeff(e)
+        assert isinstance(got, Fraction)
+        assert got == (want.get(e, 0) if e < prec else 0), e
+
+
+@given(_coeff_dicts, st.integers(0, 26), _coeff_dicts, st.integers(0, 26))
+@example({}, 10, {0: Fraction(1, 3)}, 10)
+@example({1: Fraction(1, 2)}, 5, {}, 20)
+@example({0: Fraction(2, 3), 3: Fraction(-5, 4)}, 7, {0: Fraction(3, 2)}, 4)
+def test_qexp_mul_matches_fraction_double_loop(a, pa, b, pb):
+    A, B = QExp(1, pa, a), QExp(4, pb, b)
+    trunc_a = {k: v for k, v in a.items() if k < pa}
+    trunc_b = {k: v for k, v in b.items() if k < pb}
+    prod = A * B
+    assert prod.weight2 == 5
+    _assert_series(prod, _naive_product(trunc_a, trunc_b, min(pa, pb)),
+                   min(pa, pb))
+    _assert_series(A + QExp(1, pb, b), {
+        k: trunc_a.get(k, 0) + trunc_b.get(k, 0)
+        for k in range(min(pa, pb))}, min(pa, pb))
+    _assert_series(A.scale(Fraction(-3, 7)),
+                   {k: v * Fraction(-3, 7) for k, v in trunc_a.items()}, pa)
+
+
+@given(_coeff_dicts, st.integers(1, 26), st.integers(0, 6))
+@example({}, 8, 3)
+@example({0: Fraction(1, 2), 2: Fraction(-2, 3)}, 9, 5)
+def test_qexp_power_matches_repeated_product(a, prec, e):
+    want = {0: Fraction(1)}
+    trunc = {k: v for k, v in a.items() if k < prec}
+    for _ in range(e):
+        want = _naive_product(want, trunc, prec)
+    got = QExp(3, prec, a).power(e)
+    assert got.weight2 == 3 * e
+    _assert_series(got, want, prec)
+
+
+def test_delta_ramanujan_congruence_and_multiplicativity():
+    prec = 260
+    d = delta_qexp(prec)
+    tau = [d.coeff(n) for n in range(prec)]
+    assert tau[0] == 0 and tau[1] == 1
+    for n in range(1, prec):
+        assert tau[n].denominator == 1
+        sigma11 = sum(m ** 11 for m in range(1, n + 1) if n % m == 0)
+        assert (tau[n].numerator - sigma11) % 691 == 0, n
+    for m in range(2, prec):
+        for n in range(m + 1, (prec - 1) // m + 1):
+            if gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
 
 
 def test_cohen_function():
