@@ -65,7 +65,8 @@ def gen_bernoulli_kronecker(d: int, k: int) -> Fraction:
     """
     f = abs(d) if d != 1 else 1
     chi = [(a, kronecker(d, a)) for a in range(1, f + 1)]
-    return sum(c * sum(v * a ** j for a, v in chi if v) * Fraction(f) ** (k - 1 - j)
+    return sum(c * sum(v * a ** j for a, v in chi if v)
+               * Fraction(f) ** (k - 1 - j)
                for j, c in enumerate(bernoulli_poly_coeffs(k)))
 
 
