@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exactalg import CycloNum, _pval
 
@@ -226,10 +226,6 @@ def _value_log(v: CycloNum, n: int) -> int:
     raise ValueError("value is not a root of unity of the expected order")
 
 
-def lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def divisors(n):
     out = [1]
     for p, e in factorize(n):
@@ -260,9 +256,6 @@ class CharGroup:
 
     def trivial(self):
         return DirichletChar(self.modulus, [0] * len(unit_group_basis(self.modulus)))
-
-    def from_descriptor(self, desc: str) -> DirichletChar:
-        return parse_descriptor(desc)
 
 
 def char_group(N: int) -> CharGroup:

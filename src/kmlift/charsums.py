@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .exactalg import CycloNum, _congruence_blocks, mat_det
 from .characters import (DirichletChar, _as_unit_int, char_group, factorize,
-                         find_primitive_root_of_unity_mod, jacobi_sum, lcm,
+                         find_primitive_root_of_unity_mod, jacobi_sum,
                          legendre, local_component, subgroup_Dm)
 
 DEFAULT_BUDGET = 2 * 10 ** 9
@@ -267,12 +267,8 @@ def _chi_even(detval: int, size: int, p: int) -> int:
 
 
 def count_A_brute(S, T, p, budget=DEFAULT_BUDGET) -> int:
-    """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion.
-
-    The rows of Y are fixed one at a time: row i must have S-norm T[i, i]
-    and S-pairing T[j, i] with each earlier row j.  Each later row keeps a
-    boolean mask over F_p^m of the vectors still allowed, narrowed as rows
-    are fixed; the last two rows are one masked count."""
+    """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion,
+    one row of Y at a time through ``_rep_count``."""
     S = np.asarray(S, dtype=np.int64) % p
     T = np.asarray(T, dtype=np.int64) % p
     m, r = S.shape[0], T.shape[0]
@@ -284,13 +280,11 @@ def count_A_brute(S, T, p, budget=DEFAULT_BUDGET) -> int:
         step = max(1, _CHUNK // max(1, m))
         return sum(int((_norms(_vectors(lo, min(nvec, lo + step), p, m), S, p)
                         == T[0, 0]).sum()) for lo in range(0, nvec, step))
-    X = _vectors(0, nvec, p, m)
-    norms = _norms(X, S, p)
-    return _count_rows(X, S, T, p, [norms == T[i, i] for i in range(r)], 0)
+    return _rep_count(_vectors(0, nvec, p, m), S, T, p, p)
 
 
 def _vectors(lo, hi, p, m):
-    """The vectors of F_p^m with base-p index in [lo, hi), one per row."""
+    """The vectors of (Z/p)^m with base-p index in [lo, hi), one per row."""
     return np.array(_digit_arrays(lo, hi, p, m),
                     dtype=np.int64).reshape(m, hi - lo).T
 
@@ -300,28 +294,46 @@ def _norms(X, S, p):
     return (X @ S % p * X).sum(axis=1) % p
 
 
-def _count_rows(X, S, T, p, masks, i):
-    """Completions of the rows i.. of Y, rows < i fixed; masks[j] is the
-    candidate mask of row j over the vectors X."""
-    r = len(masks)
-    if i == r - 2:
-        left = X[masks[i]] @ S % p
-        right = X[masks[i + 1]].T
+def _rep_count(X, S, T, q, dq):
+    """The number of r-tuples (x_0, ..., x_{r-1}) of rows of X with
+    x_i S x_i^t = T[i, i] mod dq and x_i S x_j^t = T[i, j] mod q for i < j.
+
+    This is the representation count behind Lemma 5.1 (``count_A_brute``)
+    and the brute local densities (``plocal._aut_cong_count``, where the
+    dyadic diagonal is read mod 2q).  The rows are fixed one at a time; each
+    later row keeps the index array of the candidates still allowed, a branch
+    stops once one of them is empty, and the last two rows are one chunked
+    pairing count; S and T are int64 arrays."""
+    norms = _norms(X, S % dq, dq)
+    cands = [np.flatnonzero(norms == T[i, i] % dq) for i in range(T.shape[0])]
+    return _rep_rows(X, S % q, T % q, q, cands)
+
+
+def _rep_rows(X, S, T, q, cands):
+    """Completions of the last len(cands) rows; cands[k] indexes the rows of
+    X still allowed for row r - len(cands) + k."""
+    i = T.shape[0] - len(cands)
+    if len(cands) == 1:
+        return len(cands[0])
+    if len(cands) == 2:
+        left = X[cands[0]] @ S % q
+        right = X[cands[1]].T
         count = 0
         step = max(1, _CHUNK // max(1, right.shape[1]))
         for lo in range(0, left.shape[0], step):
-            pair = left[lo:lo + step] @ right % p
-            count += int((pair == T[i, i + 1]).sum())
+            count += int((left[lo:lo + step] @ right % q == T[i, i + 1]).sum())
         return count
     count = 0
-    for x in X[masks[i]]:
-        xs = x @ S % p
+    for x in X[cands[0]]:
+        xs = x @ S % q
         rest = []
-        for j in range(i + 1, r):
-            mask = masks[j].copy()
-            mask[mask] = X[mask] @ xs % p == T[i, j]
-            rest.append(mask)
-        count += _count_rows(X, S, T, p, masks[:i + 1] + rest, i + 1)
+        for j, c in enumerate(cands[1:], start=i + 1):
+            c = c[X[c] @ xs % q == T[i, j]]
+            if not len(c):
+                break
+            rest.append(c)
+        else:
+            count += _rep_rows(X, S, T, q, rest)
     return count
 
 
@@ -593,7 +605,7 @@ def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
     if m == 0:
         return CycloNum.zero()
     if m == 1:
-        return _direct_zsum(chi, eta, shift=False)
+        return _direct_zsum(chi, eta)
     if chi.is_trivial() or (chi ** 2).is_trivial():
         raise ValueError("Prop 5.7 needs chi^2 nontrivial")
     if not (chi ** m * eta).is_trivial():
@@ -607,7 +619,7 @@ def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
     return Jm1 * jacobi_sum(chi, leg) * chi(-1) * pref
 
 
-def _direct_zsum(chi, eta, shift):
+def _direct_zsum(chi, eta):
     N = chi.modulus
     L = lcm(chi.order, eta.order)
     total = CycloNum.zero(L)
@@ -615,7 +627,7 @@ def _direct_zsum(chi, eta, shift):
         a = chi(z)
         if a.is_zero():
             continue
-        b = eta((1 - z) % N if shift else z)
+        b = eta(z)
         if b.is_zero():
             continue
         total = total + a.raise_level(L) * b.raise_level(L)

@@ -44,22 +44,18 @@ def _finish(args, name, data, passed, t0):
 def cmd_charsum(args):
     t0 = time.time()
     budget = args.budget
+    primes = tuple(args.primes)
+    sec57 = lambda: charsums.run_prop57_58_thm59_suite(primes, budget=budget)
+    sec55 = lambda: charsums.run_thm55_56_suite(budget=budget)
     runners = {
         "lemma5.1": lambda: charsums.run_lemma51_suite(
-            tuple(args.primes), args.m, args.pairs, args.seed, budget),
+            primes, args.m, args.pairs, args.seed, budget),
         "prop5.2": lambda: charsums.run_prop52_suite(budget=budget),
-        "lemma5.3": lambda: charsums.run_lemma53_suite(tuple(args.primes),
-                                                       budget=budget),
-        "prop5.4": lambda: charsums.run_prop54_suite(tuple(args.primes), budget),
-        "prop5.7": lambda: charsums.run_prop57_58_thm59_suite(
-            tuple(args.primes), budget=budget),
-        "prop5.8": lambda: charsums.run_prop57_58_thm59_suite(
-            tuple(args.primes), budget=budget),
-        "thm5.9": lambda: charsums.run_prop57_58_thm59_suite(
-            tuple(args.primes), budget=budget),
-        "prop5.10": lambda: charsums.run_prop510_suite(tuple(args.primes)),
-        "thm5.5": lambda: charsums.run_thm55_56_suite(budget=budget),
-        "thm5.6": lambda: charsums.run_thm55_56_suite(budget=budget),
+        "lemma5.3": lambda: charsums.run_lemma53_suite(primes, budget=budget),
+        "prop5.4": lambda: charsums.run_prop54_suite(primes, budget),
+        "prop5.7": sec57, "prop5.8": sec57, "thm5.9": sec57,
+        "prop5.10": lambda: charsums.run_prop510_suite(primes),
+        "thm5.5": sec55, "thm5.6": sec55,
     }
     if args.identity not in runners:
         print(f"unknown identity {args.identity!r}; choose from "

@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: p-adic valuations and determinants, cyclotomic
-numbers, quadratic extensions Q(sqrt p), integer polynomials, symmetric Laurent
+numbers, quadratic extensions Q(sqrt p), integer polynomials, Laurent
 polynomials, and truncated power series.
 
 Rationals are stdlib ``fractions.Fraction`` throughout (already canonical:
@@ -442,11 +442,6 @@ class CycloNum:
                            for e, v in sorted(self.coeffs.items())]}
 
 
-def cyclo_normalize(x: CycloNum) -> CycloNum:
-    """Canonical representative (idempotent; construction already normalizes)."""
-    return CycloNum(x.level, dict(x.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Q(sqrt p): pairs a + b*sqrt(base), exact
 
@@ -533,7 +528,7 @@ def p_half_power(p: int, k: int) -> QSqrt:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in X (general and X <-> 1/X symmetric views)
+# Laurent polynomials in X
 
 class Laurent:
     """Laurent polynomial in X over Fraction/QSqrt/CycloNum coefficients."""
@@ -586,9 +581,6 @@ class Laurent:
     def is_zero(self):
         return not self.coeffs
 
-    def is_symmetric(self):
-        return all(_eq_vals(self.coeffs.get(-j), v) for j, v in self.coeffs.items())
-
     def __repr__(self):
         return "Laurent(" + ", ".join(f"X^{j}: {v}" for j, v in sorted(self.coeffs.items())) + ")"
 
@@ -599,38 +591,6 @@ def _is_zero(v):
     if isinstance(v, QSqrt):
         return v.a == 0 and v.b == 0
     return v == 0
-
-
-class SymLaurent:
-    """Symmetric Laurent polynomial sum_j c_j (X^j + X^-j), j=0 counted once.
-
-    Construct from a general Laurent after checking the X <-> 1/X symmetry.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = {int(j): v for j, v in coeffs.items() if j >= 0 and not _is_zero(v)}
-
-    @staticmethod
-    def from_laurent(l: Laurent) -> "SymLaurent":
-        for j, v in l.coeffs.items():
-            if not _eq_vals(l.coeffs.get(-j), v):
-                raise ValueError(f"Laurent polynomial not X<->1/X symmetric at {j}")
-        return SymLaurent({j: v for j, v in l.coeffs.items() if j >= 0})
-
-    def as_laurent(self) -> Laurent:
-        c = dict(self.coeffs)
-        for j, v in list(c.items()):
-            if j > 0:
-                c[-j] = v
-        return Laurent(c)
-
-
-def _eq_vals(a, b):
-    if a is None:
-        return _is_zero(b)
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +643,7 @@ class TruncSeries:
         return TruncSeries(prec, c, self.var)
 
     def scale(self, v):
-        return TruncSeries(self.prec, {k: _mul_val(c, v) for k, c in self.coeffs.items()},
+        return TruncSeries(self.prec, {k: c * v for k, c in self.coeffs.items()},
                            self.var)
 
     def _check(self, other):
@@ -717,10 +677,6 @@ def _laurent_or_val_zero(v):
     return _is_zero(v)
 
 
-def _mul_val(a, b):
-    return a * b
-
-
 def geometric_inverse(c, k: int, prec: int, one, var="t") -> TruncSeries:
     """Expansion of 1/(1 - c*t^k) to the given precision; ``one`` is the
     multiplicative unit of the coefficient domain."""
@@ -732,20 +688,6 @@ def geometric_inverse(c, k: int, prec: int, one, var="t") -> TruncSeries:
         coeffs[j * k] = acc
         j += 1
     return TruncSeries(prec, coeffs, var)
-
-
-def rational_fn_expand(num: TruncSeries, den_factors, one=None) -> TruncSeries:
-    """Power series of num / prod (1 - c*t^k) truncated at num's precision.
-
-    den_factors is a list of (c, k) with k >= 1 (so every factor has constant
-    term 1, hence invertible).
-    """
-    out = num
-    if one is None:
-        one = Fraction(1)
-    for c, k in den_factors:
-        out = out * geometric_inverse(c, k, num.prec, one, num.var)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def rankin_side_stream(h: PlusForm, chi: DirichletChar, k: int, n: int,
                        bound: int) -> DirStream:
     """r1 of Theorem 4.1: the chi-twisted Rankin stream of h and the Cohen
     Eisenstein series, times prod_{1 <= j < n/2} L(2s - 2j, S(h), chi^2)."""
-    E = cohen_eisenstein(n // 2, max(bound + 1, h.qexp.prec))
+    E = cohen_eisenstein(n // 2, bound + 1)
     r1 = rankin_stream(h.qexp, E, chi, k - n // 2, n // 2, bound, variant="R")
     for j in range(1, n // 2):
         r1 = r1.convolve(lfactor_stream(h.shimura, chi * chi, 2 * j, bound))

@@ -23,14 +23,14 @@ import numpy as np
 
 from .characters import (_as_unit_int, factorize, hilbert_symbol, kronecker,
                          legendre)
-from .charsums import DEFAULT_BUDGET, BudgetExceeded
+from .charsums import (_CHUNK, DEFAULT_BUDGET, BudgetExceeded, _digit_arrays,
+                       _rep_count, _vectors)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
                        _reduce_mod_cyclo, geometric_inverse, mat_det,
-                       p_half_power)
+                       p_half_power, poly_mul)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
 from .quadforms import GramMat, fundamental_split
 
-_CHUNK = 1 << 20
 # largest S_n(Z/p^j) table the oracle route enumerates
 _ORACLE_CAP = 4_500_000
 
@@ -271,58 +271,16 @@ def _density_brute(G, p: int, budget=DEFAULT_BUDGET, a=None) -> Fraction:
 
 
 def _aut_cong_count(A, p: int, a: int, budget=DEFAULT_BUDGET) -> Fraction:
-    """(1/2) p^{-a n(n-1)/2} #{X mod p^a : A[X] = A mod p^a S_e}.
-
-    Column backtracking; each node passes down per-future-column candidate
-    index arrays already filtered by all earlier bilinear constraints, so a
-    child applies exactly one new constraint per remaining column.
-    """
+    """(1/2) p^{-a n(n-1)/2} #{X mod p^a : A[X] = A mod p^a S_e}, counted by
+    the representation-count kernel ``charsums._rep_count`` over the rows of
+    X (the diagonal of A[X] is read mod 2^{a+1} at p = 2)."""
     n = A.shape[0]
     mod = p ** a
-    dmod = 2 * mod if p == 2 else mod
-    ncand = mod ** n
-    if ncand > 4_200_000:
-        raise RuntimeError(f"candidate space {ncand} too large at p^{a} column level")
-    digs = []
-    idx = np.arange(ncand, dtype=np.int64)
-    for _ in range(n):
-        digs.append(idx % mod)
-        idx //= mod
-    V = np.stack(digs, axis=1)                      # (ncand, n)
-    Q = np.einsum("ij,ij->i", V, V @ A.T) % dmod    # v^t A v mod dmod
-    lists0 = [np.nonzero(Q == int(A[t, t]) % dmod)[0] for t in range(n)]
-    total = 0
-
-    def rec(j, lists):
-        nonlocal total
-        if j == n - 1:
-            total += len(lists[0])
-            return
-        if j == n - 2:
-            # vectorize the last two columns: one bilinear matrix per node
-            B = (V[lists[0]] @ (A @ V[lists[1]].T)) % mod
-            total += int((B == int(A[n - 2, n - 1]) % mod).sum())
-            return
-        for ci in lists[0]:
-            Aw = (A @ V[ci]) % mod
-            new_lists = []
-            dead = False
-            for off, arr in enumerate(lists[1:], start=1):
-                t = j + off
-                bil = (V[arr] @ Aw) % mod
-                sub = arr[bil == int(A[j, t]) % mod]
-                if len(sub) == 0:
-                    dead = True
-                    break
-                new_lists.append(sub)
-            if not dead:
-                rec(j + 1, new_lists)
-
-    if n == 1:
-        total = len(lists0[0])
-    else:
-        rec(0, lists0)
-    return Fraction(total, 2 * p ** (a * n * (n - 1) // 2))
+    if mod ** n > 4_200_000:
+        raise RuntimeError(f"candidate space {mod ** n} too large at p^{a} column level")
+    count = _rep_count(_vectors(0, mod ** n, mod, n), A, A, mod,
+                       2 * mod if p == 2 else mod)
+    return Fraction(count, 2 * p ** (a * n * (n - 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +369,9 @@ def _solve_F_from_A(A, p, n, xi, deg):
     # left side: L_k = A_k - xi p^{n/2} A_{k-1}
     L = [A[0]] + [A[k] - Fraction(xi * p ** (n // 2)) * A[k - 1] for k in range(1, J + 1)]
     # g(u) = (1-u) prod_{i=1}^{n/2} (1 - p^{2i} u^2)
-    g = [Fraction(1), Fraction(-1)]
+    g = [1, -1]
     for i in range(1, n // 2 + 1):
-        g = _polymul(g, [Fraction(1), Fraction(0), Fraction(-(p ** (2 * i)))])
+        g = poly_mul(g, [1, 0, -(p ** (2 * i))])
     c = []
     for k in range(J + 1):
         v = L[k]
@@ -442,14 +400,6 @@ def _solve_F_from_A(A, p, n, xi, deg):
         assert f.denominator == 1, f
         out.append(int(f))
     assert out[0] == 1, out
-    return out
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
     return out
 
 
@@ -554,12 +504,7 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
         counts = np.zeros((J + 1, q), dtype=np.int64)
         for lo in range(0, total, _CHUNK):
             hi = min(total, lo + _CHUNK)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            ent = []
-            x = idx
-            for _ in range(E):
-                ent.append(x % q)
-                x = x // q
+            ent = _digit_arrays(lo, hi, q, E)
             tr2 = 0  # tr(G S) = 2 tr(T S)
             for (a, b), e in zip(pairs, ent):
                 w = int(Gm[a, b]) * (1 if a == b else 2)
@@ -608,12 +553,7 @@ def _proj_points(p, n):
 
 def _qval(G, v) -> int:
     """T[v] = v^t T v as integer for T = G/2."""
-    n = len(v)
-    Gr = G.rows() if isinstance(G, GramMat) else G
-    s = 0
-    for i in range(n):
-        for j in range(n):
-            s += Gr[i][j] * v[i] * v[j]
+    s = _bil_G(G, v, v)
     assert s % 2 == 0
     return s // 2
 

@@ -1,5 +1,5 @@
 """Positive definite half-integral forms, carried as even-diagonal integral
-Gram matrices G = 2T: reduction, class enumeration by bounded determinant,
+Gram matrices G = 2T: class enumeration by bounded determinant,
 isometry testing under SL_n(Z), automorphism counts e(T), Hasse invariants,
 and the fundamental-discriminant splitting of (-1)^(n/2) det(2T).
 
@@ -82,12 +82,6 @@ class GramMat:
                 for v in vectors_of_norm(G, t)]
         return p
 
-    def det_T(self) -> Fraction:
-        return Fraction(self.det(), 2 ** self.n)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     def __eq__(self, other):
         return self.entries == other.entries
 
@@ -99,68 +93,6 @@ class GramMat:
 
     def rows(self):
         return [list(r) for r in self.entries]
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-def minkowski_reduce(G: GramMat):
-    """Greedy pair reduction into the region {sorted diagonal, |2 g_ij| <= g_ii};
-    returns (reduced GramMat, U) with G[U] = reduced and det U = 1."""
-    if not is_positive_definite(G.entries):
-        raise ValueError("reduction requires a positive definite form")
-    n = G.n
-    M = [list(r) for r in G.entries]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop(j, i, c):
-        # b_j <- b_j + c * b_i
-        for r in range(n):
-            U[r][j] += c * U[r][i]
-        for r in range(n):
-            M[r][j] += c * M[r][i]
-        for r in range(n):
-            M[j][r] = M[r][j]
-        M[j][j] = sum(G.entries[a][b] * U[a][j] * U[b][j]
-                      for a in range(n) for b in range(n))
-
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("reduction failed to terminate")
-        # sort diagonal by swapping basis vectors (keep det U = 1: swap+negate)
-        for i in range(n - 1):
-            if M[i][i] > M[i + 1][i + 1]:
-                for r in range(n):
-                    U[r][i], U[r][i + 1] = U[r][i + 1], -U[r][i]
-                Mnew = transform(G.entries, U)
-                M = Mnew
-                changed = True
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                # minimize g_jj against b_i
-                if M[i][i] == 0:
-                    continue
-                c = -_round_half_down(Fraction(M[i][j], M[i][i]))
-                if c:
-                    colop(j, i, c)
-                    M = transform(G.entries, U)
-                    changed = True
-    red = GramMat(M)
-    assert transform(G.entries, U) == [list(r) for r in red.entries]
-    assert mat_det(U) == 1
-    return red, U
-
-
-def _round_half_down(x: Fraction) -> int:
-    q = x.numerator // x.denominator
-    r = x - q
-    return q + (1 if r > Fraction(1, 2) else 0)
 
 
 def canonical_key(G: GramMat):

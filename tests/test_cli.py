@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kmlift
+from kmlift import charsums
+from kmlift.cli import main
 
 # The CLI runs in tmp_path, where a relative PYTHONPATH (the "src" of the
 # tier-1 command) points nowhere; putting the absolute directory of the
@@ -63,3 +67,48 @@ def test_cli_report_determinism(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append((d / "lseries-cohen.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+CHARSUM_SUITES = {
+    "lemma5.1": "run_lemma51_suite", "prop5.2": "run_prop52_suite",
+    "lemma5.3": "run_lemma53_suite", "prop5.4": "run_prop54_suite",
+    "prop5.7": "run_prop57_58_thm59_suite",
+    "prop5.8": "run_prop57_58_thm59_suite",
+    "thm5.9": "run_prop57_58_thm59_suite",
+    "prop5.10": "run_prop510_suite",
+    "thm5.5": "run_thm55_56_suite", "thm5.6": "run_thm55_56_suite",
+}
+
+
+class _StubReport:
+    passed = True
+
+    def __init__(self, suite):
+        self.suite = suite
+
+    def to_dict(self):
+        return {"suite": self.suite}
+
+
+@pytest.mark.parametrize("identity", sorted(CHARSUM_SUITES))
+def test_cli_charsum_dispatch(identity, tmp_path, monkeypatch, capsys):
+    calls = []
+    for suite in set(CHARSUM_SUITES.values()):
+        def stub(*args, _suite=suite, **kwargs):
+            calls.append(_suite)
+            return _StubReport(_suite)
+        monkeypatch.setattr(charsums, suite, stub)
+    assert main(["--out", str(tmp_path), "charsum",
+                 "--identity", identity]) == 0
+    assert calls == [CHARSUM_SUITES[identity]]
+    data = json.load(open(tmp_path / f"charsum-{identity}.json"))
+    assert data == {"suite": CHARSUM_SUITES[identity]}
+    assert f"charsum-{identity}: PASS" in capsys.readouterr().out
+
+
+def test_cli_charsum_unknown_identity_lists_all(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "charsum",
+                 "--identity", "prop9.9"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown identity 'prop9.9'" in err
+    assert str(sorted(CHARSUM_SUITES)) in err

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kmlift.exactalg import (CycloNum, Laurent, PPow, QSqrt, SymLaurent,
-                             TruncSeries, cyclo_normalize, cyclotomic_poly,
-                             leading_minors, mat_det, p_half_power, poly_deg,
-                             rational_fn_expand)
+from kmlift.exactalg import (CycloNum, PPow, QSqrt, TruncSeries,
+                             cyclotomic_poly, leading_minors, mat_det,
+                             p_half_power, poly_deg)
 from kmlift.quadforms import is_positive_definite
 
 
@@ -35,12 +34,6 @@ def test_cyclo_hash_agrees_with_eq_across_levels(a, b):
     assert a.level != b.level and a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_cyclo_normalize_idempotent():
-    x = CycloNum(12, {0: Fraction(1), 7: Fraction(2, 3), 13: Fraction(1)})
-    assert cyclo_normalize(x) == x
-    assert cyclo_normalize(cyclo_normalize(x)) == cyclo_normalize(x)
 
 
 def _random_cyclo(rng, L):
@@ -88,15 +81,6 @@ def test_series_algebra():
     assert (geo * b).coeffs == {0: one}
 
 
-def test_rational_fn_expand():
-    num = TruncSeries(4, {0: Fraction(1)})
-    out = rational_fn_expand(num, [(Fraction(1), 1)])
-    assert out.coeffs == {k: Fraction(1) for k in range(4)}
-    out = rational_fn_expand(TruncSeries(5, {0: Fraction(1)}),
-                             [(Fraction(1), 1), (Fraction(-1), 1)])
-    assert out.coeffs == {0: Fraction(1), 2: Fraction(1), 4: Fraction(1)}
-
-
 def test_poly_deg_sentinel():
     assert poly_deg([]) is None
     assert poly_deg([0, 0]) is None
@@ -109,14 +93,6 @@ def test_qsqrt_arithmetic():
     y = QSqrt(Fraction(1, 2), Fraction(2), 5)
     assert (y * y.inverse()).rational_value() == 1
     assert p_half_power(3, -1) * p_half_power(3, 1) == QSqrt(1)
-
-
-def test_laurent_symmetry():
-    sym = Laurent({1: Fraction(2), -1: Fraction(2), 0: Fraction(3)})
-    assert sym.is_symmetric()
-    s = SymLaurent.from_laurent(sym)
-    assert s.as_laurent() == sym
-    assert not Laurent({1: Fraction(1)}).is_symmetric()
 
 
 def test_ppow_integrality():

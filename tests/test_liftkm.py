@@ -182,6 +182,22 @@ def test_verify_thm511_without_constants_builds_no_streams(flagship, monkeypatch
     assert calls == []
 
 
+def test_rankin_side_stream_builds_cohen_to_bound(flagship, monkeypatch):
+    import kmlift.liftkm as lk
+    h = flagship[0]
+    chi7 = parse_descriptor("7:2")
+    precs = []
+    cohen = lk.cohen_eisenstein
+    monkeypatch.setattr(lk, "cohen_eisenstein",
+                        lambda l, prec: precs.append(prec) or cohen(l, prec))
+    r1 = lk.rankin_side_stream(h, chi7, 8, 4, 40).coeffs
+    assert precs == [41]
+    # the same stream as from the series at the eigenform's full precision
+    monkeypatch.setattr(lk, "cohen_eisenstein",
+                        lambda l, prec: cohen(l, h.qexp.prec))
+    assert lk.rankin_side_stream(h, chi7, 8, 4, 40).coeffs == r1
+
+
 def test_first_kind_conjugation_equivariance(flagship):
     h, cl, table = flagship
     chi7 = parse_descriptor("7:2")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -63,6 +64,33 @@ def test_density_brute_single_level_p5_n3():
     v = _aut_cong_count(A, 5, 2)
     c = density_from_symbol(jordan_decompose(A.tolist(), 5), 5)
     assert v == c
+
+
+def _aut_cong_reference(A, p, a):
+    """(1/2) p^{-a n(n-1)/2} #{X mod p^a : X^t A X = A}, the diagonal read
+    mod 2 p^a at p = 2, over every X mod p^a."""
+    n, q = len(A), p ** a
+    dq = 2 * q if p == 2 else q
+    count = 0
+    for flat in itertools.product(range(q), repeat=n * n):
+        X = [flat[k * n:(k + 1) * n] for k in range(n)]
+        count += all(
+            (sum(X[k][i] * A[k][l] * X[l][j] for k in range(n) for l in range(n))
+             - A[i][j]) % (dq if i == j else q) == 0
+            for i in range(n) for j in range(i, n))
+    return Fraction(count, 2 * p ** (a * n * (n - 1) // 2))
+
+
+@pytest.mark.parametrize("A,p,a", [
+    (A, 2, a) for A in ([[2, 1], [1, 2]], [[0, 1], [1, 0]], [[2, 0], [0, 6]],
+                        [[2, 1], [1, 4]]) for a in (1, 2)] + [
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 2, 1),
+    ([[1, 0], [0, 3]], 3, 1), ([[1, 0], [0, 3]], 3, 2),
+    ([[1, 1], [1, 2]], 3, 1), ([[1, 1], [1, 2]], 3, 2)])
+def test_aut_cong_count_matches_every_matrix(A, p, a):
+    from kmlift.plocal import _aut_cong_count
+    assert _aut_cong_count(np.array(A, dtype=np.int64), p, a) == \
+        _aut_cong_reference(A, p, a)
 
 
 def test_good_prime_density():
@@ -144,7 +172,7 @@ def _ranks_mod_p(M, p):
 def _rank2_brute(G, p, rank2, pairs):
     """sum over rank-2 S in S_n(F_p) of e(tr(T S)/p), T = G/2, given the
     upper-triangle entries ``rank2`` of every such S."""
-    w = np.array([G[a, b] // 2 if a == b else G[a, b] for a, b in pairs])
+    w = np.array([G.entries[a][b] // (2 if a == b else 1) for a, b in pairs])
     counts = np.bincount(rank2 @ w % p, minlength=p)
     assert len(set(counts[1:])) == 1          # the sum is rational
     return Fraction(int(counts[0] - counts[1]))
