@@ -12,7 +12,7 @@ from kmlift.plocal import (dyadic_jordan, density_from_symbol,
                            enumerate_zp_classes, jordan_decompose,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
-                           _SNF_BUCKET_CACHE, _density_brute,
+                           _SNF_BUCKET_CACHE, _aut_cong_count, _density_brute,
                            _oracle_A_coeffs, _plane_rank2_sum, _planes,
                            _rank2_modp_sum, _snf_buckets)
 from kmlift.quadforms import GramMat, is_positive_definite
@@ -88,7 +88,6 @@ def _aut_cong_reference(A, p, a):
     ([[1, 0], [0, 3]], 3, 1), ([[1, 0], [0, 3]], 3, 2),
     ([[1, 1], [1, 2]], 3, 1), ([[1, 1], [1, 2]], 3, 2)])
 def test_aut_cong_count_matches_every_matrix(A, p, a):
-    from kmlift.plocal import _aut_cong_count
     assert _aut_cong_count(np.array(A, dtype=np.int64), p, a) == \
         _aut_cong_reference(A, p, a)
 
