@@ -1,16 +1,19 @@
 """Dirichlet characters mod N with exact cyclotomic values.
 
-A character is stored by its full value table on Z/N (zero off units), with
-values CycloNum at level = exact multiplicative order of the character.  The
-group (Z/N)* is presented on fixed generators, one or two per prime power
-factor (factors in ascending prime order); the external name of a character is
-the descriptor string ``N:e1,e2,...`` listing exponents on those generators.
+A character is stored by its exponent table on the units of Z/N: u maps to
+the k with chi(u) = zeta_L^k, L the exact multiplicative order of the
+character (values are zero off units).  A character sum is one integer count
+vector on the exponents, reduced to a CycloNum once.  The group (Z/N)* is
+presented on fixed generators, one or two per prime power factor (factors in
+ascending prime order); the external name of a character is the descriptor
+string ``N:e1,e2,...`` listing exponents on those generators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 from .exactalg import CycloNum, _pval
@@ -55,6 +58,12 @@ def euler_phi_int(n: int) -> int:
     return out
 
 
+def _crt_lift(a, q, N):
+    """The residue mod N that is a mod q and 1 mod N/q (q | N, coprime cofactor)."""
+    rest = N // q
+    return (a + q * ((1 - a) * pow(q, -1, rest) % rest)) % N
+
+
 @lru_cache(maxsize=None)
 def unit_group_basis(N: int):
     """Generators of (Z/N)* with their orders, via CRT over prime powers.
@@ -62,29 +71,17 @@ def unit_group_basis(N: int):
     Returns a tuple of (generator mod N, order).  For 2^e with e >= 3 the
     factor contributes the pair (-1, 5); for e == 2 it contributes (-1).
     """
-    if N == 1:
-        return ()
     gens = []
     for p, e in factorize(N):
         q = p ** e
-        rest = N // q
-        def crt(a):
-            # a mod q, 1 mod rest
-            if rest == 1:
-                return a % N
-            inv = pow(q, -1, rest)
-            return (a + q * ((1 - a) * inv % rest)) % N
         if p == 2:
-            if e == 1:
-                continue
             if e == 2:
-                gens.append((crt(3), 2))
-            else:
-                gens.append((crt(2 ** e - 1), 2))
-                gens.append((crt(5), 2 ** (e - 2)))
+                gens.append((_crt_lift(3, q, N), 2))
+            elif e >= 3:
+                gens.append((_crt_lift(q - 1, q, N), 2))
+                gens.append((_crt_lift(5, q, N), 2 ** (e - 2)))
         else:
-            g = primitive_root(q)
-            gens.append((crt(g), (p - 1) * p ** (e - 1)))
+            gens.append((_crt_lift(primitive_root(q), q, N), (p - 1) * p ** (e - 1)))
     return tuple(gens)
 
 
@@ -92,27 +89,22 @@ def unit_group_basis(N: int):
 def _dlog_table(N: int):
     """unit -> exponent tuple on the generator basis."""
     gens = unit_group_basis(N)
-    table = {1 % N: tuple(0 for _ in gens)}
-    frontier = [1 % N]
-    # BFS over the abelian group: multiply by each generator
-    seen = dict(table)
-    stack = [(1 % N, tuple(0 for _ in gens))]
-    while stack:
-        u, ex = stack.pop()
-        for i, (g, order) in enumerate(gens):
-            v = (u * g) % N
-            ex2 = tuple((ex[j] + (1 if j == i else 0)) % gens[j][1]
-                        for j in range(len(gens)))
-            if v not in seen:
-                seen[v] = ex2
-                stack.append((v, ex2))
-    return seen
+    table = {}
+    for ex in product(*(range(n) for _, n in gens)):
+        u = 1 % N
+        for (g, _), x in zip(gens, ex):
+            u = u * pow(g, x, N) % N
+        table[u] = ex
+    return table
 
 
 class DirichletChar:
-    """Character mod N given by exponents on the fixed generator basis."""
+    """Character mod N given by exponents on the fixed generator basis.
 
-    __slots__ = ("modulus", "exponents", "order", "values", "conductor")
+    ``logs`` maps each unit u mod N to the k with chi(u) = zeta_order^k.
+    """
+
+    __slots__ = ("modulus", "exponents", "order", "logs", "conductor")
 
     def __init__(self, modulus: int, exponents):
         self.modulus = int(modulus)
@@ -123,41 +115,24 @@ class DirichletChar:
             if e:
                 self.order = lcm(self.order, n // gcd(n, e))
         L = self.order
-        dlog = _dlog_table(self.modulus)
-        # chi(g_i) = zeta_{n_i}^{e_i} = zeta_L^{(e_i/g) * (L / (n_i/g))}, g = gcd(e_i, n_i)
-        steps = []
-        for (g, n), e in zip(gens, self.exponents):
-            if e == 0:
-                steps.append(0)
-            else:
-                d = gcd(e, n)
-                steps.append((e // d) * (L // (n // d)) % L)
-        vals = {}
-        for u, ex in dlog.items():
-            k = sum(s * x for s, x in zip(steps, ex)) % L
-            vals[u] = CycloNum.zeta(L, k) if L > 1 else CycloNum.one()
-        self.values = vals
+        # chi(g_i) = zeta_{n_i}^{e_i} = zeta_L^{e_i L / n_i}
+        steps = [e * L // n for (_, n), e in zip(gens, self.exponents)]
+        self.logs = {u: sum(s * x for s, x in zip(steps, ex)) % L
+                     for u, ex in _dlog_table(self.modulus).items()}
         self.conductor = self._conductor()
 
     def _conductor(self):
         N = self.modulus
-        for f in sorted(divisors(N)):
-            ok = True
-            for u in self.values:
-                if u % f == 1 % f and gcd(u, N) == 1:
-                    if not self(u) == CycloNum.one():
-                        ok = False
-                        break
-            if ok:
+        for f in divisors(N):
+            if all(k == 0 for u, k in self.logs.items() if u % f == 1 % f):
                 return f
         return N
 
     def __call__(self, a) -> CycloNum:
-        a = int(a) % self.modulus
-        v = self.values.get(a)
-        if v is None:
+        k = self.logs.get(int(a) % self.modulus)
+        if k is None:
             return CycloNum.zero()
-        return v
+        return CycloNum.zeta(self.order, k)
 
     def __mul__(self, other):
         if self.modulus != other.modulus:
@@ -179,17 +154,12 @@ class DirichletChar:
             raise ValueError("can only extend to a multiple modulus")
         if M == self.modulus:
             return self
-        gens = unit_group_basis(M)
-        dlog = _dlog_table(self.modulus)
-        # solve exponents: match values on the generators of (Z/M)*
-        exps = []
-        for g, n in gens:
-            val = self(g % self.modulus)
-            e = _value_log(val, n)
-            exps.append(e)
-        cand = DirichletChar(M, exps)
-        for u in cand.values:
-            if not cand(u) == self(u % self.modulus):
+        N, L = self.modulus, self.order
+        # chi(g) = zeta_L^k has order dividing that of g, so n k / L is whole
+        cand = DirichletChar(M, [self.logs[g % N] * n // L
+                                 for g, n in unit_group_basis(M)])
+        for u, k in cand.logs.items():
+            if k * L != self.logs[u % N] * cand.order:
                 raise AssertionError("character extension failed")
         return cand
 
@@ -198,8 +168,7 @@ class DirichletChar:
 
     def parity(self) -> int:
         """chi(-1) as +-1."""
-        v = self(self.modulus - 1 if self.modulus > 1 else 0)
-        return 1 if v == CycloNum.one() else -1
+        return 1 if self.logs[-1 % self.modulus] == 0 else -1
 
     def is_primitive(self):
         return self.conductor == self.modulus
@@ -218,14 +187,6 @@ class DirichletChar:
         return f"DirichletChar({self.descriptor()}, order={self.order})"
 
 
-def _value_log(v: CycloNum, n: int) -> int:
-    """e with v = zeta_n^e (v must be an n-th root of unity)."""
-    for e in range(n):
-        if v == CycloNum.zeta(n, e):
-            return e
-    raise ValueError("value is not a root of unity of the expected order")
-
-
 def divisors(n):
     out = [1]
     for p, e in factorize(n):
@@ -238,15 +199,8 @@ class CharGroup:
 
     def __init__(self, N: int):
         self.modulus = int(N)
-        gens = unit_group_basis(self.modulus)
-        self.chars = []
-        def rec(i, acc):
-            if i == len(gens):
-                self.chars.append(DirichletChar(self.modulus, acc))
-                return
-            for e in range(gens[i][1]):
-                rec(i + 1, acc + [e])
-        rec(0, [])
+        self.chars = [DirichletChar(self.modulus, ex) for ex in
+                      product(*(range(n) for _, n in unit_group_basis(self.modulus)))]
 
     def __iter__(self):
         return iter(self.chars)
@@ -289,17 +243,8 @@ def local_component(chi: DirichletChar, p: int) -> DirichletChar:
     if p not in fac:
         raise ValueError(f"{p} does not divide the modulus {N}")
     q = p ** fac[p]
-    rest = N // q
-    gens = unit_group_basis(q)
-    exps = []
-    for g, n in gens:
-        if rest == 1:
-            lift = g % N
-        else:
-            inv = pow(q, -1, rest)
-            lift = (g + q * ((1 - g) * inv % rest)) % N
-        exps.append(_value_log(chi(lift), n))
-    return DirichletChar(q, exps)
+    return DirichletChar(q, [chi.logs[_crt_lift(g, q, N)] * n // chi.order
+                             for g, n in unit_group_basis(q)])
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +332,22 @@ def _as_unit_int(u: Fraction, p: int, mod=None):
 # ---------------------------------------------------------------------------
 # Gauss and Jacobi sums, primitive roots of unity mod p
 
+def _root_sum(L: int, terms) -> CycloNum:
+    """sum n * zeta_L^e over the (e, n) pairs: one count vector, reduced once."""
+    counts = {}
+    for e, n in terms:
+        counts[e % L] = counts.get(e % L, 0) + n
+    return CycloNum(L, counts)
+
+
 def gauss_sum(chi: DirichletChar) -> CycloNum:
     """tau(chi) = sum_a chi(a) zeta_N^a, exact at level lcm(order, N)."""
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
     L = lcm(chi.order, N)
-    total = CycloNum.zero(L)
-    for a in range(1, N):
-        if gcd(a, N) == 1:
-            total = total + chi(a).raise_level(L) * CycloNum.zeta(N, a).raise_level(L)
-    return total
+    s = L // chi.order
+    return _root_sum(L, ((s * k + a * (L // N), 1) for a, k in chi.logs.items()))
 
 
 def jacobi_sum(chi, eta) -> CycloNum:
@@ -406,16 +356,9 @@ def jacobi_sum(chi, eta) -> CycloNum:
         raise ValueError("Jacobi sum needs characters to the same modulus")
     N = chi.modulus
     L = lcm(chi.order, eta.order)
-    total = CycloNum.zero(L)
-    for z in range(N):
-        a = chi(z)
-        if a.is_zero():
-            continue
-        b = eta((1 - z) % N)
-        if b.is_zero():
-            continue
-        total = total + a.raise_level(L) * b.raise_level(L)
-    return total
+    s, t = L // chi.order, L // eta.order
+    return _root_sum(L, ((s * k + t * eta.logs[w], 1) for z, k in chi.logs.items()
+                         if (w := (1 - z) % N) in eta.logs))
 
 
 def find_primitive_root_of_unity_mod(p: int, l: int) -> int:

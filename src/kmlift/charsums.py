@@ -19,9 +19,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .exactalg import CycloNum, _congruence_blocks, mat_det
-from .characters import (DirichletChar, _as_unit_int, char_group, factorize,
-                         find_primitive_root_of_unity_mod, jacobi_sum,
-                         legendre, local_component, subgroup_Dm)
+from .characters import (DirichletChar, _as_unit_int, _root_sum, char_group,
+                         factorize, find_primitive_root_of_unity_mod,
+                         jacobi_sum, legendre, local_component, subgroup_Dm)
 
 DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
@@ -456,14 +456,8 @@ def quad_char_sum_brute(eta: DirichletChar, S, c, budget=DEFAULT_BUDGET) -> Cycl
 
 
 def _weight_counts(counts, chi: DirichletChar) -> CycloNum:
-    total = CycloNum.zero(chi.order)
-    for r, n in enumerate(counts):
-        n = int(n)
-        if n:
-            v = chi(r)
-            if not v.is_zero():
-                total = total + v * Fraction(n)
-    return total
+    """sum_r counts[r] chi(r) over the residues r mod N, at level chi.order."""
+    return _root_sum(chi.order, ((k, int(counts[r])) for r, k in chi.logs.items()))
 
 
 def _rank_and_det0(S, p):
@@ -501,12 +495,9 @@ def quad_char_sum_closed(eta: DirichletChar, S, c) -> CycloNum:
 
 
 def legendre_char(p: int) -> DirichletChar:
-    """The quadratic character mod p as a DirichletChar."""
-    G = char_group(p)
-    for chi in G:
-        if chi.order == 2:
-            return chi
-    raise ValueError(f"no quadratic character mod {p}")
+    """The quadratic character mod an odd prime p as a DirichletChar."""
+    _require_prime(p)
+    return DirichletChar(p, [(p - 1) // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +569,15 @@ def Jm_brute(chi: DirichletChar, eta: DirichletChar, m: int,
 
 
 def _weight_dt(counts, chi, eta, shift):
+    """sum_{d,t} counts[d, t] chi(d) eta(1 - t if shift else t)."""
     N = chi.modulus
     L = lcm(chi.order, eta.order)
-    total = CycloNum.zero(L)
-    for d in range(N):
-        cv = chi(d)
-        if cv.is_zero():
-            continue
-        cv = cv.raise_level(L)
-        for t in range(N):
-            n = int(counts[d, t])
-            if not n:
-                continue
-            ev = eta((1 - t) % N if shift else t)
-            if ev.is_zero():
-                continue
-            total = total + cv * ev.raise_level(L) * Fraction(n)
-    return total
+    s, u = L // chi.order, L // eta.order
+    # (t, exponent of eta) for the traces t at which eta's argument is a unit
+    cols = [(t, eta.logs[w]) for t in range(N)
+            if (w := (1 - t) % N if shift else t) in eta.logs]
+    return _root_sum(L, ((s * k + u * j, int(counts[d, t]))
+                         for d, k in chi.logs.items() for t, j in cols))
 
 
 def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
@@ -605,7 +588,11 @@ def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
     if m == 0:
         return CycloNum.zero()
     if m == 1:
-        return _direct_zsum(chi, eta)
+        # sum_z chi(z) eta(z)
+        L = lcm(chi.order, eta.order)
+        s, u = L // chi.order, L // eta.order
+        return _root_sum(L, ((s * k + u * eta.logs[z], 1)
+                             for z, k in chi.logs.items() if z in eta.logs))
     if chi.is_trivial() or (chi ** 2).is_trivial():
         raise ValueError("Prop 5.7 needs chi^2 nontrivial")
     if not (chi ** m * eta).is_trivial():
@@ -619,23 +606,8 @@ def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
     return Jm1 * jacobi_sum(chi, leg) * chi(-1) * pref
 
 
-def _direct_zsum(chi, eta):
-    N = chi.modulus
-    L = lcm(chi.order, eta.order)
-    total = CycloNum.zero(L)
-    for z in range(N):
-        a = chi(z)
-        if a.is_zero():
-            continue
-        b = eta(z)
-        if b.is_zero():
-            continue
-        total = total + a.raise_level(L) * b.raise_level(L)
-    return total
-
-
 def _require_prime(p):
-    if any(e > 1 for _, e in factorize(p)) or len(factorize(p)) != 1 or p == 2:
+    if p == 2 or factorize(p) != [(p, 1)]:
         raise ValueError(f"odd prime modulus required, got {p}")
 
 
@@ -847,7 +819,7 @@ def zero_branch(chi: DirichletChar, n: int) -> bool:
         l = gcd(n, p - 1)
         u0 = find_primitive_root_of_unity_mod(p, l)
         chip = local_component(chi, p) if len(factorize(N)) > 1 else chi
-        if not chip(u0) == CycloNum.one():
+        if chip.logs[u0]:
             return True
     return False
 

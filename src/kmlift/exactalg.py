@@ -190,6 +190,39 @@ def poly_divmod_exact(a, b):
     return poly_trim(q), a
 
 
+def nullspace(rows):
+    """Basis of the right nullspace of a rational matrix (list of rows), by
+    exact Gauss-Jordan elimination."""
+    if not rows:
+        return []
+    m = len(rows[0])
+    M = [list(map(Fraction, r)) for r in rows]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        pv = M[r][c]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        piv_cols.append(c)
+        r += 1
+    free = [c for c in range(m) if c not in piv_cols]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv_cols):
+            v[pc] = -M[i][fc]
+        basis.append(v)
+    return basis
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(L: int):
     """Coefficients of the L-th cyclotomic polynomial (integers, monic)."""
@@ -249,6 +282,7 @@ class CycloNum:
         return CycloNum(level, {0: q} if q else {}, reduced=True)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zeta(L, e=1):
         return CycloNum(L, {e % L: Fraction(1)})
 
@@ -282,40 +316,16 @@ class CycloNum:
             raise ValueError("target level must divide current level")
         if L2 == self.level:
             return self
-        basis = [CycloNum.zeta(L2, e).raise_level(self.level)
+        # [basis | -self] has one null vector (x, 1) when self = sum x_e
+        # zeta_L2^e, and none otherwise: the basis columns are independent
+        basis = [CycloNum.zeta(L2, e).raise_level(self.level).coeffs
                  for e in range(_phi(L2))]
-        # solve sum x_e * basis_e = self by Gaussian elimination
-        n = _phi(self.level)
-        rows = []
-        for b in basis:
-            col = [b.coeffs.get(i, Fraction(0)) for i in range(n)]
-            rows.append(col)
-        target = [self.coeffs.get(i, Fraction(0)) for i in range(n)]
-        m = len(basis)
-        aug = [[rows[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-        piv_cols, r = [], 0
-        for c in range(m):
-            pr = next((i for i in range(r, n) if aug[i][c]), None)
-            if pr is None:
-                continue
-            aug[r], aug[pr] = aug[pr], aug[r]
-            pv = aug[r][c]
-            aug[r] = [x / pv for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            piv_cols.append(c)
-            r += 1
-            if r == n:
-                break
-        sol = [Fraction(0)] * m
-        for i, c in enumerate(piv_cols):
-            sol[c] = aug[i][m]
-        for i in range(r, n):
-            if aug[i][m]:
-                raise ValueError("value not in the requested subfield")
-        cand = CycloNum(L2, {e: sol[e] for e in range(m) if sol[e]})
+        null = nullspace([[b.get(i, 0) for b in basis] + [-self.coeffs.get(i, 0)]
+                          for i in range(_phi(self.level))])
+        if not null:
+            raise ValueError("value not in the requested subfield")
+        sol = null[0]
+        cand = CycloNum(L2, {e: x for e, x in enumerate(sol[:-1]) if x})
         if cand.raise_level(self.level) != self:
             raise ValueError("value not in the requested subfield")
         return cand

@@ -17,13 +17,13 @@ from .characters import (DirichletChar, char_group, factorize, jacobi_sum,
                          kronecker, subgroup_Dm)
 from .charsums import (HVariant, _Jm_lambda, gamma_const, h_sum,
                        jacobi_symbol_char, zero_branch)
-from .exactalg import CycloNum, PPow, _pval
+from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       lfactor_stream, rankin_stream, shifted_L_stream,
                       theta_series, weight2_eisenstein_odd)
 from .plocal import (DyadicBlock, SiegelPoly, _density_dyadic_blocks,
                      _diag_mat, _kappa_zeta_L, density_from_symbol,
-                     enumerate_zp_classes, hasse_from_symbol, siegel_series,
+                     enumerate_zp_classes, siegel_series,
                      symbol_diagonal)
 from .quadforms import (ClassList, GramMat, disc_split, fundamental_split,
                         hasse_invariant)
@@ -94,7 +94,7 @@ def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
     bad = [e for e in range(0, 3 * len(monomials) + 10)
            if e == 0 or ((-1) ** lam * e) % 4 in (2, 3)]
     rows = [[m.coeff(e) for m in monomials] for e in bad]
-    null = _nullspace(rows)
+    null = nullspace(rows)
     if len(null) != 1:
         raise ValueError(f"cuspidal plus space not one-dimensional: dim {len(null)}")
     sol = null[0]
@@ -123,38 +123,6 @@ def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
             assert tf.coeff(e) == ev * h.coeff(e), f"not an eigenform at p={p}, e={e}"
         eigs[p] = ev
     return PlusForm(h, lam, eigs, delta)
-
-
-def _nullspace(rows):
-    """Basis of the right nullspace of the Fraction matrix (list of rows)."""
-    if not rows:
-        return []
-    m = len(rows[0])
-    M = [list(map(Fraction, r)) for r in rows]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(m) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -M[i][fc]
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +502,7 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
                 sat = satake_symmetric_eval(sp, h.shimura.coeff(p), k, n)
                 alpha = density_from_symbol(sym, p)
                 loc["iota"] += sat / alpha
-                loc["eps"] += Fraction(hasse_from_symbol(sym, p)) * sat / alpha
+                loc["eps"] += Fraction(hasse_invariant(G.entries, p)) * sat / alpha
             expo = Fraction(nu * (n + 1), 2) + Fraction(nu0 * (2 * k - n - 1), 4)
             for w in ("iota", "eps"):
                 branch[w] = branch[w] * PPow(loc[w], {p: expo})

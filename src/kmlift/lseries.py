@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .characters import DirichletChar, divisors, kronecker
+from .characters import DirichletChar, _root_sum, divisors, factorize, kronecker
 from .exactalg import CycloNum
 
 
@@ -43,18 +43,17 @@ def bernoulli_poly_coeffs(k: int):
 
 
 def gen_bernoulli(chi: DirichletChar, k: int) -> CycloNum:
-    """B_{k,chi} = f^{k-1} sum_{a=1}^{f} chi(a) B_k(a/f), conductor f."""
+    """B_{k,chi} = f^{k-1} sum_{a=1}^{f} chi(a) B_k(a/f), f the modulus.
+
+    f^{k-1} B_k(a/f) = sum_j C(k,j) B_{k-j} f^{k-1-j} a^j weighs the exponent
+    of chi(a), as in gen_bernoulli_kronecker.
+    """
     f = chi.modulus
-    coeffs = bernoulli_poly_coeffs(k)
-    total = CycloNum.zero(chi.order)
-    for a in range(1, f + 1):
-        v = chi(a)
-        if v.is_zero():
-            continue
-        x = Fraction(a, f)
-        poly = sum(c * x ** j for j, c in enumerate(coeffs))
-        total = total + v * poly
-    return total * Fraction(f) ** (k - 1)
+    w = [c * Fraction(f) ** (k - 1 - j)
+         for j, c in enumerate(bernoulli_poly_coeffs(k))]
+    # the residue 0 stands for a = f (a unit only when f = 1)
+    return _root_sum(chi.order, ((e, sum(c * (a or f) ** j for j, c in enumerate(w)))
+                                 for a, e in chi.logs.items()))
 
 
 def gen_bernoulli_kronecker(d: int, k: int) -> Fraction:
@@ -92,18 +91,8 @@ def zeta_even_rational(i: int) -> Fraction:
 # Cohen function and Cohen-Eisenstein series
 
 def moebius(n):
-    out = 1
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
+    fac = factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
 
 
 def sigma_power(n, s):
@@ -115,9 +104,7 @@ def cohen_L(D: int, s: int) -> Fraction:
     if s > 0:
         raise ValueError("only nonpositive integer arguments are exact here")
     if D == 0:
-        # zeta(2s - 1)
-        m = 1 - 2 * s
-        return -bernoulli_number(m + 1) / (m + 1)
+        return zeta_at_negative(1 - 2 * s)
     if D % 4 in (2, 3):
         return Fraction(0)
     from .quadforms import fundamental_split

@@ -21,15 +21,14 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .characters import (_as_unit_int, factorize, hilbert_symbol, kronecker,
-                         legendre)
+from .characters import _as_unit_int, factorize, kronecker, legendre
 from .charsums import (_CHUNK, DEFAULT_BUDGET, BudgetExceeded, _digit_arrays,
                        _rep_count, _vectors)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
                        _reduce_mod_cyclo, geometric_inverse, mat_det,
                        p_half_power, poly_mul)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
-from .quadforms import GramMat, fundamental_split
+from .quadforms import GramMat, fundamental_split, hasse_invariant
 
 # largest S_n(Z/p^j) table the oracle route enumerates
 _ORACLE_CAP = 4_500_000
@@ -722,18 +721,6 @@ def _all_symbols(n, p, max_val):
     return [uniq[k] for k in sorted(uniq, key=lambda bs: tuple((b.scale, b.dim, b.detclass) for b in bs))]
 
 
-def hasse_from_symbol(sym: JordanSymbol, p: int, even_double=True) -> int:
-    """epsilon of the even representative B = 2 * diag(symbol)."""
-    diag = symbol_diagonal(sym, p)
-    if even_double:
-        diag = [2 * d for d in diag]
-    eps = 1
-    for i in range(len(diag)):
-        for j in range(i, len(diag)):
-            eps *= hilbert_symbol(diag[i], diag[j], p)
-    return eps
-
-
 def p_series(n: int, p: int, d0, omega: str, prec: int, mode="brute",
              budget=DEFAULT_BUDGET) -> TruncSeries:
     """P^(0)_{n,p}(d0, omega, X, t) to t-precision prec; coefficients are
@@ -756,7 +743,7 @@ def p_series(n: int, p: int, d0, omega: str, prec: int, mode="brute",
         alpha = density_from_symbol(sym, p)
         w = Fraction(1)
         if omega == "eps":
-            w = Fraction(hasse_from_symbol(sym, p))
+            w = Fraction(hasse_invariant(G.entries, p))
         term = ft * Laurent.const(QSqrt(w / alpha, 0, p))
         coeffs[nu] = coeffs.get(nu, Laurent({})) + term
     return TruncSeries(prec, coeffs)

@@ -1,11 +1,18 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from kmlift.characters import (char_group, find_primitive_root_of_unity_mod,
-                               gauss_sum, hilbert_symbol, jacobi, jacobi_sum,
-                               kronecker, legendre, local_component,
-                               parse_descriptor, subgroup_Dm)
+import numpy as np
+import pytest
+
+from kmlift.characters import (char_group, factorize,
+                               find_primitive_root_of_unity_mod, gauss_sum,
+                               hilbert_symbol, jacobi, jacobi_sum, kronecker,
+                               legendre, local_component, parse_descriptor,
+                               subgroup_Dm)
+from kmlift.charsums import Im_closed, _weight_counts, _weight_dt, legendre_char
 from kmlift.exactalg import CycloNum
+from kmlift.lseries import bernoulli_poly_coeffs, gen_bernoulli
 from kmlift.plocal import xi_tilde
 
 
@@ -124,3 +131,157 @@ def test_hilbert_symbol_is_int_at_negative_valuations():
             v = hilbert_symbol(a, b, p)
             assert type(v) is int and v in (1, -1)
     assert hilbert_symbol(Fraction(1, 3), 3, 3) == hilbert_symbol(3, 3, 3)
+
+
+# ---------------------------------------------------------------------------
+# exponent-table sums against per-term CycloNum loops
+
+REF_MODULI = (1, 4, 5, 7, 8, 9, 12, 15, 16, 35)
+
+
+def _ref_gauss(chi):
+    N = chi.modulus
+    if N == 1:
+        return CycloNum.one()
+    L = lcm(chi.order, N)
+    total = CycloNum.zero(L)
+    for a in range(1, N):
+        if gcd(a, N) == 1:
+            total = total + chi(a).raise_level(L) * CycloNum.zeta(N, a).raise_level(L)
+    return total
+
+
+def _ref_pair_sum(chi, eta, arg):
+    N = chi.modulus
+    L = lcm(chi.order, eta.order)
+    total = CycloNum.zero(L)
+    for z in range(N):
+        a, b = chi(z), eta(arg(z) % N)
+        if not a.is_zero() and not b.is_zero():
+            total = total + a.raise_level(L) * b.raise_level(L)
+    return total
+
+
+def _ref_weight_counts(counts, chi):
+    total = CycloNum.zero(chi.order)
+    for r, n in enumerate(counts):
+        v = chi(r)
+        if n and not v.is_zero():
+            total = total + v * Fraction(int(n))
+    return total
+
+
+def _ref_weight_dt(counts, chi, eta, shift):
+    N = chi.modulus
+    L = lcm(chi.order, eta.order)
+    total = CycloNum.zero(L)
+    for d in range(N):
+        for t in range(N):
+            cv, ev = chi(d), eta((1 - t) % N if shift else t)
+            if counts[d][t] and not cv.is_zero() and not ev.is_zero():
+                total = total + cv.raise_level(L) * ev.raise_level(L) \
+                    * Fraction(int(counts[d][t]))
+    return total
+
+
+def _ref_gen_bernoulli(chi, k):
+    f = chi.modulus
+    total = CycloNum.zero(chi.order)
+    for a in range(1, f + 1):
+        v = chi(a)
+        if not v.is_zero():
+            x = Fraction(a, f)
+            total = total + v * sum(c * x ** j for j, c in
+                                    enumerate(bernoulli_poly_coeffs(k)))
+    return total * Fraction(f) ** (k - 1)
+
+
+def _same(got, want):
+    assert got == want
+    assert got.level == want.level
+    assert got.serialize() == want.serialize()
+
+
+def test_gauss_and_jacobi_sums_match_per_term_loops():
+    for N in REF_MODULI:
+        G = list(char_group(N))
+        for chi in G:
+            _same(gauss_sum(chi), _ref_gauss(chi))
+            for eta in G:
+                _same(jacobi_sum(chi, eta),
+                      _ref_pair_sum(chi, eta, lambda z: 1 - z))
+
+
+def test_im_closed_m1_matches_per_term_loop():
+    for p in (5, 7):
+        for chi in char_group(p):
+            for eta in char_group(p):
+                _same(Im_closed(chi, eta, 1), _ref_pair_sum(chi, eta, lambda z: z))
+
+
+def test_weighted_counts_match_per_term_loops():
+    rng = random.Random(10)
+    for N in REF_MODULI:
+        G = list(char_group(N))
+        counts = [rng.choice((0, 0, 1, 2, 7, 30)) for _ in range(N)]
+        table = [[rng.choice((0, 0, 0, 1, 5)) for _ in range(N)] for _ in range(N)]
+        for chi in G:
+            _same(_weight_counts(counts, chi), _ref_weight_counts(counts, chi))
+        for chi, eta in list(zip(G, reversed(G))) + [(G[-1], G[0])]:
+            for shift in (False, True):
+                _same(_weight_dt(np.array(table), chi, eta, shift),
+                      _ref_weight_dt(table, chi, eta, shift))
+
+
+def test_gen_bernoulli_matches_per_term_loop():
+    for N in REF_MODULI:
+        for chi in char_group(N):
+            for k in range(1, 5):
+                _same(gen_bernoulli(chi, k), _ref_gen_bernoulli(chi, k))
+
+
+def test_conductor_parity_extend_and_local_component_by_definition():
+    for N in REF_MODULI:
+        units = [u for u in range(N) if gcd(u, N) == 1]
+        for chi in char_group(N):
+            want = min(f for f in range(1, N + 1) if N % f == 0 and all(
+                chi(u) == 1 for u in units if u % f == 1 % f))
+            assert chi.conductor == want
+            minus = chi(-1)
+            assert minus in (1, -1)
+            assert chi.parity() == (1 if minus == 1 else -1)
+            for M in (N * 2, N * 3):
+                ext = chi.extend(M)
+                for u in range(M):
+                    assert ext(u) == (chi(u) if gcd(u, M) == 1 else 0)
+            for p, e in factorize(N):
+                q = p ** e
+                loc = local_component(chi, p)
+                assert loc.modulus == q
+                for a in range(q):
+                    # the residue that is a mod q and 1 mod N/q
+                    lift = next(x for x in range(N)
+                                if x % q == a and x % (N // q) == 1 % (N // q))
+                    assert loc(a) == chi(lift)
+
+
+def test_legendre_char_is_the_order_two_character():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        assert [c for c in char_group(p) if c.order == 2] == [legendre_char(p)]
+        for a in range(p):
+            assert legendre_char(p)(a) == legendre(a, p)
+    for p in (2, 9, 15):
+        with pytest.raises(ValueError):
+            legendre_char(p)
+
+
+def test_lower_level_raises_outside_the_subfield():
+    z = CycloNum.zeta
+    assert z(12, 2).lower_level(6) == z(6, 1)
+    assert z(12, 2).lower_level(6).level == 6
+    assert (z(8, 1) + z(8, 7)).lower_level(8).level == 8
+    quad5 = next(c for c in char_group(5) if c.order == 2)
+    for v, L2 in ((z(8, 1), 4), (z(12, 1), 6), (gauss_sum(quad5), 1),
+                  (z(8, 1) + z(8, 3), 4)):
+        with pytest.raises(ValueError):
+            v.lower_level(L2)
