@@ -97,7 +97,7 @@ def sym_det_trace_counts(m: int, N: int, budget=DEFAULT_BUDGET):
             M[j][i] = d
         det = _det_batch(M, m, N)
         tr = sum(M[i][i] for i in range(m)) % N
-        np.add.at(counts, (det, tr), 1)
+        counts += np.bincount(det * N + tr, minlength=N * N).reshape(N, N)
     return counts
 
 
@@ -185,33 +185,39 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     """table[idx(P)] = #{X in SL_m(F_p) : X X^t = P}, P symmetric encoded as a
     base-p integer over its upper-triangle entries.  One sweep per (m, p);
     every trace sum over SL reduces to a weighting of this table because
-    tr(A[X]) = tr(A * X X^t)."""
+    tr(A[X]) = tr(A * X X^t).
+
+    The sweep borders the last row: for each chunk of first rows r_1..r_{m-1}
+    it takes every last row x at once (one p^m x m array), so that
+    det X = c . x, with c the cofactor vector of the first rows, and
+    (X X^t)_{a,m} = r_a . x are integer matmuls; one bincount per chunk
+    tallies the Gram matrices of the det-1 cells."""
     key = (m, p)
     if key in _SL_GRAM_CACHE:
         return _SL_GRAM_CACHE[key]
     _check_budget(p ** (m * m), budget)
+    k = m - 1
     E = m * (m + 1) // 2
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    weight = np.zeros((m, m), dtype=np.int64)
+    weight[np.triu_indices(m)] = p ** np.arange(E)
+    last = np.stack(_digit_arrays(0, p ** m, p, m), axis=1)
+    last_key = (last * last).sum(axis=1) % p * weight[k, k]
     table = np.zeros(p ** E, dtype=np.int64)
-    total = p ** (m * m)
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        digs = _digit_arrays(lo, hi, p, m * m)
-        M = [[digs[i * m + j] for j in range(m)] for i in range(m)]
-        det = _det_batch(M, m, p)
-        mask = det == 1
-        if not mask.any():
-            continue
-        X = [[M[i][j][mask] for j in range(m)] for i in range(m)]
-        idx = np.zeros(int(mask.sum()), dtype=np.int64)
-        mult = 1
-        for (a, b) in pairs:
-            s = 0
-            for j in range(m):
-                s = s + X[a][j] * X[b][j]
-            idx += (s % p) * mult
-            mult *= p
-        np.add.at(table, idx, 1)
+    total = p ** (k * m)
+    step = max(1, _CHUNK // p ** m)
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        digs = _digit_arrays(lo, hi, p, k * m)
+        rows = [digs[a * m:(a + 1) * m] for a in range(k)]
+        cof = np.stack([np.broadcast_to((-1) ** (k + b) * _det_batch(
+            [r[:b] + r[b + 1:] for r in rows], k, p), (hi - lo,))
+            for b in range(m)], axis=1)
+        R = np.array(digs, dtype=np.int64).T.reshape(hi - lo, k, m)
+        gram = R @ R.transpose(0, 2, 1) % p
+        cross = R @ last.T % p
+        idx = ((gram * weight[:k, :k]).sum(axis=(1, 2))[:, None]
+               + weight[:k, k] @ cross + last_key)
+        table += np.bincount(idx[cof @ last.T % p == 1], minlength=p ** E)
     _SL_GRAM_CACHE[key] = table
     return table
 

@@ -408,8 +408,15 @@ _SNF_BUCKET_CACHE: dict = {}
 
 
 def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
-    """For every S in S_n(Z/p^j) (encoded base p^j over the upper triangle),
-    -1 if S = 0 mod p else nu_p(mu_p(S / p^j)), capped witness via exact SNF."""
+    """For every S in S_n(Z/p^j) (encoded base p^j over the upper triangle):
+    -1 if S = 0 mod p, else log_p |S (Z/p^j)^n| = sum_i max(0, j - v_i)
+    over the p-valuations v_i of the elementary divisors of S.
+
+    A Smith form mod q = p^j runs on a chunk of matrices at once, with
+    lookup tables for the valuation and for the inverse of the unit part.
+    Each step takes an entry of least valuation v of the remaining block,
+    clears its column with f = (x / p^v) u^-1 mod q and drops its row and
+    column; the row needs no clearing, being a multiple of the pivot."""
     key = (n, p, j)
     if key in _SNF_BUCKET_CACHE:
         return _SNF_BUCKET_CACHE[key]
@@ -418,70 +425,42 @@ def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
     total = q ** E
     if total > _ORACLE_CAP:
         raise BudgetExceeded(total, _ORACLE_CAP)
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    buckets = np.full(total, -1, dtype=np.int8)
-    ent = [0] * E
-    for idx in range(total):
-        x = idx
-        for k in range(E):
-            ent[k] = x % q
-            x //= q
-        if all(e % p == 0 for e in ent):
-            continue
-        M = [[0] * n for _ in range(n)]
-        for (a, b), v in zip(pairs, ent):
-            M[a][b] = v
-            M[b][a] = v
-        vals = _snf_valuations(M, p, j)
-        buckets[idx] = sum(max(0, j - v) for v in vals)
+    res = np.arange(q, dtype=np.int64)
+    val = sum((res % p ** k == 0).astype(np.int64) for k in range(1, j + 1))
+    unit_inv = np.array([pow(int(u), -1, q) if u % p else 0
+                         for u in res // p ** val], dtype=np.int64)
+    upper = list(zip(*np.triu_indices(n)))
+    buckets = np.empty(total, dtype=np.int8)
+    step = max(1, _CHUNK // (n * n))
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        M = np.empty((hi - lo, n, n), dtype=np.int64)
+        for (a, b), e in zip(upper, _digit_arrays(lo, hi, q, E)):
+            M[:, a, b] = e
+            M[:, b, a] = e
+        bucket = np.zeros(hi - lo, dtype=np.int64)
+        for m in range(n, 0, -1):
+            flat = M.reshape(-1, m * m)
+            at = val[flat].argmin(axis=1)[:, None]
+            piv = np.take_along_axis(flat, at, axis=1)
+            v = val[piv[:, 0]]
+            bucket += j - v
+            if m == n:
+                zero_mod_p = v > 0
+            if m == 1:
+                break
+            r, c = at // m, at % m
+            rest = np.arange(m - 1)
+            rows = np.take_along_axis(M, (rest + (rest >= r))[:, :, None], 1)
+            prow = np.take_along_axis(M, r[:, :, None], axis=1)
+            x = np.take_along_axis(rows, c[:, None, :], axis=2)
+            f = x // p ** v[:, None, None] * unit_inv[piv][:, :, None] % q
+            M = np.take_along_axis((rows - f * prow) % q,
+                                   (rest + (rest >= c))[:, None, :], axis=2)
+        bucket[zero_mod_p] = -1
+        buckets[lo:hi] = bucket
     _SNF_BUCKET_CACHE[key] = buckets
     return buckets
-
-
-def _snf_valuations(M, p, cap):
-    """Elementary divisor p-valuations (capped at cap) of the integer matrix."""
-    M = [row[:] for row in M]
-    n = len(M)
-    vals = []
-    r = 0
-    while r < n:
-        best = None
-        for i in range(r, n):
-            for j in range(r, n):
-                if M[i][j]:
-                    v = _pval(M[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None or best[0] >= cap:
-            vals.extend([cap] * (n - r))
-            break
-        v, i, j = best
-        M[r], M[i] = M[i], M[r]
-        for row in M:
-            row[r], row[j] = row[j], row[r]
-        piv = M[r][r]
-        for i in range(r + 1, n):
-            if M[i][r]:
-                f = _div_exact_mod(M[i][r], piv, p, cap)
-                for k in range(r, n):
-                    M[i][k] -= f * M[r][k]
-        for k in range(r + 1, n):
-            if M[r][k]:
-                f = _div_exact_mod(M[r][k], piv, p, cap)
-                for i in range(r, n):
-                    M[i][k] -= f * M[i][r]
-        vals.append(v)
-        r += 1
-    return vals[:n]
-
-
-def _div_exact_mod(x, piv, p, cap):
-    # x / piv in Z_p to precision p^(cap + margin); works since v(piv) <= v(x)
-    mod = p ** (cap + 4)
-    vp = _pval(piv, p) if piv else cap
-    u = piv // p ** vp
-    xv = x // p ** vp
-    return xv * pow(u % mod, -1, mod) % mod
 
 
 def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
@@ -513,10 +492,10 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
             tr2 = tr2 % (2 * q)
             tr = np.where(tr2 % 2 == 0, tr2 // 2, 0) % q
             assert int((tr2 % 2).sum()) == 0, "tr(GS) must be even"
-            bk = buckets[lo:hi]
+            bk = buckets[lo:hi].astype(np.int64)
             sel = (bk >= 0) & (bk <= J)
-            if sel.any():
-                np.add.at(counts, (bk[sel].astype(np.int64), tr[sel]), 1)
+            counts += np.bincount(bk[sel] * q + tr[sel],
+                                  minlength=(J + 1) * q).reshape(J + 1, q)
         for bucket in range(1, J + 1):
             acc[bucket] += _rational_root_sum(counts[bucket], q)
     return acc

@@ -14,7 +14,8 @@ from kmlift.charsums import (DEFAULT_H_VARIANT, BudgetExceeded, Im_closed,
                              h_brute_sl, h_brute_sym, h_closed,
                              quad_char_sum_brute, run_lemma51_suite,
                              run_lemma53_suite, run_prop510_suite,
-                             run_prop54_suite, sym_dettarget_trace_counts)
+                             run_prop54_suite, sl_gram_counts,
+                             sym_dettarget_trace_counts)
 from kmlift.exactalg import CycloNum, mat_det
 
 
@@ -435,3 +436,37 @@ def test_sl_trace_counts_matches_product(A):
         want[sum(X[a][i] * A[a][b] * X[b][i]
                  for a in range(2) for b in range(2) for i in range(2)) % p] += 1
     assert sl_trace_counts(A, p).tolist() == want
+
+
+def _det_mod(X, p):
+    # Leibniz expansion, sign from the inversion count
+    m = len(X)
+    d = 0
+    for perm in itertools.permutations(range(m)):
+        inv = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        term = (-1) ** inv
+        for i in range(m):
+            term *= X[i][perm[i]]
+        d += term
+    return d % p
+
+
+@pytest.mark.parametrize("m,p", [(1, 5), (2, 5), (2, 7), (3, 3)])
+def test_sl_gram_counts_match_full_sweep(m, p):
+    upper = [(a, b) for a in range(m) for b in range(a, m)]
+    want = [0] * p ** len(upper)
+    for x in itertools.product(range(p), repeat=m * m):
+        X = [x[i * m:(i + 1) * m] for i in range(m)]
+        if _det_mod(X, p) != 1:
+            continue
+        want[sum(sum(X[a][i] * X[b][i] for i in range(m)) % p * p ** e
+                 for e, (a, b) in enumerate(upper))] += 1
+    assert sl_gram_counts(m, p).tolist() == want
+
+
+@pytest.mark.parametrize("m,p", [(3, 5), (4, 3)])
+def test_sl_gram_counts_total_is_sl_order(m, p):
+    order = p ** (m * (m - 1) // 2)
+    for i in range(2, m + 1):
+        order *= p ** i - 1
+    assert int(sl_gram_counts(m, p).sum()) == order

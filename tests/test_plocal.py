@@ -8,6 +8,7 @@ import pytest
 
 from kmlift.characters import legendre
 from kmlift.charsums import BudgetExceeded
+from kmlift.exactalg import _pval
 from kmlift.plocal import (dyadic_jordan, density_from_symbol,
                            enumerate_zp_classes, jordan_decompose,
                            local_density, mass_formula, p_series,
@@ -303,6 +304,86 @@ def test_zp_class_reconstruction_audit():
         rep = _diag_mat(symbol_diagonal(sym, 3))
         back = jordan_decompose(rep, 3)
         assert back == sym
+
+
+def _snf_valuations(M, p, cap):
+    """Elementary divisor p-valuations (capped at cap) of the integer matrix,
+    by a scalar Smith form over Z."""
+    M = [row[:] for row in M]
+    n = len(M)
+    vals = []
+    r = 0
+    while r < n:
+        best = None
+        for i in range(r, n):
+            for j in range(r, n):
+                if M[i][j]:
+                    v = _pval(M[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None or best[0] >= cap:
+            vals.extend([cap] * (n - r))
+            break
+        v, i, j = best
+        M[r], M[i] = M[i], M[r]
+        for row in M:
+            row[r], row[j] = row[j], row[r]
+        piv = M[r][r]
+        for i in range(r + 1, n):
+            if M[i][r]:
+                f = _div_exact_mod(M[i][r], piv, p, cap)
+                for k in range(r, n):
+                    M[i][k] -= f * M[r][k]
+        for k in range(r + 1, n):
+            if M[r][k]:
+                f = _div_exact_mod(M[r][k], piv, p, cap)
+                for i in range(r, n):
+                    M[i][k] -= f * M[i][r]
+        vals.append(v)
+        r += 1
+    return vals[:n]
+
+
+def _div_exact_mod(x, piv, p, cap):
+    # x / piv in Z_p to precision p^(cap + margin); works since v(piv) <= v(x)
+    mod = p ** (cap + 4)
+    vp = _pval(piv, p) if piv else cap
+    u = piv // p ** vp
+    xv = x // p ** vp
+    return xv * pow(u % mod, -1, mod) % mod
+
+
+def _snf_bucket_ref(n, p, j, idx):
+    q = p ** j
+    M = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        M[a][b] = M[b][a] = idx % q
+        idx //= q
+    if all(x % p == 0 for row in M for x in row):
+        return -1
+    return sum(max(0, j - v) for v in _snf_valuations(M, p, j))
+
+
+@pytest.mark.parametrize("n,p,j", [(1, 3, 3), (2, 3, 2), (2, 5, 2), (3, 3, 1),
+                                   (4, 2, 1)])
+def test_snf_buckets_match_scalar_smith_form(n, p, j):
+    want = [_snf_bucket_ref(n, p, j, idx)
+            for idx in range(p ** (j * n * (n + 1) // 2))]
+    assert _snf_buckets(n, p, j).tolist() == want
+    assert -1 in want
+
+
+@pytest.mark.parametrize("n,p,j", [(4, 2, 2), (2, 5, 3)])
+def test_snf_buckets_match_scalar_smith_form_sampled(n, p, j):
+    table = _snf_buckets(n, p, j)
+    rng = random.Random(100 * n + 10 * p + j)
+    idxs = [rng.randrange(len(table)) for _ in range(2000)]
+    # S = p S' for every S' mod p^(j-1): the -1 marker, without the zero matrix
+    idxs.append(sum(p * ((k + 1) % p ** (j - 1)) * p ** (j * k)
+                    for k in range(n * (n + 1) // 2)))
+    assert [int(table[i]) for i in idxs] == \
+        [_snf_bucket_ref(n, p, j, i) for i in idxs]
+    assert table[idxs[-1]] == -1
 
 
 def test_oracle_caps_refuse_with_computed_cost():
