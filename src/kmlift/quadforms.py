@@ -4,37 +4,28 @@ isometry testing under SL_n(Z), automorphism counts e(T), Hasse invariants,
 and the fundamental-discriminant splitting of (-1)^(n/2) det(2T).
 
 All arithmetic is exact.  Determinants and positive definiteness use
-integer (Bareiss) elimination from ``exactalg``; short-vector enumeration
-uses a rational Cholesky split of the Gram matrix.  A ``GramMat`` keeps the
-vectors of each norm it was asked for, with their images G v, as per-instance
-pools, so the isometry and automorphism searches against one representative
-enumerate each norm once.
+integer (Bareiss) elimination from ``exactalg``; short-vector enumeration is
+an integer Fincke-Pohst scaled by the leading minors.  A ``GramMat`` keeps
+the vectors of each norm it was asked for, with their images G v, as
+per-instance pools, so the isometry and automorphism searches against one
+representative enumerate each norm once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
+from math import isqrt, lcm, prod
 from operator import mul
 
 from .characters import factorize, hilbert_symbol
-from .exactalg import _congruence_blocks, leading_minors, mat_det
+from .exactalg import (_bareiss_step, _congruence_blocks, _int_matrix,
+                       leading_minors, mat_det)
 
 
 def _as_tuple(G):
     return tuple(tuple(int(x) for x in row) for row in G)
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def transform(G, U):
-    """G[U] = U^t G U."""
-    Ut = [[U[j][i] for j in range(len(U))] for i in range(len(U[0]))]
-    return mat_mul(mat_mul(Ut, [list(r) for r in G]), [list(r) for r in U])
 
 
 def is_positive_definite(G) -> bool:
@@ -100,81 +91,52 @@ def canonical_key(G: GramMat):
 
 
 # ---------------------------------------------------------------------------
-# short vectors (exact Fincke-Pohst)
-
-def _cholesky(G):
-    n = len(G)
-    A = [[Fraction(x) for x in row] for row in G]
-    D = [Fraction(0)] * n
-    R = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        D[k] = A[k][k]
-        if D[k] <= 0:
-            raise ValueError("not positive definite")
-        for j in range(k + 1, n):
-            R[k][j] = A[k][j] / A[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] -= A[i][k] * A[k][j] / A[k][k]
-    return D, R
-
+# short vectors (integer Fincke-Pohst)
 
 def vectors_of_norm(G, t: int):
-    """All v in Z^n with G[v] = t (t > 0), exact enumeration."""
-    n = len(G)
-    D, R = _cholesky(G)
+    """All v in Z^n with G[v] = t, ordered by v[::-1] ascending.
+
+    Integer Fincke-Pohst: one swap-free Bareiss pass gives the leading
+    minors d_k (d_0 = 1) and the pivot rows b_kj, and
+    G[v] = sum_k (d_{k+1} v_k + sum_{j>k} b_kj v_j)^2 / (d_k d_{k+1}).
+    Scaled by L = lcm(d_k d_{k+1}), the remainder stays an integer and each
+    coordinate is bounded with ``isqrt``; the last coordinate is outermost."""
+    M = _int_matrix(G)
+    n = len(M)
+    d, prev = [1], 1
+    for k in range(n):
+        if M[k][k] <= 0:
+            raise ValueError("not positive definite")
+        _bareiss_step(M, k, prev)
+        prev = M[k][k]
+        d.append(prev)
+    w = [d[k] * d[k + 1] for k in range(n)]
+    L = lcm(*w)
+    w = [L // x for x in w]
     out = []
     v = [0] * n
 
     def rec(k, rem):
-        # rem = t - sum_{i>k} D_i (v_i + sum_j R_ij v_j)^2
-        if k < 0:
-            if rem == 0:
-                out.append(tuple(v))
+        # rem = L t - sum_{i>k} w_i (d_{i+1} v_i + sum_{j>i} b_ij v_j)^2 >= 0
+        row, D, wk = M[k], d[k + 1], w[k]
+        s = sum(row[j] * v[j] for j in range(k + 1, n))
+        r = isqrt(rem // wk)
+        if k == 0:
+            # the first coordinate must close the sum exactly
+            if wk * r * r == rem:
+                for y in ((-r, r) if r else (0,)):
+                    if (y - s) % D == 0:
+                        v[0] = (y - s) // D
+                        out.append(tuple(v))
             return
-        shift = sum(R[k][j] * v[j] for j in range(k + 1, n))
-        # D_k (v_k + shift)^2 <= rem
-        bound = rem / D[k]
-        lo = _ceil_sqrt_neg(shift, bound)
-        hi = _floor_sqrt_pos(shift, bound)
-        for x in range(lo, hi + 1):
+        for x in range(-((r + s) // D), (r - s) // D + 1):
             v[k] = x
-            rec(k - 1, rem - D[k] * (x + shift) ** 2)
-        v[k] = 0
+            y = D * x + s
+            rec(k - 1, rem - wk * y * y)
 
-    rec(n - 1, Fraction(t))
+    if t >= 0:
+        rec(n - 1, L * t)
     return out
-
-
-def _floor_sqrt_pos(shift: Fraction, bound: Fraction) -> int:
-    # max integer x with (x + shift)^2 <= bound; -10^9 when there is none
-    if bound < 0:
-        return -10 ** 9
-    x = int(_isqrt_frac(bound) - shift) + 2
-    while (x + shift) ** 2 > bound:
-        if x + shift < 0:
-            return -10 ** 9
-        x -= 1
-    return x
-
-
-def _ceil_sqrt_neg(shift: Fraction, bound: Fraction) -> int:
-    # min integer x with (x + shift)^2 <= bound; 10^9 when there is none
-    if bound < 0:
-        return 10 ** 9
-    x = int(-_isqrt_frac(bound) - shift) - 2
-    while (x + shift) ** 2 > bound:
-        if x + shift > 0:
-            return 10 ** 9
-        x += 1
-    return x
-
-
-def _isqrt_frac(x: Fraction) -> Fraction:
-    from math import isqrt
-    if x < 0:
-        return Fraction(0)
-    return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -275,69 +237,92 @@ class ClassList:
                 "classes": [c.to_dict() for c in self.classes]}
 
 
+def _offdiag_symmetries(diag, pairs):
+    """The group H, as maps on the off-diagonal entries a = (G_ij for (i, j)
+    in pairs): G -> G[U] for the signed permutation matrices U in SL_n(Z)
+    (U e_j = s_j e_{pi(j)}) that permute only indices with equal diagonal
+    entries, so G[U] keeps the diagonal and a'_ij = s_i s_j a_{pi(i) pi(j)}.
+    Each map is (source positions, signs); the identity is left out."""
+    n = len(diag)
+    where = {p: k for k, p in enumerate(pairs)}
+    maps = set()
+    for pi in permutations(range(n)):
+        if any(diag[pi[i]] != diag[i] for i in range(n)):
+            continue
+        inversions = sum(pi[i] > pi[j] for i, j in pairs)
+        for s in product((1, -1), repeat=n):
+            if (-1) ** inversions * prod(s) == 1:
+                maps.add((tuple(where[min(pi[i], pi[j]), max(pi[i], pi[j])]
+                                for i, j in pairs),
+                          tuple(s[i] * s[j] for i, j in pairs)))
+    maps.discard((tuple(range(len(pairs))), (1,) * len(pairs)))
+    return sorted(maps)
+
+
 def enumerate_classes(n: int, B: int, margin: Fraction = None,
                       with_disc=True) -> ClassList:
     """All SL_n(Z)-classes of positive definite half-integral T with
     det(2T) <= B, by exhaustive generation over the reduction region plus
-    isometry deduplication."""
+    isometry deduplication.
+
+    The region (sorted even diagonal under the margin, |G_ij| <=
+    min(G_ii, G_jj) // 2) is invariant under the group H of
+    ``_offdiag_symmetries``, and H keeps det and diagonal, so a candidate
+    whose off-diagonal tuple is larger than one of its H-images is not the
+    ``canonical_key``-minimum of its class and is dropped before its minors
+    are computed.  Each class's minimum survives, so the representatives
+    (those minima, in ``canonical_key`` order) are those of the unfiltered
+    search; duplicates are still removed by ``isometry_test``."""
     if n not in (1, 2, 3, 4):
         raise ValueError("class enumeration supports n <= 4")
     if margin is None:
         margin = Fraction(4, 3) ** (n * (n - 1) // 2)
     diag_cap = int(margin * B) + 1
-    reps: list[ClassRecord] = []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def diagonals(k, prefix, prod):
+    def diagonals(k, prefix, size):
         if k == n:
             yield tuple(prefix)
             return
         start = prefix[-1] if prefix else 2
         d = start
-        while prod * d ** (n - k) <= diag_cap:
-            yield from diagonals(k + 1, prefix + [d], prod * d)
+        while size * d ** (n - k) <= diag_cap:
+            yield from diagonals(k + 1, prefix + [d], size * d)
             d += 2
-
-    def offdiag_ranges(diag):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        bounds = [min(diag[i], diag[j]) // 2 for i, j in pairs]
-        return pairs, bounds
 
     candidates = []
     for diag in diagonals(0, [], 1):
-        pairs, bounds = offdiag_ranges(diag)
-
-        def fill(k, entries):
-            if k == len(pairs):
+        maps = _offdiag_symmetries(diag, pairs)
+        bounds = [min(diag[i], diag[j]) // 2 for i, j in pairs]
+        for a in product(*(range(-b, b + 1) for b in bounds)):
+            get = a.__getitem__
+            for pos, sg in maps:
+                if tuple(map(mul, map(get, pos), sg)) < a:
+                    break                   # a smaller H-image exists
+            else:
                 G = [[0] * n for _ in range(n)]
                 for i in range(n):
                     G[i][i] = diag[i]
-                for (i, j), v in zip(pairs, entries):
-                    G[i][j] = G[j][i] = v
+                for (i, j), x in zip(pairs, a):
+                    G[i][j] = G[j][i] = x
                 minors = leading_minors(G)
                 if all(d > 0 for d in minors) and minors[-1] <= B:
                     cand = GramMat(G)
                     cand._det = minors[-1]      # the last leading minor
                     candidates.append(cand)
-                return
-            for v in range(-bounds[k], bounds[k] + 1):
-                fill(k + 1, entries + [v])
-
-        fill(0, [])
 
     candidates.sort(key=canonical_key)
+    reps: list[ClassRecord] = []
+    by_det = {}
     for cand in candidates:
-        dup = False
-        for rec in reps:
-            if rec.gram.det() == cand.det() and isometry_test(rec.gram, cand):
-                dup = True
-                break
-        if not dup:
+        same = by_det.setdefault(cand.det(), [])
+        if not any(isometry_test(g, cand) for g in same):
+            same.append(cand)
             reps.append(ClassRecord(cand, 0, None))
     for rec in reps:
         rec.e = automorphism_count(rec.gram)
         if with_disc and n % 2 == 0:
             rec.disc = disc_split(rec.gram)
-    reps.sort(key=lambda r: canonical_key(r.gram))
     return ClassList(n, B, reps)
 
 

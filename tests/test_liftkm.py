@@ -10,7 +10,9 @@ from kmlift.liftkm import (admissible_indices, build_plus_eigenform,
                            thm56_constant, verify_thm41, verify_thm42,
                            verify_thm511_61, zero_branch)
 from kmlift.plocal import siegel_series
-from kmlift.quadforms import GramMat, transform
+from kmlift.quadforms import GramMat
+
+from gramtools import transform
 
 
 def test_plus_eigenform_shimura_audit(flagship):

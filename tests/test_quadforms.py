@@ -6,16 +6,21 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
+
+import pytest
 
 import kmlift
 
-from kmlift.quadforms import (GramMat, automorphism_count,
-                              automorphism_count_full, disc_split,
-                              enumerate_classes, fundamental_split,
-                              hasse_invariant, isometry_test, mat_det,
-                              transform, vectors_of_norm)
+from kmlift.quadforms import (ClassRecord, GramMat, _offdiag_symmetries,
+                              automorphism_count, automorphism_count_full,
+                              canonical_key, disc_split, enumerate_classes,
+                              fundamental_split, hasse_invariant,
+                              is_positive_definite, isometry_test, mat_det,
+                              vectors_of_norm)
+
+from gramtools import transform
 
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
@@ -149,6 +154,23 @@ def test_vectors_of_norm():
     assert len(vs4) == 8
 
 
+def _box_vectors(G, t):
+    """{norm: sorted vectors} for every norm <= t, by enumerating the box
+    v_i^2 <= t (G^-1)_ii = t det(G_ii) / det(G)."""
+    n, det = len(G), mat_det(G)
+    box = []
+    for i in range(n):
+        minor = [[G[a][b] for b in range(n) if b != i]
+                 for a in range(n) if a != i]
+        box.append(isqrt(t * mat_det(minor) // det) + 1)
+    out = {}
+    for v in itertools.product(*(range(-b, b + 1) for b in box)):
+        q = sum(v[a] * G[a][b] * v[b] for a in range(n) for b in range(n))
+        if q <= t:
+            out.setdefault(q, []).append(v)
+    return out
+
+
 def test_vectors_of_norm_returns_on_empty_ranges():
     # This det-64 form reaches a coordinate with bound 0 and shift +-1/2,
     # where no integer fits; run in a child with a timeout so that a
@@ -164,15 +186,120 @@ def test_vectors_of_norm_returns_on_empty_ranges():
                        text=True, env=env, timeout=60)
     assert r.returncode == 0, r.stderr
     got = ast.literal_eval(r.stdout)
-    # box enumeration: v_i^2 <= t (G^-1)_ii = t det(G_ii) / det(G)
-    n, det = len(G), mat_det(G)
-    box = []
-    for i in range(n):
-        minor = [[G[a][b] for b in range(n) if b != i]
-                 for a in range(n) if a != i]
-        box.append(isqrt(t * mat_det(minor) // det) + 1)
-    expect = sorted(
-        v for v in itertools.product(*(range(-b, b + 1) for b in box))
-        if sum(v[a] * G[a][b] * v[b] for a in range(n) for b in range(n)) == t)
+    expect = sorted(_box_vectors(G, t).get(t, []))
     assert len(expect) == 6
     assert got == expect
+
+
+def test_vectors_of_norm_matches_box_enumeration(flagship):
+    h, cl, table = flagship
+    forms = [c.gram.rows() for c in cl.classes]
+    forms += [c.gram.rows() for c in enumerate_classes(2, 30).classes]
+    forms += [c.gram.rows() for c in enumerate_classes(3, 30).classes]
+    # not reduced, and with odd diagonal entries (odd norms occur)
+    forms += [[[2, 5], [5, 14]], [[1, 0, 0], [0, 3, 1], [0, 1, 5]],
+              [[6, -5, 4], [-5, 6, -3], [4, -3, 8]]]
+    assert len(forms) == 43 + 23 + 25 + 3
+    for G in forms:
+        box = _box_vectors(G, 16)
+        odd = any(G[i][i] % 2 for i in range(len(G)))
+        for t in range(1 if odd else 2, 17, 1 if odd else 2):
+            got = vectors_of_norm(G, t)
+            assert sorted(got) == box.get(t, []), (G, t)
+            assert got == sorted(got, key=lambda v: v[::-1]), (G, t)
+    assert vectors_of_norm([[2]], 8) == [(-2,), (2,)]
+    assert vectors_of_norm(A2.entries, -2) == []
+
+
+@pytest.mark.parametrize("G", [[[2, 3], [3, 2]], [[2, 2], [2, 2]], [[-2]],
+                               [[2, 0, 0], [0, 2, 0], [0, 0, 0]]])
+def test_vectors_of_norm_rejects_indefinite_forms(G):
+    with pytest.raises(ValueError):
+        vectors_of_norm(G, 2)
+
+
+# ---------------------------------------------------------------------------
+# the orbit filter of enumerate_classes against an unfiltered enumeration
+
+def _signed_permutations(n):
+    for pi in itertools.permutations(range(n)):
+        for s in itertools.product((1, -1), repeat=n):
+            U = [[0] * n for _ in range(n)]
+            for j in range(n):
+                U[pi[j]][j] = s[j]
+            yield U
+
+
+def test_offdiag_symmetries_are_proper_signed_permutations():
+    for n in (2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for shape in {tuple(map(d.index, d)) for d in
+                      itertools.combinations_with_replacement(range(3), n)}:
+            # a generic form with that pattern of equal diagonal entries
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                G[i][i] = 100 + 10 * shape[i]
+            a = (3, -5, 7, -11, 13, -17)[:len(pairs)]
+            for (i, j), x in zip(pairs, a):
+                G[i][j] = G[j][i] = x
+            images = set()
+            for U in _signed_permutations(n):
+                GU = transform(G, U)
+                if mat_det(U) == 1 and all(GU[i][i] == G[i][i]
+                                           for i in range(n)):
+                    images.add(tuple(GU[i][j] for i, j in pairs))
+            images.discard(a)
+            maps = _offdiag_symmetries(shape, pairs)
+            assert len(maps) == len(images), (n, shape)
+            assert {tuple(a[p] * sg for p, sg in zip(*m))
+                    for m in maps} == images, (n, shape)
+
+
+def _unfiltered_classes(n, B):
+    """enumerate_classes without the orbit filter: every candidate of the
+    reduction region, sorted by canonical_key, deduped by isometry_test."""
+    cap = int(Fraction(4, 3) ** (n * (n - 1) // 2) * B) + 1
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def diagonals(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        d = prefix[-1] if prefix else 2
+        while prod(prefix) * d ** (n - len(prefix)) <= cap:
+            yield from diagonals(prefix + (d,))
+            d += 2
+
+    cands = []
+    for diag in diagonals(()):
+        for a in itertools.product(*(range(-(min(diag[i], diag[j]) // 2),
+                                           min(diag[i], diag[j]) // 2 + 1)
+                                     for i, j in pairs)):
+            G = [[diag[i] if i == j else 0 for j in range(n)]
+                 for i in range(n)]
+            for (i, j), x in zip(pairs, a):
+                G[i][j] = G[j][i] = x
+            if is_positive_definite(G) and mat_det(G) <= B:
+                cands.append(GramMat(G))
+    reps = []
+    for G in sorted(cands, key=canonical_key):
+        if not any(isometry_test(R, G) for R in reps):
+            reps.append(G)
+    return {"n": n, "det_bound": B, "classes": [
+        ClassRecord(G, automorphism_count(G),
+                    disc_split(G) if n % 2 == 0 else None).to_dict()
+        for G in reps]}
+
+
+@pytest.mark.parametrize("n, B", [(2, 80), (3, 60), (4, 24)])
+def test_orbit_filter_keeps_every_representative(n, B):
+    assert enumerate_classes(n, B).to_dict() == _unfiltered_classes(n, B)
+
+
+def test_class_enumeration_scale():
+    # past the det-40 acceptance bound; each det <= 60 class keeps its
+    # representative at the larger bound
+    cl60 = enumerate_classes(4, 60).to_dict()["classes"]
+    cl100 = enumerate_classes(4, 100).to_dict()["classes"]
+    assert len(cl60) == 90 and len(cl100) == 231
+    assert [c for c in cl100 if c["det"] <= 60] == cl60
