@@ -166,10 +166,6 @@ class DirichletChar:
     def is_trivial(self):
         return self.order == 1
 
-    def parity(self) -> int:
-        """chi(-1) as +-1."""
-        return 1 if self.logs[-1 % self.modulus] == 0 else -1
-
     def is_primitive(self):
         return self.conductor == self.modulus
 

@@ -395,27 +395,6 @@ def count_A_display(S, c, p, variant="printed"):
     return Fraction(p) ** ((m - 1) // 2) * (p ** ((m - 1) // 2) + eps)
 
 
-def count_A0_brute(S, p, budget=DEFAULT_BUDGET) -> int:
-    """#{w in F_p^m : S[w] = 0} (row-vector zero set)."""
-    S = np.asarray(S, dtype=np.int64) % p
-    m = S.shape[0]
-    total = p ** m
-    _check_budget(total, budget)
-    return int((_norms(_vectors(0, total, p, m), S, p) == 0).sum())
-
-
-def count_A0_closed(S, p) -> Fraction:
-    S = np.asarray(S, dtype=np.int64).tolist()
-    m = len(S)
-    detS = mat_det(S) % p
-    if detS % p == 0:
-        raise ValueError("closed count needs nondegenerate S")
-    if m % 2 == 0:
-        ch = _chi_even(detS, m, p)
-        return Fraction(p) ** (m // 2 - 1) * (p ** (m // 2) - ch) + Fraction(p) ** (m // 2) * ch
-    return Fraction(p) ** (m - 1)
-
-
 # ---------------------------------------------------------------------------
 # Proposition 5.2: gamma and the R = gamma * M proportionality
 

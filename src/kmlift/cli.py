@@ -61,11 +61,7 @@ def cmd_charsum(args):
         print(f"unknown identity {args.identity!r}; choose from "
               f"{sorted(runners)}", file=sys.stderr)
         return 2
-    try:
-        rep = runners[args.identity]()
-    except charsums.BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+    rep = runners[args.identity]()
     return _finish(args, f"charsum-{args.identity}", rep.to_dict(),
                    rep.passed, t0)
 
@@ -280,6 +276,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except charsums.BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

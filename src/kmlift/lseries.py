@@ -69,11 +69,6 @@ def gen_bernoulli_kronecker(d: int, k: int) -> Fraction:
                for j, c in enumerate(bernoulli_poly_coeffs(k)))
 
 
-def L_at_nonpositive(chi: DirichletChar, k: int) -> CycloNum:
-    """L(1 - k, chi) = -B_{k,chi} / k."""
-    return gen_bernoulli(chi, k) * Fraction(-1, k)
-
-
 def zeta_at_negative(m: int) -> Fraction:
     """zeta(-m) for m >= 1 odd (and 0 for even m >= 2)."""
     if m % 2 == 0:

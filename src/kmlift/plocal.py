@@ -6,18 +6,20 @@ closed rational form, and the Siegel mass assembly.
 Two independent routes exist for every Siegel series within budget: ``oracle``
 enumerates cosets R = S/p^j of S_n(Q_p)/S_n(Z_p) and extracts F_p from the
 exponential-sum series by exact division, while ``stratified`` computes the
-first two series coefficients from rank-stratified parametrizations (projective
-quadric counts and Ramanujan sums, with the rank-2 stratum summed over the
-planes of F_p^n for every prime p) and completes the polynomial through the
-X <-> 1/X functional equation, which is then re-checked coefficient by
-coefficient.  Dyadic support is scoped to nu_2(f_T) <= 1, i.e. deg F_2 <= 2.
+first two series coefficients from the rank strata of the cosets, reduced to
+counts over the vectors of F_p^n (the zeros of T mod p, the radical vectors
+with T[v] mod p^2, and the pairs of zeros orthogonal mod p, which count the
+planes on which T vanishes mod p), for every prime p, and completes the
+polynomial through the X <-> 1/X functional equation, which is then
+re-checked coefficient by coefficient.  Dyadic support is scoped to
+nu_2(f_T) <= 1, i.e. deg F_2 <= 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
 
@@ -276,7 +278,7 @@ def _aut_cong_count(A, p: int, a: int, budget=DEFAULT_BUDGET) -> Fraction:
     n = A.shape[0]
     mod = p ** a
     if mod ** n > 4_200_000:
-        raise RuntimeError(f"candidate space {mod ** n} too large at p^{a} column level")
+        raise BudgetExceeded(mod ** n, 4_200_000)
     count = _rep_count(_vectors(0, mod ** n, mod, n), A, A, mod,
                        2 * mod if p == 2 else mod)
     return Fraction(count, 2 * p ** (a * n * (n - 1) // 2))
@@ -350,7 +352,7 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     elif mode == "stratified":
         if deg > 2:
             raise ValueError("stratified extraction scoped to deg F <= 2")
-        A = [Fraction(1), _stratified_A1(G, p), _stratified_A2(G, p)]
+        A = _stratified_A(G, p)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     c = _solve_F_from_A(A, p, n, xi, deg)
@@ -512,133 +514,54 @@ def _rational_root_sum(counts, q) -> Fraction:
 
 # -- stratified route (independent of the full enumeration)
 
-def _proj_points(p, n):
-    """Canonical representatives of P^{n-1}(F_p)."""
-    pts = []
-    for pivot in range(n):
-        # coords before pivot are 0, pivot = 1, after free
-        free = n - pivot - 1
-        for idx in range(p ** free):
-            v = [0] * n
-            v[pivot] = 1
-            x = idx
-            for k in range(pivot + 1, n):
-                v[k] = x % p
-                x //= p
-            pts.append(tuple(v))
-    return pts
-
-
-def _qval(G, v) -> int:
-    """T[v] = v^t T v as integer for T = G/2."""
-    s = _bil_G(G, v, v)
-    assert s % 2 == 0
-    return s // 2
-
-
-def _stratified_A1(G, p) -> Fraction:
-    """A_1 = sum over rank-1 cosets a v v^t / p = sum_v (p [p | T[v]] - 1)."""
+def _modp_vectors(G, p):
+    """The nonzero v of F_p^n (entries 0..p-1), the rows v G, the exact
+    T[v] = v G v^t / 2, and A_1 = sum over the lines of p [p | T[v]] - 1."""
     n = G.n
-    total = 0
-    for v in _proj_points(p, n):
-        total += p - 1 if _qval(G, v) % p == 0 else -1
-    return Fraction(total)
+    V = _vectors(1, p ** n, p, n)
+    GV = V @ np.asarray(G.rows(), dtype=np.int64)
+    Q = (GV * V).sum(axis=1) // 2
+    A1 = (p * int((Q % p == 0).sum()) - (p ** n - 1)) // (p - 1)
+    return V, GV, Q, A1
 
 
-def _ramanujan(q_prime, j, t) -> int:
-    """Ramanujan sum c_{p^j}(t) = sum over units a mod p^j of zeta^{at}."""
-    p, q = q_prime, q_prime ** j
-    v = _pval(gcd(t % q, q), p) if t % q else j
-    # c_{p^j}(t) with p^v || gcd(t, p^j)
-    if v >= j:
-        return q // p * (p - 1)
-    if v == j - 1:
-        return -(q // p)
-    return 0
+def _stratified_A(G, p) -> list:
+    """A_0, A_1, A_2 of b_p(T, s); A_2 = (rank-1 cosets mod p^2) + (rank 2).
 
-
-def _stratified_A2(G, p) -> Fraction:
-    """A_2 = (rank-1 classes with denominator p^2) + (rank-2 classes mod p)."""
+    The rank-1 cosets a v v^t / p^2 (a a unit, v primitive and normalized
+    mod p^2) contribute Ramanujan sums c_{p^2}(T[v]).  Over the p^{n-1} lifts
+    v = w + p x of a normalized w mod p, T[v] = T[w] + p (w G x) mod p^2, so
+    they cancel unless G w = 0 mod p; then every lift, and every multiple of
+    w, has the same T[v] mod p^2."""
     n = G.n
-    q = p * p
-    tot = 0
-    # (a units mod p^2) x (normalized primitive v mod p^2): S = a v v^t
-    for pivot in range(n):
-        pre = pivot          # coordinates before pivot in pZ/p^2
-        post = n - pivot - 1
-        for idx in range(p ** pre * q ** post):
-            v = [0] * n
-            x = idx
-            for k in range(pivot):
-                v[k] = (x % p) * p
-                x //= p
-            v[pivot] = 1
-            for k in range(pivot + 1, n):
-                v[k] = x % q
-                x //= q
-            tv = _qval(G, v)
-            tot += _ramanujan(p, 2, tv)
-    out = Fraction(tot)
-    # rank-2 part: sum over 2-dim subspaces of the inner rank-2 sums
-    out += _rank2_modp_sum(G, p)
-    return out
+    _, GV, Q, A1 = _modp_vectors(G, p)
+    rad = Q[(Q % p == 0) & (GV % p == 0).all(axis=1)]
+    rank1 = p ** (n - 1) * int(np.where(rad % (p * p), -p, p * p - p).sum())
+    return [1, A1, rank1 // (p - 1) + _rank2_modp_sum(G, p)]
 
 
-def _rank2_modp_sum(G, p) -> Fraction:
+def _rank2_modp_sum(G, p) -> int:
     """Sum of e(tr(T S)/p) over the rank-2 symmetric S mod p, for every prime p.
 
-    Each such S is B^t C B for a unique plane W = row space of B (its RREF
-    basis from ``_planes``) and a unique invertible symmetric 2x2 C, with
-    tr(T B^t C B) = tr(T_W C) for the restricted form T_W = B T B^t."""
-    total = Fraction(0)
-    for w1, w2 in _planes(p, G.n):
-        q11 = _qval(G, w1)
-        q22 = _qval(G, w2)
-        q12_2 = _bil_G(G, w1, w2)        # 2 * T_W off-diagonal = w1^t G w2
-        total += _plane_rank2_sum(q11, q22, q12_2, p)
-    return total
-
-
-def _bil_G(G, v, w) -> int:
-    Gr = G.rows() if isinstance(G, GramMat) else G
-    n = len(v)
-    return sum(Gr[i][j] * v[i] * w[j] for i in range(n) for j in range(n))
-
-
-def _plane_rank2_sum(q11, q22, q12_2, p) -> Fraction:
-    """sum over rank-2 C in S_2(F_p) of e((q11 c11 + q22 c22 + q12_2 c12)/p)."""
-    # full sum minus rank <= 1: C = 0 and C = a u u^t (u in P^1, a a unit),
-    # where sum_a e(a t/p) is p - 1 or -1, for p = 2 as well
-    full = Fraction(p ** 3) if (q11 % p == 0 and q22 % p == 0 and q12_2 % p == 0) else Fraction(0)
-    low = Fraction(1)  # C = 0
-    for u in _proj_points(p, 2):
-        tv = q11 * u[0] * u[0] + q22 * u[1] * u[1] + q12_2 * u[0] * u[1]
-        low += p - 1 if tv % p == 0 else -1
-    return full - low
-
-
-def _planes(p, n):
-    """Canonical (RREF) bases of the 2-dimensional subspaces of F_p^n, any
-    prime p: the planes over which ``_rank2_modp_sum`` runs."""
-    out = []
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            free1 = [k for k in range(p1 + 1, n) if k != p2]
-            free2 = [k for k in range(p2 + 1, n)]
-            for idx in range(p ** (len(free1) + len(free2))):
-                v1 = [0] * n
-                v2 = [0] * n
-                v1[p1] = 1
-                v2[p2] = 1
-                x = idx
-                for k in free1:
-                    v1[k] = x % p
-                    x //= p
-                for k in free2:
-                    v2[k] = x % p
-                    x //= p
-                out.append((tuple(v1), tuple(v2)))
-    return out
+    Each such S is B^t C B for a unique plane W = row space of B and a unique
+    invertible symmetric 2x2 C, with tr(T B^t C B) = tr(T_W C).  Over all C the
+    sum is p^3 if T_W = 0 mod p and 0 otherwise; C = 0 and the rank-1 C
+    contribute 1 + sum over the lines of W of p [p | T[v]] - 1.  Every line
+    lies in [n-1, 1]_p planes, so the rank-2 sum is
+    p^3 I_2 - [n, 2]_p - [n-1, 1]_p A_1, where I_2 counts the planes with
+    T_W = 0 mod p: their ordered bases are the independent pairs (v, w) in
+    Z = {v : p | T[v]} with v G w = 0 mod p, and the dependent such pairs are
+    the |Z| (p - 1) pairs w = a v."""
+    n = G.n
+    V, GV, Q, A1 = _modp_vectors(G, p)
+    Z = Q % p == 0
+    VZ, GZ = V[Z], GV[Z]
+    step = max(1, _CHUNK // max(1, len(VZ)))
+    pairs = sum(int((GZ[i:i + step] @ VZ.T % p == 0).sum())
+                for i in range(0, len(VZ), step))
+    singular = (pairs - len(VZ) * (p - 1)) // ((p * p - 1) * (p * p - p))
+    planes = (p ** n - 1) * (p ** (n - 1) - 1) // ((p * p - 1) * (p - 1))
+    return p ** 3 * singular - planes - (p ** (n - 1) - 1) // (p - 1) * A1
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,6 @@ def test_conductor_parity_extend_and_local_component_by_definition():
             assert chi.conductor == want
             minus = chi(-1)
             assert minus in (1, -1)
-            assert chi.parity() == (1 if minus == 1 else -1)
             for M in (N * 2, N * 3):
                 ext = chi.extend(M)
                 for u in range(M):

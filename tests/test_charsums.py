@@ -9,7 +9,7 @@ from kmlift.charsums import (DEFAULT_H_VARIANT, BudgetExceeded, Im_closed,
                              Im_sum, Jm_brute, Jm_chi, Jm_recursion,
                              bordered_det_sum_brute,
                              bordered_det_sum_closed, chi_det_halfintegral,
-                             count_A0_brute, count_A0_closed, count_A_brute,
+                             count_A_brute,
                              count_A_closed, count_A_display, gamma_const,
                              h_brute_sl, h_brute_sym, h_closed,
                              quad_char_sum_brute, run_lemma51_suite,
@@ -24,11 +24,9 @@ def test_lemma51_examples():
     assert count_A_closed([[1, 0], [0, 1]], [[1]], 3) == 4
     assert count_A_display([[1, 0], [0, 1]], 1, 3) == 4
     # trivial-at-zero example (2): A(S, 0) counts
-    assert count_A0_brute([[1]], 3) == 1
-    assert count_A0_brute(np.eye(2, dtype=int), 3) == 1
-    assert count_A0_closed(np.eye(2, dtype=int), 3) == 1
-    assert count_A0_brute(np.eye(2, dtype=int), 5) == 9
-    assert count_A0_closed(np.eye(2, dtype=int), 5) == 9
+    assert count_A_brute([[1]], [[0]], 3) == 1
+    assert count_A_brute(np.eye(2, dtype=int), [[0]], 3) == 1
+    assert count_A_brute(np.eye(2, dtype=int), [[0]], 5) == 9
 
 
 def test_lemma51_documented_discrepancy():
@@ -392,10 +390,11 @@ def _qform(S, w):
 
 @pytest.mark.parametrize("S", KERNEL_FORMS)
 def test_count_A0_brute_matches_product(S):
+    # A(S, 0) = #{w : S[w] = 0}, the one-row case of count_A_brute
     for p in (3, 5):
         want = sum(_qform(S, w) % p == 0
                    for w in itertools.product(range(p), repeat=len(S)))
-        assert count_A0_brute(S, p) == want
+        assert count_A_brute(S, [[0]], p) == want
 
 
 @pytest.mark.parametrize("S", KERNEL_FORMS)

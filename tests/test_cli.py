@@ -42,11 +42,20 @@ def test_cli_malformed_descriptor(tmp_path):
 
 
 def test_cli_budget_refusal(tmp_path):
-    r = _run(["--out", str(tmp_path), "--budget", "10",
-              "charsum", "--identity", "lemma5.3", "--primes", "11"],
-             cwd=str(tmp_path))
-    assert r.returncode == 2, r.stderr
-    assert "exceeds budget" in r.stderr
+    # the --budget check, the Siegel oracle cap and the density cap all
+    # refuse with the computed cost and exit 2
+    for args in (["--budget", "10", "charsum", "--identity", "lemma5.3",
+                  "--primes", "11"],
+                 ["--budget", "10", "jacobi", "--chi", "7:1", "--m", "3",
+                  "--mode", "brute"],
+                 ["local", "siegel", "--mode", "oracle", "--p", "3",
+                  "--gram", "2 0 0 0;0 2 0 0;0 0 2 0;0 0 0 18"],
+                 ["local", "density", "--mode", "brute", "--p", "7",
+                  "--gram", "2 0 0 0;0 2 0 0;0 0 2 0;0 0 0 14"]):
+        r = _run(["--out", str(tmp_path)] + args, cwd=str(tmp_path))
+        assert r.returncode == 2, (args, r.stderr)
+        assert r.stderr.startswith("refused: "), (args, r.stderr)
+        assert "exceeds budget" in r.stderr, (args, r.stderr)
 
 
 def test_cli_local_density(tmp_path):

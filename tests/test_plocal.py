@@ -14,8 +14,8 @@ from kmlift.plocal import (dyadic_jordan, density_from_symbol,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
                            _SNF_BUCKET_CACHE, _aut_cong_count, _density_brute,
-                           _oracle_A_coeffs, _plane_rank2_sum, _planes,
-                           _rank2_modp_sum, _snf_buckets)
+                           _oracle_A_coeffs, _rank2_modp_sum, _snf_buckets,
+                           _stratified_A)
 from kmlift.quadforms import GramMat, is_positive_definite
 
 A2 = GramMat([[2, 1], [1, 2]])
@@ -213,8 +213,63 @@ def test_ranks_mod_p_reference():
 
 @pytest.mark.parametrize("n,p", sorted(RANK2_COUNTS))
 def test_plane_sum_with_zero_form_counts_rank2_matrices(n, p):
-    assert sum(_plane_rank2_sum(0, 0, 0, p) for _ in _planes(p, n)) == \
-        RANK2_COUNTS[n, p]
+    assert _rank2_modp_sum(GramMat([[0] * n] * n), p) == RANK2_COUNTS[n, p]
+
+
+def _normalized(p, n, q):
+    """The primitive v mod q (q = p or p^2) scaled so that the first
+    coordinate that is a unit mod p is 1."""
+    for pivot in range(n):
+        for head in itertools.product(range(0, q, p), repeat=pivot):
+            for tail in itertools.product(range(q), repeat=n - pivot - 1):
+                yield head + (1,) + tail
+
+
+def _tval(G, v):
+    return sum(g * a * b for row, a in zip(G.entries, v)
+               for g, b in zip(row, v)) // 2
+
+
+def _ramanujan_p2(p, t):
+    """c_{p^2}(t), the sum of e(a t / p^2) over the units a mod p^2."""
+    return p * p - p if t % (p * p) == 0 else -p if t % p == 0 else 0
+
+
+def _scaled_even_pd(n, p, rng):
+    """A random even positive form with one row and column scaled by p."""
+    M = [list(r) for r in _random_even_pd(n, rng).entries]
+    k = rng.randrange(n)
+    for j in range(n):
+        M[k][j] *= p
+        M[j][k] *= p
+    return GramMat(M)
+
+
+STRATIFIED_GRID = [(2, 2), (2, 3), (2, 5), (3, 3), (4, 2), (4, 3), (4, 5),
+                   (6, 2)]
+
+
+def test_stratified_counts_match_normalized_vector_loops():
+    """A_1 as a sum over the projective points, and the rank-1 part of A_2 as
+    Ramanujan sums over the normalized primitive v mod p^2."""
+    rng = random.Random(13)
+    signs = set()
+    for n, p in STRATIFIED_GRID:
+        forms = [_random_even_pd(n, rng), _random_even_pd(n, rng),
+                 _scaled_even_pd(n, p, rng), _scaled_even_pd(n, p, rng)]
+        if n == 4:
+            forms += [GramMat(np.diag([2, 2, 2, 2 * p]).tolist()),
+                      GramMat(np.diag([2, 2, 2 * p, 2 * p]).tolist())]
+        for G in forms:
+            A = _stratified_A(G, p)
+            A1 = sum(p - 1 if _tval(G, v) % p == 0 else -1
+                     for v in _normalized(p, n, p))
+            rank1 = sum(_ramanujan_p2(p, _tval(G, v))
+                        for v in _normalized(p, n, p * p))
+            assert (A[0], A[1], A[2] - _rank2_modp_sum(G, p)) == \
+                (1, A1, rank1), (G, p)
+            signs.add((rank1 > 0) - (rank1 < 0))
+    assert signs == {-1, 0, 1}        # both radical branches occur
 
 
 def test_siegel_series_stratified_pinned_p3_n4():
