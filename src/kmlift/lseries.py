@@ -183,14 +183,30 @@ class QExp:
                                self.den * other.den)
 
     def power(self, e: int):
-        out = QExp(0, self.prec, {0: 1})
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        """self^e for e >= 0, in one pass of J.C.P. Miller's recurrence
+        (Knuth, TAOCP vol. 2, 4.7): with q^v stripped from the numerators,
+        b = sum_j b_j q^j and f = b^e satisfy
+        k b_0 f_k = sum_{j>=1} ((e+1) j - k) b_j f_{k-j}, exactly divisible
+        because f has integer coefficients; then shift by q^(v e)."""
+        if e < 0:
+            raise ValueError("QExp.power needs a nonnegative exponent")
+        prec = self.prec
+        if e == 0:
+            return QExp(0, prec, {0: 1})
+        v = next((k for k, c in enumerate(self.num) if c), prec)
+        K = max(prec - v * e, 0)            # coefficients of b^e needed
+        b = self.num[v:v + K]
+        terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
+        f = [b[0] ** e] + [0] * (K - 1) if K else []
+        for k in range(1, K):
+            s = 0
+            for j, bj in terms:
+                if j > k:
+                    break
+                s += ((e + 1) * j - k) * bj * f[k - j]
+            f[k] = s // (k * b[0])
+        out = [0] * (prec - K) + f
+        return QExp._from_ints(self.weight2 * e, prec, out, self.den ** e)
 
 
 def _mul_trunc(a, b, prec):

@@ -7,17 +7,21 @@ All arithmetic is exact.  Determinants and positive definiteness use
 integer (Bareiss) elimination from ``exactalg``; short-vector enumeration is
 an integer Fincke-Pohst scaled by the leading minors.  A ``GramMat`` keeps
 the vectors of each norm it was asked for, with their images G v, as
-per-instance pools, so the isometry and automorphism searches against one
-representative enumerate each norm once.
+per-instance pools, and the inner-product bitsets between pool vectors, so
+the isometry and automorphism searches against one representative enumerate
+each norm, and scan each pool against each chosen column, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import isqrt, lcm, prod
 from operator import mul
+
+import numpy as np
 
 from .characters import factorize, hilbert_symbol
 from .exactalg import (_bareiss_step, _congruence_blocks, _int_matrix,
@@ -36,7 +40,7 @@ def is_positive_definite(G) -> bool:
 class GramMat:
     """Even-diagonal integral symmetric Gram matrix G = 2T, T half-integral."""
 
-    __slots__ = ("entries", "_det", "_pools")
+    __slots__ = ("entries", "_det", "_pools", "_compat")
 
     def __init__(self, entries):
         self.entries = _as_tuple(entries)
@@ -48,7 +52,8 @@ class GramMat:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         self._det = None
-        self._pools = None
+        self._pools = {}
+        self._compat = {}
 
     @property
     def n(self):
@@ -61,10 +66,9 @@ class GramMat:
 
     def pool(self, t: int):
         """[(v, G v) for v in vectors_of_norm(G, t)], built once per norm t
-        and kept on this instance (not part of its value: eq/hash use
-        ``entries`` only)."""
-        if self._pools is None:
-            self._pools = {}
+        and kept on this instance.  The pools and the bitset table of
+        ``compat`` are caches, not part of the value: eq/hash use
+        ``entries`` only."""
         p = self._pools.get(t)
         if p is None:
             G = self.entries
@@ -72,6 +76,20 @@ class GramMat:
                 (v, tuple(sum(map(mul, row, v)) for row in G))
                 for v in vectors_of_norm(G, t)]
         return p
+
+    def compat(self, s: int, i: int, t: int):
+        """{c: bitset of the k with u^t G b_k = c} for u = pool(s)[i] and
+        b_k = pool(t)[k]: one scan of pool(t) serves every target c.  Kept on
+        this instance, like the pools."""
+        key = (s, i, t)
+        tab = self._compat.get(key)
+        if tab is None:
+            u = self.pool(s)[i][0]
+            tab = self._compat[key] = {}
+            for k, (_, Gb) in enumerate(self.pool(t)):
+                c = sum(map(mul, u, Gb))
+                tab[c] = tab.get(c, 0) | 1 << k
+        return tab
 
     def __eq__(self, other):
         return self.entries == other.entries
@@ -142,53 +160,99 @@ def vectors_of_norm(G, t: int):
 # ---------------------------------------------------------------------------
 # isometries and automorphisms
 
+@lru_cache(maxsize=None)
+def _wedge_plan(n):
+    """How the (j+1)-wedge of columns u_0..u_j follows from the j-wedge and
+    v = u_j, for j < n.  A j-wedge holds det(rows S, columns 0..j-1) for the
+    j-subsets S of rows, in ``combinations`` order; Laplace along column j
+    gives w'[S] = sum_t (-1)^(j-t) v[s_t] w[S - s_t].  Entry j lists, per
+    (j+1)-subset, the terms (s_t, index of S - s_t, sign)."""
+    plan = []
+    for j in range(n):
+        index = {S: q for q, S in enumerate(combinations(range(n), j))}
+        plan.append(tuple(
+            tuple((r, index[S[:t] + S[t + 1:]], (-1) ** (j - t))
+                  for t, r in enumerate(S))
+            for S in combinations(range(n), j + 1)))
+    return plan
+
+
 def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                      congruence=1):
     """Backtracking over columns: U with G1[U] = G2.
 
     need_det: +1 for an SL witness, None for any; count_all counts solutions
     with det = +1 (and U = 1 mod congruence) instead of returning the first.
+
+    Column j runs over G1.pool(G2[j][j]) in pool order; its candidates are
+    the AND over i < j of the ``compat`` bitsets of the chosen u_i at the
+    value G2[i][j].  At the last column, the wedge of the columns before it
+    (``_wedge_plan``) gives the cofactors c with det U = c . v, so a leaf
+    costs one dot product.
     """
     n = G1.n
     if G2.n != n or G1.det() != G2.det():
         return 0 if count_all else None
     G2e = G2.entries
-    cols = []
-    found = [0]
-    witness = [None]
+    norms = [G2e[j][j] for j in range(n)]
+    plan = _wedge_plan(n)
+    picks = [0] * n
+    found = 0
 
-    def rec(j):
-        if j == n:
-            U = [[cols[c][r] for c in range(n)] for r in range(n)]
-            d = mat_det(U)
-            if need_det is not None and d != need_det:
-                return False
-            if congruence > 1:
-                for a in range(n):
-                    for b in range(n):
-                        if (U[a][b] - (1 if a == b else 0)) % congruence:
-                            return False
-            if count_all:
-                found[0] += 1
-                return False
-            witness[0] = U
-            return True
-        # column j is compatible when cols[i]^t G1 v = G2[i][j] for i < j
-        for v, Gv in G1.pool(G2e[j][j]):
+    def rec(j, bits):
+        # bits: the pool indices for column j compatible with columns < j
+        nonlocal found
+        pool = G1.pool(norms[j])
+        last = j == n - 1
+        if last:
+            if need_det is not None:
+                w = (1,)            # the j-wedge of columns 0..j-1
+                for i in range(j):
+                    u = G1.pool(norms[i])[picks[i]][0]
+                    w = [sum(sg * u[r] * w[q] for r, q, sg in terms)
+                         for terms in plan[i]]
+                cof = [0] * n       # det U = sum_r cof[r] v[r]
+                for r, q, sg in plan[j][0]:
+                    cof[r] += sg * w[q]
+        else:
+            t = norms[j + 1]
+            base = (1 << len(G1.pool(t))) - 1
             for i in range(j):
-                if sum(map(mul, cols[i], Gv)) != G2e[i][j]:
-                    break
-            else:
-                cols.append(v)
-                if rec(j + 1):
+                base &= G1.compat(norms[i], picks[i], t).get(G2e[i][j + 1], 0)
+            if not base:
+                return False
+            s, c = norms[j], G2e[j][j + 1]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            k = low.bit_length() - 1
+            v = pool[k][0]
+            if congruence > 1 and any((x - (r == j)) % congruence
+                                      for r, x in enumerate(v)):
+                continue
+            picks[j] = k
+            if last:
+                if need_det is not None and sum(map(mul, cof, v)) != need_det:
+                    continue
+                if not count_all:
                     return True
-                cols.pop()
+                found += 1
+                continue
+            nxt = base & G1.compat(s, k, t).get(c, 0)
+            if nxt and rec(j + 1, nxt):
+                return True
         return False
 
-    rec(0)
+    # as in the column order, pool(norms[j + 1]) is built only once column j
+    # has candidates
+    top = (1 << len(G1.pool(norms[0]))) - 1
+    hit = rec(0, top) if top else False
     if count_all:
-        return found[0]
-    return witness[0]
+        return found
+    if hit:
+        cols = [G1.pool(t)[k][0] for t, k in zip(norms, picks)]
+        return [[cols[c][r] for c in range(n)] for r in range(n)]
+    return None
 
 
 def isometry_test(G1: GramMat, G2: GramMat):
@@ -270,9 +334,10 @@ def enumerate_classes(n: int, B: int, margin: Fraction = None,
     ``_offdiag_symmetries``, and H keeps det and diagonal, so a candidate
     whose off-diagonal tuple is larger than one of its H-images is not the
     ``canonical_key``-minimum of its class and is dropped before its minors
-    are computed.  Each class's minimum survives, so the representatives
-    (those minima, in ``canonical_key`` order) are those of the unfiltered
-    search; duplicates are still removed by ``isometry_test``."""
+    are computed (one numpy pass per diagonal and H-map).  Each class's
+    minimum survives, so the representatives (those minima, in
+    ``canonical_key`` order) are those of the unfiltered search; duplicates
+    are still removed by ``isometry_test``."""
     if n not in (1, 2, 3, 4):
         raise ValueError("class enumeration supports n <= 4")
     if margin is None:
@@ -292,24 +357,33 @@ def enumerate_classes(n: int, B: int, margin: Fraction = None,
 
     candidates = []
     for diag in diagonals(0, [], 1):
-        maps = _offdiag_symmetries(diag, pairs)
         bounds = [min(diag[i], diag[j]) // 2 for i, j in pairs]
-        for a in product(*(range(-b, b + 1) for b in bounds)):
-            get = a.__getitem__
-            for pos, sg in maps:
-                if tuple(map(mul, map(get, pos), sg)) < a:
-                    break                   # a smaller H-image exists
-            else:
-                G = [[0] * n for _ in range(n)]
-                for i in range(n):
-                    G[i][i] = diag[i]
-                for (i, j), x in zip(pairs, a):
-                    G[i][j] = G[j][i] = x
-                minors = leading_minors(G)
-                if all(d > 0 for d in minors) and minors[-1] <= B:
-                    cand = GramMat(G)
-                    cand._det = minors[-1]      # the last leading minor
-                    candidates.append(cand)
+        sizes = [2 * b + 1 for b in bounds]
+        # every tuple a, in product order, as one row; the mixed-radix key
+        # sum_k (a_k + b_k) R_k, R_k = prod_{l>k} (2 b_l + 1), orders the
+        # rows as the tuples, and H keeps the bounds, so key(image) - key(a)
+        # = sum_p a_p (coef[p] - R_p) with coef[pos_k] = sg_k R_k; keys stay
+        # below the row count, so int64 is exact
+        a = (np.indices(sizes, dtype=np.int64).reshape(len(sizes),
+                                                       prod(sizes)).T
+             - np.array(bounds, dtype=np.int64))
+        radix = [prod(sizes[k + 1:]) for k in range(len(sizes))]
+        for pos, sg in _offdiag_symmetries(diag, pairs):
+            diff = [-r for r in radix]
+            for k, p in enumerate(pos):
+                diff[p] += sg[k] * radix[k]
+            a = a[a @ np.array(diff, dtype=np.int64) >= 0]
+        for x in a.tolist():
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                G[i][i] = diag[i]
+            for (i, j), y in zip(pairs, x):
+                G[i][j] = G[j][i] = y
+            minors = leading_minors(G)
+            if all(d > 0 for d in minors) and minors[-1] <= B:
+                cand = GramMat(G)
+                cand._det = minors[-1]      # the last leading minor
+                candidates.append(cand)
 
     candidates.sort(key=canonical_key)
     reps: list[ClassRecord] = []

@@ -1,5 +1,6 @@
-"""Matrix helpers shared by the test modules (the package has no caller for
-them): G[U] = U^t G U on integer matrices given as lists of rows."""
+"""Helpers shared by the test modules (the package has no caller for them):
+G[U] = U^t G U on integer matrices given as lists of rows, and the plain
+column backtracking that the isometry search is checked against."""
 
 
 def mat_mul(A, B):
@@ -12,3 +13,60 @@ def transform(G, U):
     """G[U] = U^t G U."""
     Ut = [[U[j][i] for j in range(len(U))] for i in range(len(U[0]))]
     return mat_mul(mat_mul(Ut, [list(r) for r in G]), [list(r) for r in U])
+
+
+def reference_isometry_search(G1, G2, need_det=1, count_all=False,
+                              congruence=1):
+    """The column backtracking of ``quadforms._isometry_search`` in its plain
+    form: every column scans the whole vector pool of its norm, and every
+    leaf U is checked with ``mat_det``.  G1, G2 are ``GramMat``s; returns the
+    first witness U (or None), or with count_all the number of solutions."""
+    from operator import mul
+
+    from kmlift.exactalg import mat_det
+    from kmlift.quadforms import vectors_of_norm
+
+    n = G1.n
+    if G2.n != n or G1.det() != G2.det():
+        return 0 if count_all else None
+    G1e, G2e = G1.entries, G2.entries
+    pools = {}
+    for t in {G2e[j][j] for j in range(n)}:
+        pools[t] = [(v, tuple(sum(map(mul, row, v)) for row in G1e))
+                    for v in vectors_of_norm(G1e, t)]
+    cols = []
+    found = [0]
+    witness = [None]
+
+    def rec(j):
+        if j == n:
+            U = [[cols[c][r] for c in range(n)] for r in range(n)]
+            d = mat_det(U)
+            if need_det is not None and d != need_det:
+                return False
+            if congruence > 1:
+                for a in range(n):
+                    for b in range(n):
+                        if (U[a][b] - (1 if a == b else 0)) % congruence:
+                            return False
+            if count_all:
+                found[0] += 1
+                return False
+            witness[0] = U
+            return True
+        # column j is compatible when cols[i]^t G1 v = G2[i][j] for i < j
+        for v, Gv in pools[G2e[j][j]]:
+            for i in range(j):
+                if sum(map(mul, cols[i], Gv)) != G2e[i][j]:
+                    break
+            else:
+                cols.append(v)
+                if rec(j + 1):
+                    return True
+                cols.pop()
+        return False
+
+    rec(0)
+    if count_all:
+        return found[0]
+    return witness[0]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -125,9 +126,13 @@ def test_qexp_mul_matches_fraction_double_loop(a, pa, b, pb):
                    {k: v * Fraction(-3, 7) for k, v in trunc_a.items()}, pa)
 
 
-@given(_coeff_dicts, st.integers(1, 26), st.integers(0, 6))
+@given(_coeff_dicts, st.integers(1, 26), st.integers(0, 24))
 @example({}, 8, 3)
 @example({0: Fraction(1, 2), 2: Fraction(-2, 3)}, 9, 5)
+@example({1: Fraction(3), 4: Fraction(-1, 2)}, 20, 7)      # valuation 1
+@example({5: Fraction(2, 3), 7: Fraction(1)}, 12, 3)       # q^15 past prec
+@example({0: Fraction(-5, 7), 1: Fraction(1, 3)}, 15, 9)   # -5/7 leads
+@example({2: Fraction(-3, 4)}, 26, 12)                     # one q^24 term
 def test_qexp_power_matches_repeated_product(a, prec, e):
     want = {0: Fraction(1)}
     trunc = {k: v for k, v in a.items() if k < prec}
@@ -136,6 +141,23 @@ def test_qexp_power_matches_repeated_product(a, prec, e):
     got = QExp(3, prec, a).power(e)
     assert got.weight2 == 3 * e
     _assert_series(got, want, prec)
+
+
+def test_qexp_power_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        theta_series(10).power(-1)
+
+
+def test_delta_matches_repeated_product():
+    prec = 40
+    euler = {0: Fraction(1)}
+    for n in range(1, prec):
+        euler = _naive_product(euler, {0: Fraction(1), n: Fraction(-1)}, prec)
+    want = {0: Fraction(1)}
+    for _ in range(24):
+        want = _naive_product(want, euler, prec - 1)
+    _assert_series(delta_qexp(prec), {k + 1: v for k, v in want.items()},
+                   prec)
 
 
 def test_delta_ramanujan_congruence_and_multiplicativity():

@@ -20,7 +20,7 @@ from kmlift.quadforms import (ClassRecord, GramMat, _offdiag_symmetries,
                               is_positive_definite, isometry_test, mat_det,
                               vectors_of_norm)
 
-from gramtools import transform
+from gramtools import reference_isometry_search, transform
 
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
@@ -47,13 +47,13 @@ def test_isometry_invariants():
     assert mat_det(U) == 1
 
 
-def _random_sl4(rng, steps):
+def _random_sl(rng, n, steps):
     """A product of elementary matrices 1 + c E_ij (i != j, c = +-1)."""
-    U = [[int(i == j) for j in range(4)] for i in range(4)]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
-        i, j = rng.sample(range(4), 2)
+        i, j = rng.sample(range(n), 2)
         c = rng.choice((-1, 1))
-        for r in range(4):
+        for r in range(n):
             U[r][j] += c * U[r][i]
     return U
 
@@ -66,16 +66,45 @@ def test_isometry_witness_cold_and_warm_pools(classlist16):
         G = GramMat(rows)
         h = hash(G)
         for _ in range(3):
-            U = _random_sl4(rng, 4)
+            U = _random_sl(rng, 4, 4)
             target = transform(G.entries, U)
-            for _ in range(2):  # first call fills the pools, repeat reads them
+            for _ in range(2):  # first call fills the caches, repeat reads them
                 W = isometry_test(G, GramMat(target))
                 assert W is not None
                 assert transform(G.entries, W) == target
                 assert mat_det(W) == 1
-        assert G._pools
+        assert G._pools and G._compat
         assert hash(G) == h
         assert G == GramMat(G.rows()) and hash(G) == hash(GramMat(G.rows()))
+
+
+@pytest.mark.parametrize("n, B", [(2, 80), (3, 60), (4, 40)])
+def test_isometry_search_matches_reference(n, B):
+    rng = random.Random(n * 1000 + B)
+    classes = [c.gram for c in enumerate_classes(n, B).classes]
+    for G in classes:
+        for N in (1, 2, 3):
+            assert automorphism_count(G, N) == reference_isometry_search(
+                G, G, count_all=True, congruence=N), (G, N)
+        assert automorphism_count_full(G) == reference_isometry_search(
+            G, G, need_det=None, count_all=True), G
+        for _ in range(2):
+            target = GramMat(transform(G.entries, _random_sl(rng, n, 3 * n)))
+            W = isometry_test(G, target)
+            assert W == reference_isometry_search(G, target), (G, target)
+            assert transform(G.entries, W) == target.rows() and mat_det(W) == 1
+        for H in classes:
+            if H != G and H.det() == G.det():
+                assert isometry_test(G, H) is None
+                assert reference_isometry_search(G, H) is None
+
+
+def test_binary_form_without_improper_automorphisms():
+    # the only automorphisms are +-1, so |O| = e = 2: a wrong sign in the
+    # determinant would count neither
+    F = GramMat([[4, -1], [-1, 10]])
+    assert automorphism_count(F) == automorphism_count_full(F) == 2
+    assert reference_isometry_search(F, F, count_all=True) == 2
 
 
 # det(2T) <= 40 quaternary classes: multiset of (det, e), 43 classes
@@ -291,7 +320,7 @@ def _unfiltered_classes(n, B):
         for G in reps]}
 
 
-@pytest.mark.parametrize("n, B", [(2, 80), (3, 60), (4, 24)])
+@pytest.mark.parametrize("n, B", [(1, 30), (2, 80), (3, 60), (4, 24)])
 def test_orbit_filter_keeps_every_representative(n, B):
     assert enumerate_classes(n, B).to_dict() == _unfiltered_classes(n, B)
 
