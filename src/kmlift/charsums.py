@@ -50,132 +50,148 @@ def _digit_arrays(lo, hi, N, E):
     return out
 
 
-def _det_batch(M, m, N):
-    """Determinant mod N of a batch given as nested entry arrays M[i][j]
-    (1 for m = 0)."""
-    if m == 0:
-        return 1
-    if m == 1:
-        return M[0][0] % N
-    if m == 2:
-        return (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % N
-    if m == 3:
-        return _det3(M, (0, 1, 2), (0, 1, 2), N)
-    if m == 4:
-        d = 0
-        sign = 1
-        for j in range(4):
-            cols = tuple(c for c in range(4) if c != j)
-            minor = _det3(M, (1, 2, 3), cols, N)
-            d = (d + sign * M[0][j] * minor) % N
-            sign = -sign
-        return d % N
-    raise ValueError("batched determinant implemented for m <= 4")
+def _upper(m):
+    """The upper-triangle positions (i <= j), row-major: the digit order of
+    the base-N index that encodes a symmetric m x m matrix mod N."""
+    return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def _det3(M, rows, cols, N):
-    a, b, c = rows
-    x, y, z = cols
-    return (M[a][x] * (M[b][y] * M[c][z] - M[b][z] * M[c][y])
-            - M[a][y] * (M[b][x] * M[c][z] - M[b][z] * M[c][x])
-            + M[a][z] * (M[b][x] * M[c][y] - M[b][y] * M[c][x])) % N
+def _sym_entries(lo, hi, N, m):
+    """Nested entry arrays M[i][j] = M[j][i] of the symmetric m x m matrices
+    mod N whose base-N index lies in [lo, hi)."""
+    M = [[None] * m for _ in range(m)]
+    for (i, j), d in zip(_upper(m), _digit_arrays(lo, hi, N, m * (m + 1) // 2)):
+        M[i][j] = M[j][i] = d
+    return M
 
 
-def sym_det_trace_counts(m: int, N: int, budget=DEFAULT_BUDGET):
-    """counts[d, t] = #{Z in S_m(Z/N) : det Z = d, tr Z = t}."""
-    E = m * (m + 1) // 2
-    total = N ** E
-    _check_budget(total, budget)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    counts = np.zeros((N, N), dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        digs = _digit_arrays(lo, hi, N, E)
-        M = [[None] * m for _ in range(m)]
-        for (i, j), d in zip(pairs, digs):
-            M[i][j] = d
-            M[j][i] = d
-        det = _det_batch(M, m, N)
-        tr = sum(M[i][i] for i in range(m)) % N
-        counts += np.bincount(det * N + tr, minlength=N * N).reshape(N, N)
-    return counts
+def _sym_trace(A, M, N):
+    """tr(A S) mod N for the batch of symmetric S with entries M (the leading
+    len(M) x len(M) block of A is used): the sum over i <= j of w_ij S_ij,
+    with w_ii = A_ii and w_ij = A_ij + A_ji, which must be integers."""
+    tr = np.zeros(len(M[0][0]) if M else 1, dtype=np.int64)  # S_0 is one matrix
+    for i, j in _upper(len(M)):
+        w = int(A[i][j] + A[j][i] if i < j else A[i][i]) % N
+        if w:
+            tr += w * M[i][j]
+    return tr % N
 
 
-_SYM_DT_CACHE: dict = {}
+def _det_batch(M, N):
+    """Determinant mod N of a batch given as nested entry lists M[i][j] of
+    arrays or ints (1 for the empty matrix), by Laplace expansion along the
+    first row."""
+    if len(M) <= 1:
+        return M[0][0] % N if M else 1
+    d = 0
+    for j, x in enumerate(M[0]):
+        term = x * _det_batch([row[:j] + row[j + 1:] for row in M[1:]], N)
+        d = d - term if j % 2 else d + term
+    return d % N
 
 
-def sym_det_trace_counts_cached(m, N, budget=DEFAULT_BUDGET):
-    key = (m, N)
-    if key not in _SYM_DT_CACHE:
-        _SYM_DT_CACHE[key] = sym_det_trace_counts(m, N, budget)
-    return _SYM_DT_CACHE[key]
-
-
-def _sym_adj_batch(M, k, N, size):
-    """Adjugate entries Adj[a, b] (a <= b) mod N of a batch of symmetric
-    k x k matrices given as nested entry arrays, one column per entry."""
-    cols = []
-    for a in range(k):
-        for b in range(a, k):
-            minor = [[M[i][j] for j in range(k) if j != a]
-                     for i in range(k) if i != b]
-            cof = (-1) ** (a + b) * _det_batch(minor, k - 1, N) % N
-            cols.append(np.broadcast_to(cof, (size,)))
+def _sym_adj_batch(M, N, size):
+    """Adjugate entries Adj[a, b] (a <= b, in ``_upper`` order) mod N of a
+    batch of symmetric matrices given as nested entry lists, one column per
+    entry."""
+    cols = [np.broadcast_to((-1) ** (a + b) * _det_batch(
+        [row[:a] + row[a + 1:] for i, row in enumerate(M) if i != b], N) % N,
+        (size,)) for a, b in _upper(len(M))]
     return np.stack(cols, axis=1) if cols else np.zeros((size, 0), np.int64)
+
+
+def _adj_quads(W, N):
+    """The monomials w_a w_b mod N, doubled for a < b, over the upper positions
+    (a, b), for the vectors w with digit arrays W: w^t Adj w is the rows of
+    ``_sym_adj_batch`` times this array."""
+    return np.array([W[a] * W[b] * (1 if a == b else 2) % N
+                     for a, b in _upper(len(W))],
+                    dtype=np.int64).reshape(-1, len(W[0]) if W else 1)
+
+
+def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
+    """For each m x m form B in ``forms``: table[d, t] = #{Z in S_m(Z/N) :
+    det Z = d, tr(BZ) = t}.
+
+    Every Z is bordered as [[Z1, w], [w^t, z]], so that
+    det Z = z det Z1 - w^t Adj(Z1) w and
+    tr(BZ) = tr(B1 Z1) + sum_a (B[a,k] + B[k,a]) w_a + B[k,k] z.
+    Each chunk of Z1 is taken with every w at once and tallied by
+    (det Z1, w^t Adj(Z1) w, trace without z); z then runs over every residue
+    (``_border_z``), so each cell of S_m(Z/N) is counted once and the count
+    is exact for composite N too.  The tallies are summed over the chunks
+    into N^3 bins while that table is small; past that, each chunk goes to
+    the z step on its own."""
+    forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
+    m = forms[0].shape[0]
+    _check_budget(N ** (m * (m + 1) // 2), budget)
+    if m == 0:  # S_0 is the empty matrix alone, of det 1 and trace 0
+        return [np.bincount([1 % N * N], minlength=N * N).reshape(N, N)
+                for _ in forms]
+    k = m - 1
+    nw = N ** k
+    W = _digit_arrays(0, nw, N, k)
+    quads = _adj_quads(W, N)
+    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) for B in forms]
+    dense = N ** 3 <= _CHUNK
+    tally = [np.zeros(N ** 3, dtype=np.int64) for _ in forms] if dense else None
+    tables = [np.zeros(N * N, dtype=np.int64) for _ in forms]
+    total = N ** (k * (k + 1) // 2)
+    step = max(1, _CHUNK // nw)
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        M = _sym_entries(lo, hi, N, k)
+        d1 = np.broadcast_to(_det_batch(M, N), (hi - lo,))
+        Q = _sym_adj_batch(M, N, hi - lo) @ quads % N
+        base = (d1[:, None] * N + Q) * N
+        for f, B in enumerate(forms):
+            key = (base + (_sym_trace(B, M, N)[:, None] + tw[f]) % N).ravel()
+            if dense:
+                tally[f] += np.bincount(key, minlength=N ** 3)
+            else:
+                _border_z(tables[f], key, np.broadcast_to(1, key.shape),
+                          int(B[k, k]), N)
+    for f, B in enumerate(forms):
+        if dense:
+            key = np.flatnonzero(tally[f])
+            _border_z(tables[f], key, tally[f][key], int(B[k, k]), N)
+        tables[f] = tables[f].reshape(N, N)
+    return tables
+
+
+def _border_z(table, key, counts, bkk, N):
+    """Add counts[i] to the flat (det, trace) table at
+    (z d1 - Q, T + bkk z) for every z mod N, where key[i] = (d1 N + Q) N + T."""
+    d1, Q, T = key // (N * N), key // N % N, key % N
+    zs = np.arange(N, dtype=np.int64)[:, None]
+    step = max(1, _CHUNK // N)
+    for lo in range(0, len(key), step):
+        s = slice(lo, lo + step)
+        cell = (zs * d1[s] - Q[s]) % N * N + (T[s] + bkk * zs) % N
+        np.add.at(table, cell, np.broadcast_to(counts[s], cell.shape))
 
 
 def sym_dettarget_trace_counts(A, N, det_target=1, budget=DEFAULT_BUDGET,
                                forms=None):
     """For each form B in ``forms`` (defaults to [A]): counts[t] over
-    {Z in S_m(Z/N): det Z = det_target, tr(B Z) = t}.
-
-    Every Z is bordered as [[Z1, w], [w^t, z]], so that
-    det Z = z det Z1 - w^t Adj(Z1) w and
-    tr(BZ) = tr(B1 Z1) + sum_a (B[a,k] + B[k,a]) w_a + B[k,k] z.
-    For each block of Z1 the pairs (w^t Adj(Z1) w, trace without z) are
-    tallied over every w; z then runs over every residue, so each cell of
-    S_m(Z/N) is counted once and the count is exact for composite N too."""
-    A = np.asarray(A, dtype=np.int64)
-    m = A.shape[0]
-    if forms is None:
-        forms = [A]
-    forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
-    _check_budget(N ** (m * (m + 1) // 2), budget)
-    k = m - 1
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    nw = N ** k
-    W = _digit_arrays(0, nw, N, k)
-    mono = np.array([W[a] * W[b] * (1 if a == b else 2) % N
-                     for a, b in pairs], dtype=np.int64).reshape(len(pairs), nw)
-    # the zeros keep each trace part an array when its coefficients vanish
-    tw = [sum((int(B[a, k] + B[k, a]) % N) * W[a] for a in range(k))
-          + np.zeros(nw, dtype=np.int64) for B in forms]
-    zs = np.arange(N, dtype=np.int64)
-    out = [np.zeros(N, dtype=np.int64) for _ in forms]
-    total = N ** len(pairs)
-    step = max(1, _CHUNK // max(nw, N * N))
-    for lo in range(0, total, step):
-        hi = min(total, lo + step)
-        size = hi - lo
-        digs = _digit_arrays(lo, hi, N, len(pairs))
-        M = [[None] * k for _ in range(k)]
-        for (i, j), d in zip(pairs, digs):
-            M[i][j] = d
-            M[j][i] = d
-        d1 = np.broadcast_to(_det_batch(M, k, N), (size,))
-        Q = _sym_adj_batch(M, k, N, size) @ mono % N
-        # the value of w^t Adj(Z1) w that puts det Z on target, per (z, Z1)
-        need = (zs[:, None] * d1[None, :] - det_target) % N
-        rows = np.arange(size, dtype=np.int64)
-        for f, B in enumerate(forms):
-            t1 = sum(int(B[i, j]) * M[i][j] for i in range(k)
-                     for j in range(k)) + np.zeros(size, dtype=np.int64)
-            key = (rows[:, None] * N + Q) * N + (t1[:, None] + tw[f]) % N
-            H = np.bincount(key.ravel(), minlength=size * N * N)
-            H = H.reshape(size, N, N)[rows[None, :], need].sum(axis=1)
-            for z in range(N):
-                out[f] += np.roll(H[z], int(B[k, k]) * z % N)
+    {Z in S_m(Z/N): det Z = det_target, tr(B Z) = t}, the det_target row of
+    ``_sym_tables``."""
+    out = [t[det_target % N] for t in
+           _sym_tables([A] if forms is None else forms, N, budget)]
     return out if len(out) > 1 else out[0]
+
+
+_SYM_DT_CACHE: dict = {}
+
+
+def _sym_dt_table(m, N, budget=DEFAULT_BUDGET):
+    """counts[d, t] = #{Z in S_m(Z/N) : det Z = d, tr Z = t}, one sweep per
+    (m, N)."""
+    key = (m, N)
+    if key not in _SYM_DT_CACHE:
+        _SYM_DT_CACHE[key] = _sym_tables([np.eye(m, dtype=np.int64)], N,
+                                         budget)[0]
+    return _SYM_DT_CACHE[key]
 
 
 _SL_GRAM_CACHE: dict = {}
@@ -199,7 +215,7 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     k = m - 1
     E = m * (m + 1) // 2
     weight = np.zeros((m, m), dtype=np.int64)
-    weight[np.triu_indices(m)] = p ** np.arange(E)
+    weight[tuple(zip(*_upper(m)))] = p ** np.arange(E)
     last = np.stack(_digit_arrays(0, p ** m, p, m), axis=1)
     last_key = (last * last).sum(axis=1) % p * weight[k, k]
     table = np.zeros(p ** E, dtype=np.int64)
@@ -210,7 +226,7 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
         digs = _digit_arrays(lo, hi, p, k * m)
         rows = [digs[a * m:(a + 1) * m] for a in range(k)]
         cof = np.stack([np.broadcast_to((-1) ** (k + b) * _det_batch(
-            [r[:b] + r[b + 1:] for r in rows], k, p), (hi - lo,))
+            [r[:b] + r[b + 1:] for r in rows], p), (hi - lo,))
             for b in range(m)], axis=1)
         R = np.array(digs, dtype=np.int64).T.reshape(hi - lo, k, m)
         gram = R @ R.transpose(0, 2, 1) % p
@@ -222,20 +238,6 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     return table
 
 
-def _gram_trace_values(A, p):
-    """tr(A*P) mod p for every encoded symmetric P, as one array."""
-    A = np.asarray(A, dtype=np.int64) % p
-    m = A.shape[0]
-    E = m * (m + 1) // 2
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    digs = _digit_arrays(0, p ** E, p, E)
-    tr = np.zeros(p ** E, dtype=np.int64)
-    for (i, j), d in zip(pairs, digs):
-        w = int(A[i, j]) if i == j else 2 * int(A[i, j])
-        tr += (w % p) * d
-    return tr % p
-
-
 def sl_trace_counts(A, p: int, budget=DEFAULT_BUDGET):
     """counts[t] = #{X in SL_m(F_p) : tr(A[X]) = t}."""
     A = np.asarray(A, dtype=np.int64) % p
@@ -245,7 +247,7 @@ def sl_trace_counts(A, p: int, budget=DEFAULT_BUDGET):
         counts[int(A[0, 0]) % p] = 1
         return counts
     table = sl_gram_counts(m, p, budget)
-    tr = _gram_trace_values(A, p)
+    tr = _sym_trace(A, _sym_entries(0, p ** (m * (m + 1) // 2), p, m), p)
     counts = np.zeros(p, dtype=np.int64)
     np.add.at(counts, tr, table)
     return counts
@@ -412,18 +414,6 @@ def gamma_const(m: int, p: int, mode="corrected") -> Fraction:
     return val
 
 
-def count_M(A, c, p, budget=DEFAULT_BUDGET) -> int:
-    """#{Z in S_m(F_p) : det Z = 1, tr(AZ) = c} by exhaustion."""
-    counts = sym_dettarget_trace_counts(A, p, 1, budget)
-    return int(counts[c % p])
-
-
-def count_R(A, c, N, budget=DEFAULT_BUDGET) -> int:
-    """#{X in M_m(Z/N): tr(A[X]) = c, det X = 1} by exhaustion (prime N)."""
-    counts = sl_trace_counts(A, N, budget)
-    return int(counts[c % N])
-
-
 # ---------------------------------------------------------------------------
 # Lemma 5.3: I_{eta,S,c} = sum_w eta(S[tw] + c)
 
@@ -488,30 +478,15 @@ def legendre_char(p: int) -> DirichletChar:
 # ---------------------------------------------------------------------------
 # Proposition 5.4: bordered determinant sums
 
-def _adjugate_mod(Z, p):
-    Z = [[int(x) % p for x in row] for row in np.asarray(Z).tolist()]
-    n = len(Z)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[Z[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            d = mat_det(minor) % p
-            adj[j][i] = (-1) ** (i + j) * d % p
-    return adj
-
-
 def bordered_det_sum_brute(eta: DirichletChar, Z1, z, budget=DEFAULT_BUDGET) -> CycloNum:
     p = eta.modulus
-    Z1 = np.asarray(Z1, dtype=np.int64) % p
-    lm1 = Z1.shape[0]
-    detZ1 = mat_det(Z1.tolist()) % p
-    adj = np.asarray(_adjugate_mod(Z1.tolist(), p), dtype=np.int64)
-    total = p ** lm1
+    Z1 = (np.asarray(Z1, dtype=np.int64) % p).tolist()
+    total = p ** len(Z1)
     _check_budget(total, budget)
-    # det [[Z1, w],[w^t, z]] = -Adj(Z1)[w] + det(Z1) z
-    vals = (-_norms(_vectors(0, total, p, lm1), adj, p) + detZ1 * z) % p
-    counts = np.bincount(vals, minlength=p)
+    # det [[Z1, w],[w^t, z]] = det(Z1) z - w^t Adj(Z1) w
+    quads = _adj_quads(_digit_arrays(0, total, p, len(Z1)), p)
+    vals = (_det_batch(Z1, p) * z - _sym_adj_batch(Z1, p, 1) @ quads) % p
+    counts = np.bincount(vals[0], minlength=p)
     return _weight_counts(counts, eta)
 
 
@@ -542,15 +517,13 @@ def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="derived") -> Cyc
 def Im_brute(chi: DirichletChar, eta: DirichletChar, m: int,
              budget=DEFAULT_BUDGET) -> CycloNum:
     N = chi.modulus
-    counts = sym_det_trace_counts_cached(m, N, budget)
-    return _weight_dt(counts, chi, eta, shift=False)
+    return _weight_dt(_sym_dt_table(m, N, budget), chi, eta, shift=False)
 
 
 def Jm_brute(chi: DirichletChar, eta: DirichletChar, m: int,
              budget=DEFAULT_BUDGET) -> CycloNum:
     N = chi.modulus
-    counts = sym_det_trace_counts_cached(m, N, budget)
-    return _weight_dt(counts, chi, eta, shift=True)
+    return _weight_dt(_sym_dt_table(m, N, budget), chi, eta, shift=True)
 
 
 def _weight_dt(counts, chi, eta, shift):
@@ -565,8 +538,7 @@ def _weight_dt(counts, chi, eta, shift):
                          for d, k in chi.logs.items() for t, j in cols))
 
 
-def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
-              jm_mode="recursion") -> CycloNum:
+def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int) -> CycloNum:
     """Prop 5.7 (chi primitive mod p, chi^2 != 1, eta primitive)."""
     p = chi.modulus
     _require_prime(p)
@@ -583,7 +555,7 @@ def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int,
     if not (chi ** m * eta).is_trivial():
         return CycloNum.zero(lcm(chi.order, eta.order))
     leg = legendre_char(p)
-    Jm1 = Jm_sum(chi * leg, eta, m - 1, mode=jm_mode)
+    Jm1 = Jm_sum(chi * leg, eta, m - 1, mode="recursion")
     if m % 2 == 1:
         pref = Fraction(legendre(-1, p) ** ((m - 1) // 2) * p ** ((m - 1) // 2) * (p - 1))
         return Jm1 * pref
@@ -621,7 +593,7 @@ def Jm_recursion(chi: DirichletChar, eta: DirichletChar, m: int,
         raise ValueError("recursion hypotheses: chi^2 != 1 and eta primitive")
     leg = legendre_char(p)
     Jm1 = Jm_recursion(chi * leg, eta, m - 1, variant)
-    Im1 = Im_closed(chi * leg, eta, m - 1, jm_mode="recursion")
+    Im1 = Im_closed(chi * leg, eta, m - 1)
     inner_eta = eta(-1) * Im1
     if m % 2 == 1:
         J1 = jacobi_sum(chi, chi ** (m - 1) * eta)
@@ -657,20 +629,6 @@ def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
     return Jm_brute(chi, eta, m, budget)
 
 
-def Im_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
-           budget=DEFAULT_BUDGET) -> CycloNum:
-    N = chi.modulus
-    if mode == "brute":
-        return Im_brute(chi, eta, m, budget)
-    if mode == "closed":
-        return Im_closed(chi, eta, m)
-    fac = factorize(N)
-    if (len(fac) == 1 and fac[0][1] == 1 and N > 2 and m >= 1
-            and not chi.is_trivial() and not (chi ** 2).is_trivial()):
-        return Im_closed(chi, eta, m)
-    return Im_brute(chi, eta, m, budget)
-
-
 def jacobi_symbol_char(N: int) -> DirichletChar:
     """(* / N) for odd squarefree N as a Dirichlet character mod N."""
     fac = _odd_squarefree_factors(N)
@@ -704,20 +662,16 @@ def thm59_printed(chi: DirichletChar, i: int, m: int, with_p_power=False) -> Cyc
     if m % 2 == 1:
         if not (chi ** m).is_trivial():
             pref = Fraction(e1 ** ((m - 1) // 2) * p ** ((m - 1) // 2))
-            return jacobi_sum(lchar, chi ** m) * thm_J(l1, chi, m - 1) * pref
+            return jacobi_sum(lchar, chi ** m) * Jm_sum(l1, chi, m - 1) * pref
         pref = Fraction(p ** (m - 1) * e1 ** ((i + 1) % 2))
-        return jacobi_sum(l1, leg) * thm_J(lchar, chi, m - 2) * pref
+        return jacobi_sum(l1, leg) * Jm_sum(lchar, chi, m - 2) * pref
     cond = chi ** m * (leg ** ((i + 1) % 2))
     if not cond.is_trivial():
         pref = Fraction(e1 ** ((m - 2) // 2))
         if with_p_power:
             pref *= p ** ((m - 2) // 2)
-        return jacobi_sum(lchar, leg) * jacobi_sum(l1, cond) * thm_J(l1, chi, m - 1) * pref
-    return chi(-1) * jacobi_sum(lchar, leg) * thm_J(lchar, chi, m - 2) * Fraction(p ** (m - 1))
-
-
-def thm_J(chi, eta, m):
-    return Jm_sum(chi, eta, m, mode="auto")
+        return jacobi_sum(lchar, leg) * jacobi_sum(l1, cond) * Jm_sum(l1, chi, m - 1) * pref
+    return chi(-1) * jacobi_sum(lchar, leg) * Jm_sum(lchar, chi, m - 2) * Fraction(p ** (m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +909,9 @@ def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
 
 def run_prop52_suite(grid=((2, 3), (2, 5), (3, 3), (3, 5), (4, 3)), seed=5,
                      forms_per_cell=2, budget=DEFAULT_BUDGET):
-    """count_R = gamma_corrected * count_M for diagonal A and every c; the
-    ratio is constant across (A, c)."""
+    """#R_p(A, c) = gamma_corrected * #M_p(A, c) for diagonal A and every c
+    (R: X in SL_m(F_p) with tr(A[X]) = c; M: Z in S_m(F_p) with det Z = 1
+    and tr(AZ) = c); the ratio is constant across (A, c)."""
     rng = np.random.default_rng(seed)
     rep = CharSumReport("prop5.2", {"grid": [list(g) for g in grid]})
     for m, p in grid:
@@ -1097,22 +1052,26 @@ def run_prop510_suite(primes=(5, 7, 11, 13)):
     return rep
 
 
+# the Gram matrices 2A of the Theorem 5.5/5.6 suite, by rank
+THM55_FORMS = {
+    2: [[[2, 0], [0, 2]], [[2, 1], [1, 2]], [[2, 0], [0, 4]],
+        [[4, 1], [1, 2]], [[2, 1], [1, 4]], [[4, 1], [1, 4]],
+        [[2, 0], [0, 6]], [[6, 1], [1, 2]]],
+    3: [[[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [[2, 1, 0], [1, 2, 0], [0, 0, 2]],
+        [[2, 1, 1], [1, 2, 1], [1, 1, 4]],
+        [[2, 0, 0], [0, 4, 1], [0, 1, 4]],
+        [[4, 1, 0], [1, 2, 0], [0, 0, 6]]],
+}
+
+
 def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None, seed=7,
                        budget=DEFAULT_BUDGET):
     """h closed (adjudicated variant) against the SL brute route."""
     rng = np.random.default_rng(seed)
     rep = CharSumReport("thm5.5+5.6", {"primes": list(primes), "ms": list(ms)})
     if forms is None:
-        forms = {
-            2: [[[2, 0], [0, 2]], [[2, 1], [1, 2]], [[2, 0], [0, 4]],
-                [[4, 1], [1, 2]], [[2, 1], [1, 4]], [[4, 1], [1, 4]],
-                [[2, 0], [0, 6]], [[6, 1], [1, 2]]],
-            3: [[[2, 0, 0], [0, 2, 0], [0, 0, 2]],
-                [[2, 1, 0], [1, 2, 0], [0, 0, 2]],
-                [[2, 1, 1], [1, 2, 1], [1, 1, 4]],
-                [[2, 0, 0], [0, 4, 1], [0, 1, 4]],
-                [[4, 1, 0], [1, 2, 0], [0, 0, 6]]],
-        }
+        forms = THM55_FORMS
     zero_branch_seen = 0
     for p in primes:
         G = char_group(p)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .characters import (DirichletChar, char_group, factorize, jacobi_sum,
                          kronecker, subgroup_Dm)
-from .charsums import (HVariant, _Jm_lambda, gamma_const, h_sum,
-                       jacobi_symbol_char, zero_branch)
+from .charsums import (_Jm_lambda, gamma_const, h_sum, jacobi_symbol_char,
+                       zero_branch)
 from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       lfactor_stream, rankin_stream, shifted_L_stream,
@@ -215,8 +215,7 @@ class KMStream:
 
 
 def km_stream(table: IkedaCoeffTable, chi: DirichletChar, kind: str,
-              bound: int, h_variant: HVariant = None,
-              h_mode: str = "closed") -> KMStream:
+              bound: int) -> KMStream:
     """Det-indexed coefficients: second kind weights by chi(det 2T); first kind
     weights by h(A, chi) (whose normalization carries e_N versus e through the
     coset identity)."""
@@ -228,7 +227,7 @@ def km_stream(table: IkedaCoeffTable, chi: DirichletChar, kind: str,
         if kind == "second":
             w = chi(D)
         elif kind == "first":
-            w = h_sum(rec.gram.rows(), chi, mode=h_mode, variant=h_variant)
+            w = h_sum(rec.gram.rows(), chi)
         else:
             raise ValueError("kind must be 'first' or 'second'")
         if w.is_zero():

@@ -23,12 +23,11 @@ from math import factorial
 
 import numpy as np
 
-from .characters import _as_unit_int, factorize, kronecker, legendre
-from .charsums import (_CHUNK, DEFAULT_BUDGET, BudgetExceeded, _digit_arrays,
-                       _rep_count, _vectors)
+from .characters import _as_unit_int, _root_sum, factorize, kronecker, legendre
+from .charsums import (_CHUNK, DEFAULT_BUDGET, BudgetExceeded, _rep_count,
+                       _sym_entries, _sym_trace, _vectors)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
-                       _reduce_mod_cyclo, geometric_inverse, mat_det,
-                       p_half_power, poly_mul)
+                       geometric_inverse, mat_det, p_half_power, poly_mul)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
 from .quadforms import GramMat, fundamental_split, hasse_invariant
 
@@ -333,7 +332,7 @@ def _local_d_part_val(p, nu_det, xi):
 
 
 def siegel_series(G: GramMat, p: int, mode="stratified",
-                  budget=DEFAULT_BUDGET, extra_checks=True) -> SiegelPoly:
+                  budget=DEFAULT_BUDGET) -> SiegelPoly:
     """F_p(T, X) for T = G/2 (n even); plus the F~ symmetry audit."""
     n = G.n
     if n % 2:
@@ -358,7 +357,7 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     c = _solve_F_from_A(A, p, n, xi, deg)
     sp = SiegelPoly(p, n, tuple(c), nu, nu_f, xi, True)
     sp.symmetric = sp.check_symmetry()
-    if extra_checks and not sp.symmetric:
+    if not sp.symmetric:
         raise RuntimeError(f"F~ functional equation failed: {sp}")
     return sp
 
@@ -431,15 +430,11 @@ def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
     val = sum((res % p ** k == 0).astype(np.int64) for k in range(1, j + 1))
     unit_inv = np.array([pow(int(u), -1, q) if u % p else 0
                          for u in res // p ** val], dtype=np.int64)
-    upper = list(zip(*np.triu_indices(n)))
     buckets = np.empty(total, dtype=np.int8)
     step = max(1, _CHUNK // (n * n))
     for lo in range(0, total, step):
         hi = min(total, lo + step)
-        M = np.empty((hi - lo, n, n), dtype=np.int64)
-        for (a, b), e in zip(upper, _digit_arrays(lo, hi, q, E)):
-            M[:, a, b] = e
-            M[:, b, a] = e
+        M = np.array(_sym_entries(lo, hi, q, n)).transpose(2, 0, 1)
         bucket = np.zeros(hi - lo, dtype=np.int64)
         for m in range(n, 0, -1):
             flat = M.reshape(-1, m * m)
@@ -474,8 +469,7 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
     J = deg + 1 if p ** ((deg + 1) * E) <= _ORACLE_CAP else deg
     acc = [Fraction(0)] * (J + 1)
     acc[0] = Fraction(1)
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    Gm = np.asarray(G.rows(), dtype=np.int64)
+    T = [[Fraction(x, 2) for x in row] for row in G.rows()]
     for j in range(1, J + 1):
         q = p ** j
         buckets = _snf_buckets(n, p, j, budget)
@@ -484,32 +478,17 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
         counts = np.zeros((J + 1, q), dtype=np.int64)
         for lo in range(0, total, _CHUNK):
             hi = min(total, lo + _CHUNK)
-            ent = _digit_arrays(lo, hi, q, E)
-            tr2 = 0  # tr(G S) = 2 tr(T S)
-            for (a, b), e in zip(pairs, ent):
-                w = int(Gm[a, b]) * (1 if a == b else 2)
-                if w:
-                    tr2 = tr2 + (w % (2 * q)) * e
-            # tr(TS) = tr(GS)/2: compute mod q via tr2/2 (tr2 even)
-            tr2 = tr2 % (2 * q)
-            tr = np.where(tr2 % 2 == 0, tr2 // 2, 0) % q
-            assert int((tr2 % 2).sum()) == 0, "tr(GS) must be even"
+            # tr(TS) has the integer weights G_aa/2 and G_ab (a < b)
+            tr = _sym_trace(T, _sym_entries(lo, hi, q, n), q)
             bk = buckets[lo:hi].astype(np.int64)
             sel = (bk >= 0) & (bk <= J)
             counts += np.bincount(bk[sel] * q + tr[sel],
                                   minlength=(J + 1) * q).reshape(J + 1, q)
         for bucket in range(1, J + 1):
-            acc[bucket] += _rational_root_sum(counts[bucket], q)
+            # sum_k counts[k] zeta_q^k, which must be rational
+            acc[bucket] += _root_sum(
+                q, enumerate(counts[bucket].tolist())).rational_value()
     return acc
-
-
-def _rational_root_sum(counts, q) -> Fraction:
-    """sum_k counts[k] zeta_q^k, which must be rational."""
-    terms = {k: Fraction(int(x)) for k, x in enumerate(counts) if x}
-    c = _reduce_mod_cyclo(terms, q)
-    if set(c) - {0}:
-        raise RuntimeError("root-of-unity sum not rational (bug)")
-    return c.get(0, Fraction(0))
 
 
 # -- stratified route (independent of the full enumeration)

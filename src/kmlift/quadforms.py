@@ -323,8 +323,7 @@ def _offdiag_symmetries(diag, pairs):
     return sorted(maps)
 
 
-def enumerate_classes(n: int, B: int, margin: Fraction = None,
-                      with_disc=True) -> ClassList:
+def enumerate_classes(n: int, B: int, margin: Fraction = None) -> ClassList:
     """All SL_n(Z)-classes of positive definite half-integral T with
     det(2T) <= B, by exhaustive generation over the reduction region plus
     isometry deduplication.
@@ -395,7 +394,7 @@ def enumerate_classes(n: int, B: int, margin: Fraction = None,
             reps.append(ClassRecord(cand, 0, None))
     for rec in reps:
         rec.e = automorphism_count(rec.gram)
-        if with_disc and n % 2 == 0:
+        if n % 2 == 0:
             rec.disc = disc_split(rec.gram)
     return ClassList(n, B, reps)
 

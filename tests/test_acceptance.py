@@ -63,7 +63,7 @@ def test_criterion_02_prop52():
             for c in range(p):
                 R, M = int(rc[c]), int(mc[c])
                 ok &= R == gam * M
-    _announce("2 Prop 5.2: count_R = gamma_corrected * count_M "
+    _announce("2 Prop 5.2: #R_p = gamma_corrected * #M_p "
               "(all diagonal A, all c)", t0, ok, 600)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from kmlift.characters import char_group, jacobi_sum
-from kmlift.charsums import (DEFAULT_H_VARIANT, BudgetExceeded, Im_closed,
-                             Im_sum, Jm_brute, Jm_chi, Jm_recursion,
+from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
+                             HVariant, Im_brute, Im_closed, Jm_brute, Jm_chi,
+                             Jm_recursion, _sym_dt_table,
                              bordered_det_sum_brute,
                              bordered_det_sum_closed, chi_det_halfintegral,
                              count_A_brute,
@@ -69,7 +70,7 @@ def test_Im_orthogonality_m1():
     G = char_group(7)
     for chi in G:
         for eta in G:
-            v = Im_sum(chi, eta, 1, mode="brute")
+            v = Im_brute(chi, eta, 1)
             expect = Fraction(6) if (chi * eta).is_trivial() else 0
             if (chi * eta).is_trivial():
                 assert v == expect
@@ -85,7 +86,7 @@ def test_Jm_recursion_vs_brute_small():
         etas = [e for e in G if not e.is_trivial()]
         for chi in chis[:2]:
             for eta in etas[:2]:
-                for m in (2, 3):
+                for m in (0, 1, 2, 3):
                     assert Jm_recursion(chi, eta, m) == Jm_brute(chi, eta, m)
 
 
@@ -170,6 +171,26 @@ def test_default_variant_is_adjudicated():
     assert v.conj_first_jacobi is False
 
 
+def test_printed_h_variants_mismatch_brute():
+    # each printed field of HVariant, alone, against the SL brute force over
+    # the Theorem 5.5/5.6 suite's binary forms and the nontrivial characters
+    variants = {"default": HVariant(),
+                "gamma printed": HVariant(gamma_mode="printed"),
+                "sign m-2": HVariant(sign_exp="m-2"),
+                "conj J": HVariant(conj_first_jacobi=True)}
+    want = {5: {"default": 0, "gamma printed": 0, "sign m-2": 0, "conj J": 7},
+            7: {"default": 0, "gamma printed": 8, "sign m-2": 8, "conj J": 12}}
+    for p, points in ((5, 24), (7, 40)):
+        chis = [chi for chi in char_group(p) if not chi.is_trivial()]
+        cases = [(gram, chi, h_brute_sl(gram, chi))
+                 for gram in THM55_FORMS[2] for chi in chis]
+        assert len(cases) == points
+        got = {name: sum(not (h_closed(gram, chi, v) == b)
+                         for gram, chi, b in cases)
+               for name, v in variants.items()}
+        assert got == want[p], p
+
+
 def test_quad_char_sum_scaling_corollary():
     p = 7
     eta = next(c for c in char_group(p) if c.order == 3)
@@ -248,19 +269,25 @@ def _forms(m, N, rng):
 
 @pytest.mark.parametrize("m,N", [(1, 3), (1, 9), (1, 15), (2, 3), (2, 5),
                                  (2, 7), (2, 9), (2, 15), (3, 3), (3, 5),
-                                 (3, 7)])
+                                 (3, 7), (4, 3)])
 def test_sym_dettarget_trace_counts_matches_reference(m, N):
     rng = np.random.default_rng(10 * m + N)
     forms = _forms(m, N, rng)
-    ref = _ref_dettarget_counts(m, N, [B.tolist() for B in forms])
-    for det_target in (0, 1, 2):
+    ident = len(forms)
+    ref = _ref_dettarget_counts(
+        m, N, [B.tolist() for B in forms] + [np.eye(m, dtype=int).tolist()])
+    for det_target in range(N):
         got = sym_dettarget_trace_counts(forms[0], N, det_target, forms=forms)
         for f in range(len(forms)):
-            expect = ref.get((f, det_target % N), [0] * N)
+            expect = ref.get((f, det_target), [0] * N)
             assert got[f].tolist() == expect, (f, det_target)
         # a single form returns its counts directly
         one = sym_dettarget_trace_counts(forms[1], N, det_target)
-        assert one.tolist() == ref.get((1, det_target % N), [0] * N)
+        assert one.tolist() == ref.get((1, det_target), [0] * N)
+    # the full (det, trace) table behind Im_brute / Jm_brute, B = 1_m
+    table = _sym_dt_table(m, N)
+    for d in range(N):
+        assert table[d].tolist() == ref.get((ident, d), [0] * N), d
 
 
 def test_sym_dettarget_trace_counts_every_cell_counted():
@@ -269,6 +296,18 @@ def test_sym_dettarget_trace_counts_every_cell_counted():
         B = np.arange(m * m).reshape(m, m)
         total = sum(sym_dettarget_trace_counts(B, N, d).sum() for d in range(N))
         assert total == N ** (m * (m + 1) // 2)
+
+
+def test_sym_tables_without_the_dense_tally(monkeypatch):
+    # with N^3 bins over the chunk size, each chunk goes to the z step alone
+    from kmlift import charsums
+    monkeypatch.setattr(charsums, "_CHUNK", 64)
+    for m, N in ((1, 7), (2, 5), (3, 5)):
+        forms = _forms(m, N, np.random.default_rng(N))
+        ref = _ref_dettarget_counts(m, N, [B.tolist() for B in forms])
+        for f, table in enumerate(charsums._sym_tables(forms, N)):
+            for d in range(N):
+                assert table[d].tolist() == ref.get((f, d), [0] * N), (m, f, d)
 
 
 def _ref_count_A(S, T, p):

@@ -33,6 +33,12 @@ CASES = [
     ("jacobi", ["jacobi", "--chi", "7:1", "--m", "3"],
      "537a249e743a80f6998b9ef0cb4caf40e8306ae6282d879eda1efb4c143a95f8",
      "22d055de14c9c49b9bd57f06716cc306b7f7e7dc1e29623f24b4e6709190817f"),
+    ("jacobi", ["jacobi", "--chi", "7:1", "--m", "3", "--mode", "brute"],
+     "df19e3959583e18e85ca94b9485c3b93d47578b8e4b8fdab48ff159b5d026b03",
+     "cc155a7abef10771b9ff08993adabd589864b08117713561c0541670c942415a"),
+    ("jacobi", ["jacobi", "--chi", "35:1,1", "--m", "2", "--mode", "brute"],
+     "b4a4c939d816f7ed91e9f17017f5e6427875be9f0fd9665ab2c5b787540297dc",
+     "5d852ffa5b9d55574694fa39401d4bdebcc66a41be350119b16a030a7dea975f"),
     ("local-density", ["local", "density", "--p", "2", "--mode", "closed"],
      "427a6ab63c624506257602686f797c5e90caead77eca90f7f2de0c104ae4024c",
      "80cbb596ad72d8a29ee0d056c81deb043004347f0b38c50c3cc54894f99b48a5"),
