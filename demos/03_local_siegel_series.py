@@ -15,7 +15,7 @@ print("== local densities: brute stabilized count vs Jordan-data closed form =="
 for A, p in (([[1, 0], [0, 3]], 3), ([[3, 0], [0, 3]], 3), ([[2, 0], [0, 2]], 5)):
     print(f"alpha_{p}({A}) brute = {_density_brute(A, p)}  "
           f"closed = {density_from_symbol(jordan_decompose(A, p), p)}")
-print("alpha_2(A_2) =", local_density(A2, 2), "(smooth even-unimodular count)")
+print("alpha_2(A_2) =", local_density(A2, 2), "(Conway-Sloane 2-adic closed form)")
 
 print("\n== the Siegel series F_p(T, X): coset oracle vs stratified extraction ==")
 G36 = GramMat([[2, 0], [0, 18]])

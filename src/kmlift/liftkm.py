@@ -21,10 +21,9 @@ from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       lfactor_stream, rankin_stream, shifted_L_stream,
                       theta_series, weight2_eisenstein_odd)
-from .plocal import (DyadicBlock, SiegelPoly, _density_dyadic_blocks,
-                     _diag_mat, _kappa_zeta_L, density_from_symbol,
-                     enumerate_zp_classes, siegel_series,
-                     symbol_diagonal)
+from .plocal import (SiegelPoly, _diag_mat, _kappa_zeta_L,
+                     density_from_symbol, enumerate_zp_classes, local_density,
+                     siegel_series, symbol_diagonal)
 from .quadforms import (ClassList, GramMat, disc_split, fundamental_split,
                         hasse_invariant)
 
@@ -446,16 +445,10 @@ def mchi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
 
 def _dyadic_unimodular_factor(d0: int):
     """(alpha_2, hasse) of the even unimodular rank-4 Z_2-class with
-    determinant class d0 (d0 = 1 mod 4 odd)."""
-    if d0 % 8 == 1:
-        blocks = (DyadicBlock(0, "H"), DyadicBlock(0, "H"))
-        rep = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    else:
-        blocks = (DyadicBlock(0, "H"), DyadicBlock(0, "V"))
-        rep = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]
-    alpha = _density_dyadic_blocks(tuple(sorted(blocks, key=lambda b: (b.scale, b.kind))), 4, 10 ** 9)
-    eps = hasse_invariant(rep, 2)
-    return alpha, eps
+    determinant class d0 (d0 = 1 mod 4 odd): H + H, or H + V."""
+    V = [[2, 1], [1, 2]] if d0 % 8 == 5 else [[0, 1], [1, 0]]
+    rep = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0] + V[0], [0, 0] + V[1]]
+    return local_density(rep, 2), hasse_invariant(rep, 2)
 
 
 def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -148,126 +148,102 @@ def dyadic_jordan(G) -> tuple:
 # ---------------------------------------------------------------------------
 # local densities
 
-def local_density(G, p: int, mode="closed", budget=DEFAULT_BUDGET,
-                  a=None) -> Fraction:
+def local_density(G, p: int, mode="closed", budget=DEFAULT_BUDGET) -> Fraction:
     """alpha_p(A) = 2^{-1} lim p^{a(-n^2+n(n+1)/2)} #A_a(A,A); exact."""
     if mode == "brute":
-        return _density_brute(G, p, budget, a)
+        return _density_brute(G, p, budget)
     if mode == "closed":
         if p == 2:
-            return _density_dyadic(G, budget)
+            return _density_dyadic(G)
         return density_from_symbol(jordan_decompose(G, p), p)
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _species_factor(species: int, p: int) -> Fraction:
+    """The inverse Conway-Sloane diagonal factor of a Jordan constituent
+    ("Low-dimensional lattices IV: the mass formula", 1988): 2 prod_{k<s}
+    (1 - p^-2k) for species 2s - 1, times (1 -+ p^-s) for the species +-2s;
+    species 0 gives 1."""
+    if species == 0:
+        return Fraction(1)
+    s = (abs(species) + 1) // 2
+    num = 2 * prod(p ** (2 * k) - 1 for k in range(1, s))
+    den = p ** (s * (s - 1))
+    if species % 2 == 0:
+        num *= p ** s - (1 if species > 0 else -1)
+        den *= p ** s
+    return Fraction(num, den)
+
+
+def _scale_exponent(constituents) -> int:
+    """E = sum_j a_j (n_j(n_j+1)/2 + n_j sum_{k>j} n_k) over the (scale a_j,
+    dim n_j) pairs, sorted by scale."""
+    E, later = 0, sum(n for _, n in constituents)
+    for a, n in constituents:
+        later -= n
+        E += a * (n * (n + 1) // 2 + n * later)
+    return E
+
+
 def density_from_symbol(sym: JordanSymbol, p: int) -> Fraction:
-    """p odd closed form: alpha = 2^(s-1) p^E prod_j u_j with
-    E = sum_j a_j (n_j(n_j+1)/2 + n_j * sum_{k>j} n_k)."""
+    """p odd closed form: alpha = p^E / 2 prod_j factor(species_j); the
+    species of a block is its dim, signed for even dim by whether
+    (-1)^{dim/2} det is a square."""
     blocks = sorted(sym.blocks, key=lambda b: b.scale)
-    s = len(blocks)
-    E = 0
-    for j, b in enumerate(blocks):
-        later = sum(c.dim for c in blocks[j + 1:])
-        E += b.scale * (b.dim * (b.dim + 1) // 2 + b.dim * later)
-    val = Fraction(2) ** (s - 1) * Fraction(p) ** E
+    val = Fraction(p ** _scale_exponent([(b.scale, b.dim) for b in blocks]), 2)
     for b in blocks:
-        val *= _unimodular_density(b.dim, b.detclass, p)
+        sign = legendre((-1) ** (b.dim // 2), p) * b.detclass if b.dim % 2 == 0 else 1
+        val *= _species_factor(sign * b.dim, p)
     return val
 
 
-def _unimodular_density(n: int, detclass: int, p: int) -> Fraction:
-    if n % 2 == 0:
-        m = n // 2
-        delta = legendre((-1) ** m, p) * detclass
-        out = 1 - Fraction(delta, p ** m)
-        for i in range(1, m):
-            out *= 1 - Fraction(1, p ** (2 * i))
-        return out
-    m = (n - 1) // 2
-    out = Fraction(1)
-    for i in range(1, m + 1):
-        out *= 1 - Fraction(1, p ** (2 * i))
-    return out
+def _density_dyadic(G) -> Fraction:
+    """p = 2 closed form, from the Conway-Sloane 2-adic p-mass.
 
-
-_DYADIC_CACHE: dict = {}
-
-
-def _density_dyadic(G, budget=DEFAULT_BUDGET) -> Fraction:
-    """Dyadic dispatch: strip the common 2-power, use the smooth count for a
-    single even-unimodular block, else a cached backtracking count."""
-    blocks = dyadic_jordan(G)
-    c = min(b.scale for b in blocks)
-    n = sum(2 if b.kind in ("H", "V") else 1 for b in blocks)
-    if c > 0:
-        shifted = tuple(DyadicBlock(b.scale - c, b.kind, b.units) for b in blocks)
-        return Fraction(2) ** (c * n * (n + 1) // 2) * _density_dyadic_blocks(shifted, n, budget)
-    return _density_dyadic_blocks(blocks, n, budget)
-
-
-def _density_dyadic_blocks(blocks, n, budget) -> Fraction:
-    key = blocks
-    if key in _DYADIC_CACHE:
-        return _DYADIC_CACHE[key]
-    if all(b.scale == 0 and b.kind in ("H", "V") for b in blocks):
-        # even unimodular: smooth group scheme; Arf = #V mod 2
-        m = n // 2
-        eps = -1 if sum(1 for b in blocks if b.kind == "V") % 2 else 1
-        order = 2 * 2 ** (m * (m - 1)) * (2 ** m - eps)
-        for i in range(1, m):
-            order *= 4 ** i - 1
-        val = Fraction(order, 2 ** (n * (n - 1) // 2 + 1))
-    else:
-        rep = _dyadic_representative(blocks)
-        nu = _pval(mat_det(rep), 2)
-        # odd-type constituents need one extra dyadic digit before the count
-        # settles (a = 1 undercounts the identity form by a factor 2)
-        floor = 2 if any(b.kind == "odd" for b in blocks) else 1
-        a1 = max(nu + 1, max(b.scale for b in blocks) + 1, floor)
-        if 2 ** ((a1 + 1) * n) > 40_000:
-            a1 -= 1  # fall back to the cheaper stabilization pair
-        c1 = _density_brute(rep, 2, budget, a=a1)
-        c2 = _density_brute(rep, 2, budget, a=a1 + 1)
-        if c1 != c2:
-            raise RuntimeError(f"dyadic density did not stabilize for {blocks}")
-        val = c2
-    _DYADIC_CACHE[key] = val
-    return val
-
-
-def _dyadic_representative(blocks):
-    mats = []
-    for b in blocks:
-        s = 2 ** b.scale
+    The dyadic_jordan blocks at each scale form a constituent (dim, det mod 8,
+    odd type, oddity); the octane is the oddity plus 4 when det = +-3 mod 8.
+    Over the scales and one empty scale past each end, a constituent next to
+    an odd-type scale, or of octane +-2, has species 2t + 1; else +2t for
+    octane 0, +-1 and -2t for +-3, 4, with t = dim // 2, less 1 for an
+    even-dim odd-type constituent.  alpha = prod factor(species) times
+    2^(E - n - 1 + n(II) - n(I,I)): n(II) is the dim of the even-type
+    constituents and n(I,I) the number of adjacent odd-type pairs."""
+    cons: dict = {}
+    for b in dyadic_jordan(G):
+        dim, det, odd, oddity = cons.get(b.scale, (0, 1, False, 0))
         if b.kind == "odd":
-            mats.append([[s * b.units[0]]])
-        elif b.kind == "H":
-            mats.append([[0, s], [s, 0]])
+            u = b.units[0]
+            cons[b.scale] = (dim + 1, det * u % 8, True, (oddity + u) % 8)
         else:
-            mats.append([[2 * s, s], [s, 2 * s]])
-    n = sum(len(m) for m in mats)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for m in mats:
-        k = len(m)
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = m[i][j]
-        off += k
-    return out
+            cons[b.scale] = (dim + 2, det * (7 if b.kind == "H" else 3) % 8, odd, oddity)
+    scales = sorted(cons)
+    odd_scales = {s for s in scales if cons[s][2]}
+    # E - n - 1 + n(II) - n(I,I), where n - n(II) is the odd-type dim
+    e = (_scale_exponent([(s, cons[s][0]) for s in scales]) - 1
+         - sum(cons[s][0] for s in odd_scales)
+         - sum(1 for s in odd_scales if s + 1 in odd_scales))
+    val = Fraction(2) ** e
+    for s in range(scales[0] - 1, scales[-1] + 2):
+        dim, det, odd, oddity = cons.get(s, (0, 1, False, 0))
+        t = dim // 2 - (odd and dim % 2 == 0)
+        octane = (oddity + 4 * (det in (3, 5))) % 8
+        if s - 1 in odd_scales or s + 1 in odd_scales or octane in (2, 6):
+            val *= _species_factor(2 * t + 1, 2)
+        else:
+            val *= _species_factor(2 * t if octane in (0, 1, 7) else -2 * t, 2)
+    return val
 
 
-def _density_brute(G, p: int, budget=DEFAULT_BUDGET, a=None) -> Fraction:
-    """Backtracking count of #A_a(A, A); verifies stabilization when a is None."""
+def _density_brute(G, p: int, budget=DEFAULT_BUDGET) -> Fraction:
+    """Backtracking count of #A_a(A, A) at a = nu_p(det) + 1 + [p = 2] and at
+    a + 1, which must agree (odd-type dyadic forms settle one digit later)."""
     A = np.asarray(_int_rows(G), dtype=np.int64)
-    if a is None:
-        a0 = _pval(mat_det(A.tolist()), p) + 1
-        v1 = _aut_cong_count(A, p, a0, budget)
-        v2 = _aut_cong_count(A, p, a0 + 1, budget)
-        if v1 != v2:
-            raise RuntimeError("density did not stabilize; raise a")
-        return v2
-    return _aut_cong_count(A, p, a, budget)
+    a = _pval(mat_det(A.tolist()), p) + 1 + (p == 2)
+    v1 = _aut_cong_count(A, p, a, budget)
+    v2 = _aut_cong_count(A, p, a + 1, budget)
+    if v1 != v2:
+        raise RuntimeError("density did not stabilize")
+    return v2
 
 
 def _aut_cong_count(A, p: int, a: int, budget=DEFAULT_BUDGET) -> Fraction:
@@ -710,7 +686,7 @@ def _kappa_zeta_L(n: int, d: int, bad) -> Fraction:
     return rat
 
 
-def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
+def mass_formula(G: GramMat) -> Fraction:
     """kappa_n 2^{-n/2} det(A)^{(n+1)/2} prod_p alpha_p(A)^{-1}, assembled
     exactly via functional equations; the overall 2-power is reported by the
     genus audit, not assumed here."""
@@ -724,5 +700,5 @@ def mass_formula(G: GramMat, budget=DEFAULT_BUDGET) -> Fraction:
     # |d|^(1/2 - n/2) det^((n+1)/2) with det = |d| f^2 (up to sign)
     rat *= Fraction(abs(d)) * Fraction(f) ** (n + 1)
     for q in bad:
-        rat /= local_density(G, q, mode="closed", budget=budget)
+        rat /= local_density(G, q, mode="closed")
     return rat

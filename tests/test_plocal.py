@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kmlift.characters import legendre
+from kmlift.characters import factorize, legendre
 from kmlift.charsums import BudgetExceeded
 from kmlift.exactalg import _pval
 from kmlift.plocal import (dyadic_jordan, density_from_symbol,
@@ -99,12 +99,70 @@ def test_good_prime_density():
     assert c == 1 - Fraction(legendre(-1, 5), 5)
 
 
+# (gram, alpha_2, mass): the seven det <= 40 classes with nu_2(det) <= 2
+# whose alpha_2 the former brute stabilization could not settle, and a det-8
+# class.  Each of the seven alpha_2 equals the brute count at a single level
+# a = nu_2(det) + 2 (30-65 s per form, so not run here); the masses are
+# consistent with the det-40 audit below
+DYADIC_PINS = [
+    ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], 6, Fraction(1, 96)),
+    ([[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 2, 0], [-1, 0, 0, 4]], 6, Fraction(1, 96)),
+    ([[2, -1, 0, -1], [-1, 2, 0, 0], [0, 0, 2, 0], [-1, 0, 0, 4]], 3, Fraction(1, 24)),
+    ([[2, 0, 0, -1], [0, 2, 0, 0], [0, 0, 2, 0], [-1, 0, 0, 4]], 6, Fraction(1, 24)),
+    ([[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 2, 0], [-1, 0, 0, 8]], 6, Fraction(1, 24)),
+    ([[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 4, 2], [-1, 0, 2, 4]], 6, Fraction(1, 24)),
+    ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 6]], 3, Fraction(1, 48)),
+    ([[2, -1, -1, 0], [-1, 2, 0, 0], [-1, 0, 2, 0], [0, 0, 0, 2]], 12, Fraction(1, 96)),
+]
+
+
 def test_dyadic_densities():
     assert local_density(A2, 2) == Fraction(3, 2)
     assert local_density(A2A2, 2) == Fraction(9, 16)
-    # stabilized backtracking counts (a = 2, 3 agree; a = 4 checked offline)
     assert local_density(D4, 2) == 36
     assert local_density(I4, 2) == 2 ** 10 * Fraction(3, 8)
+    for G, alpha, mass in DYADIC_PINS:
+        assert local_density(G, 2) == alpha, G
+        assert mass_formula(GramMat(G)) == mass, G
+
+
+# ternary forms reaching every species branch of the closed dyadic density
+DYADIC_TERNARY = [
+    [[1, 0, 0], [0, 2, 0], [0, 0, 4]],      # bound: scales 0, 1, 2 odd
+    [[1, 0, 0], [0, 0, 1], [0, 1, 0]],      # free, octane 1
+    [[0, 1, 0], [1, 0, 0], [0, 0, 4]],      # free, octane 0 (H)
+    [[3, 0, 0], [0, 5, 0], [0, 0, 4]],      # free, octane 0, species 0
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],      # free, octane 3
+    [[2, 1, 0], [1, 2, 0], [0, 0, 4]],      # free, octane 4 (V)
+    [[1, 0, 0], [0, 1, 0], [0, 0, 4]],      # free, octane 2
+    [[3, 0, 0], [0, 3, 0], [0, 0, 2]],      # bound, octane 6
+    [[2, 1, 1], [1, 2, 1], [1, 1, 2]],      # det 4: A_3
+]
+
+
+def test_dyadic_density_closed_matches_brute():
+    # the oracle counts at nu_2(det) + 2 and + 3 and checks that they agree
+    forms = [[[a]] for a in range(-8, 9) if a]
+    forms += [[[a, b], [b, c]] for a in range(-3, 5) for b in range(3)
+              for c in range(1, 7) if a * c != b * b]
+    for G in forms + DYADIC_TERNARY:
+        assert local_density(G, 2) == _density_brute(G, 2), G
+
+
+def test_mass_audit_det40(flagship):
+    # group the det <= 40 classes by det, odd-prime Jordan symbols and mass:
+    # each group's sum of 1/e(T) is a positive integer multiple of 2 * mass
+    _, cl, _ = flagship
+    sums = {}
+    for c in cl.classes:
+        D = c.gram.det()
+        key = (D, tuple(jordan_decompose(c.gram, q) for q, _ in factorize(D)
+                        if q != 2), mass_formula(c.gram))
+        sums[key] = sums.get(key, 0) + Fraction(1, c.e)
+    assert len(cl.classes) == 43 and len(sums) == 34
+    for (_, _, mass), total in sums.items():
+        ratio = total / (2 * mass)
+        assert ratio.denominator == 1 and ratio > 0, (total, mass)
 
 
 def test_dyadic_jordan_shapes():
