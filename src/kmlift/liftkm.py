@@ -19,8 +19,8 @@ from .charsums import (_Jm_lambda, gamma_const, h_sum, jacobi_symbol_char,
                        zero_branch)
 from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
-                      lfactor_stream, rankin_stream, shifted_L_stream,
-                      theta_series, weight2_eisenstein_odd)
+                      eisenstein_qexp, lfactor_stream, rankin_stream,
+                      shifted_L_stream, theta_series, weight2_eisenstein_odd)
 from .plocal import (SiegelPoly, _diag_mat, _kappa_zeta_L,
                      density_from_symbol, enumerate_zp_classes, local_density,
                      siegel_series, symbol_diagonal)
@@ -67,17 +67,26 @@ def hecke_Tp2(f: QExp, p: int, lam: int) -> QExp:
     return QExp(f.weight2, (f.prec - 1) // (p * p) + 1, out)
 
 
+# (a, b) with S_{2 lam} = C Delta E_4^a E_6^b: the weights whose cusp space
+# is one-dimensional, so that Delta E_4^a E_6^b is the Shimura lift S(h)
+_SHIMURA_EXPONENTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0),
+                      22: (1, 1), 26: (2, 1)}
+
+
 def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
     """The cuspidal plus-space Hecke eigenform of weight k - n/2 + 1/2 on
-    Gamma_0(4), from the generators theta and F_2, normalized to c(1) = 1.
+    Gamma_0(4), from the generators theta and F_2, normalized to c(1) = 1,
+    with its Shimura lift S(h) = Delta E_4^a E_6^b.
 
-    Supported whenever the construction yields a one-dimensional cuspidal plus
-    subspace (the flagship (k, n) = (8, 4) gives weight 13/2 paired with
-    Delta).
+    Supported when S_{2k - n} is one-dimensional (2k - n in 12, 16, 18, 20,
+    22, 26); the flagship (k, n) = (8, 4) gives weight 13/2 paired with
+    Delta.
     """
     if k % 2 or n % 2:
         raise ValueError("k and n must be even")
     lam = k - n // 2
+    if 2 * lam not in _SHIMURA_EXPONENTS:
+        raise ValueError(f"S_{2 * lam} is not one-dimensional")
     w2 = 2 * lam + 1            # twice the half-integral weight
     theta = theta_series(prec)
     f2 = weight2_eisenstein_odd(prec)
@@ -111,8 +120,10 @@ def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
     else:
         h = h.scale(1 / h.coeff(1))
     # Hecke eigenvalues and the Shimura correspondent (weight 2k - n)
-    delta = delta_qexp(prec)
-    assert 2 * lam == 2 * k - n
+    shimura = delta_qexp(prec)
+    for weight, e in zip((4, 6), _SHIMURA_EXPONENTS[2 * lam]):
+        if e:
+            shimura = shimura * eisenstein_qexp(weight, prec).power(e)
     eigs = {}
     for p in (2, 3, 5):
         tf = hecke_Tp2(h, p, lam)
@@ -121,7 +132,8 @@ def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
         for e in range(tf.prec):
             assert tf.coeff(e) == ev * h.coeff(e), f"not an eigenform at p={p}, e={e}"
         eigs[p] = ev
-    return PlusForm(h, lam, eigs, delta)
+        assert shimura.coeff(p) == ev, f"a_S(h)({p}) != T({p}^2) eigenvalue"
+    return PlusForm(h, lam, eigs, shimura)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,13 @@ def weight2_eisenstein_odd(prec: int) -> QExp:
     return QExp(4, prec, c)
 
 
+def eisenstein_qexp(k: int, prec: int) -> QExp:
+    """E_k = 1 - (2k / B_k) sum_n sigma_{k-1}(n) q^n, level 1, even k >= 4."""
+    c = -2 * k / bernoulli_number(k)
+    return QExp(2 * k, prec, {0: 1, **{m: c * sigma_power(m, k - 1)
+                                       for m in range(1, prec)}})
+
+
 def delta_qexp(prec: int) -> QExp:
     """Delta = q prod (1 - q^n)^24 with exact integer coefficients."""
     # prod (1-q^n) truncated, then 24th power, then shift by q

@@ -73,6 +73,17 @@ CASES = [
       "--with-thm41"],
      "7d179f5e932b842247ebd7241d6c1c2184a32efab4eeae50074201d5aa7d4077",
      "2011d66b2a4b95ae3499ebf126e0f10488ae9207bdf44659f9a782c4da7843e4"),
+    # k = 10: S(h) = Delta E_4; the same digest as at k = 8, since the
+    # fitted constants do not depend on k and the report omits the det bound
+    ("kmverify",
+     ["kmverify", "--n", "4", "--k", "10", "--chi", "5:1", "--det-bound", "40"],
+     "67b4696352c5c153b8c5a860bceabd55ceac0761e95a8329233bfc50ce8de58d",
+     "d824773a394c66323ea82aacb2d1bc6c41f2bf6eb47fbd5b09e78399dcaf0fdd"),
+    ("firstkind",
+     ["firstkind", "--n", "4", "--k", "10", "--chi", "7:2", "--det-bound", "40",
+      "--with-thm41"],
+     "7d179f5e932b842247ebd7241d6c1c2184a32efab4eeae50074201d5aa7d4077",
+     "2011d66b2a4b95ae3499ebf126e0f10488ae9207bdf44659f9a782c4da7843e4"),
 ]
 
 

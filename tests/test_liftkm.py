@@ -2,13 +2,15 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from kmlift.characters import char_group, parse_descriptor
 from kmlift.exactalg import CycloNum
-from kmlift.liftkm import (admissible_indices, build_plus_eigenform,
-                           hecke_Tp2, ikeda_coeff, km_stream, mchi_assemble,
-                           r_chi_assemble, satake_symmetric_eval,
-                           thm56_constant, verify_thm41, verify_thm42,
-                           verify_thm511_61, zero_branch)
+from kmlift.liftkm import (admissible_indices, build_coeff_table,
+                           build_plus_eigenform, hecke_Tp2, ikeda_coeff,
+                           km_stream, mchi_assemble, r_chi_assemble,
+                           satake_symmetric_eval, thm56_constant, verify_thm41,
+                           verify_thm42, verify_thm511_61, zero_branch)
 from kmlift.plocal import siegel_series
 from kmlift.quadforms import GramMat
 
@@ -25,6 +27,34 @@ def test_plus_eigenform_shimura_audit(flagship):
     # eigenvalues equal the Shimura correspondent's Hecke eigenvalues
     for p in (2, 3, 5):
         assert h.eigenvalues[p] == h.shimura.coeff(p)
+
+
+def test_plus_eigenform_refuses_weights_without_one_dim_cusp_space():
+    # S_14 = 0 (k = 8, n = 2) and dim S_24 = 2 (k = 14, n = 4)
+    for k, n in ((8, 2), (14, 4)):
+        with pytest.raises(ValueError):
+            build_plus_eigenform(k, n, prec=40)
+
+
+def test_fitted_constants_do_not_depend_on_k(flagship):
+    # S(h) = Delta, Delta E_4, Delta E_4^2: (c_4, d_4) and (c_{4,7}, d_{4,7})
+    # are the same at every weight
+    h8, cl, table8 = flagship
+    chi7 = parse_descriptor("7:2")
+    for k in (8, 10, 12):
+        h = h8 if k == 8 else build_plus_eigenform(k, 4, prec=260)
+        for p in (2, 3, 5):
+            assert h.shimura.coeff(p) == h.eigenvalues[p]
+        table = table8 if k == 8 else build_coeff_table(cl, h, k, 4)
+        rep = verify_thm41(h, char_group(1).trivial(), table, k, 4, 40)
+        assert rep.passed, k
+        assert rep.constants == {"c_n": "-1/48", "d_n": "-1/576"}, k
+        cn, dn = (CycloNum.from_rational(Fraction(rep.constants[c]))
+                  for c in ("c_n", "d_n"))
+        rep7 = verify_thm511_61(h, chi7, table, k, 4, 40, cn=cn, dn=dn)
+        assert rep7.passed, k
+        assert (rep7.constants["c_{n,N}"], rep7.constants["d_{n,N}"]) == \
+            ("-16464/1", "-1372/1"), k
 
 
 def _qexp_sha(f, prec=260):
