@@ -184,8 +184,11 @@ def cmd_firstkind(args):
     rep = verify_thm511_61(h, chi, table, args.k, args.n, args.det_bound,
                            cn=cn, dn=dn)
     data = rep.to_dict()
+    if args.with_thm41 and cn is None:
+        data["notes"].append("Thm 4.1 did not pass, so Thm 6.1 was not checked")
+        data["passed"] = False
     data["chi"] = chi.descriptor()
-    return _finish(args, "firstkind", data, rep.passed, t0)
+    return _finish(args, "firstkind", data, data["passed"], t0)
 
 
 def _parse_gram(text):

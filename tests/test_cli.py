@@ -121,3 +121,19 @@ def test_cli_charsum_unknown_identity_lists_all(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown identity 'prop9.9'" in err
     assert str(sorted(CHARSUM_SUITES)) in err
+
+
+def test_cli_firstkind_reports_skipped_thm61(tmp_path, monkeypatch, capsys):
+    # a failing Thm 4.1 fit leaves no (c_n, d_n): the report says that
+    # Thm 6.1 was not checked, and the run fails
+    import kmlift.liftkm as lk
+    from kmlift.liftkm import FitReport
+    monkeypatch.setattr(lk, "verify_thm41", lambda *a, **k: FitReport(
+        "thm4.1", {}, [{"D": 5, "lhs": "1", "rhs": "2"}]))
+    assert main(["--out", str(tmp_path), "firstkind", "--n", "4", "--k", "8",
+                 "--chi", "7:2", "--det-bound", "16", "--with-thm41"]) == 1
+    data = json.load(open(tmp_path / "firstkind.json"))
+    assert data["passed"] is False and data["residuals"] == []
+    assert "Thm 6.1 was not checked" in data["notes"][-1]
+    assert "c_{n,N}" not in data["constants"]
+    assert "firstkind: FAIL" in capsys.readouterr().out
