@@ -22,11 +22,13 @@ print("\n== the mass audit ==")
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
 I4 = GramMat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-print("the two det-16 classes split into different genera:",
-      sorted(tuple(b.kind for b in dyadic_jordan(c.gram))
-             for c in cl.by_det(16)))
+kinds = sorted(tuple(b.kind for b in dyadic_jordan(c.gram))
+               for c in cl.by_det(16))
+print("the two det-16 classes split into different genera:", kinds)
+assert len(kinds) == 2 and kinds[0] != kinds[1]
 for name, G, obs in (("A_2", A2, Fraction(1, 6)), ("D_4", D4, Fraction(1, 576)),
                      ("2*1_4", I4, Fraction(1, 192))):
-    print(f"  {name:6s} sum 1/e = {obs}   assembled formula * 2 = "
-          f"{2 * mass_formula(G)}")
+    mass = 2 * mass_formula(G)
+    print(f"  {name:6s} sum 1/e = {obs}   assembled formula * 2 = {mass}")
+    assert mass == obs, name
 print("-> one fitted power of 2 (the displayed formula's orphaned constant)")

@@ -32,6 +32,7 @@ print("\nsecond-kind identity, untwisted:", "PASS" if rep.passed else "FAIL",
 rep5 = verify_thm41(h, parse_descriptor("5:1"), table, 8, 4, B)
 print("second-kind identity, quartic twist:", "PASS" if rep5.passed else "FAIL",
       rep5.constants, "(same constants: depend only on n)")
+assert rep.passed and rep5.passed and rep5.constants == rep.constants
 
 chi7 = parse_descriptor("7:2")
 cn = CycloNum.from_rational(Fraction(rep.constants["c_n"]))
@@ -39,6 +40,7 @@ dn = CycloNum.from_rational(Fraction(rep.constants["d_n"]))
 rep7 = verify_thm511_61(h, chi7, table, 8, 4, B, cn=cn, dn=dn)
 print("first-kind identity at N = 7 (both routes):",
       "PASS" if rep7.passed else "FAIL", rep7.constants)
+assert rep7.passed
 for chi in char_group(5):
     if not chi.is_trivial():
         assert verify_thm511_61(h, chi, table, 8, 4, B).passed

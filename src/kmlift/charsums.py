@@ -771,7 +771,7 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
-    fac = _odd_squarefree_factors(N)
+    _odd_squarefree_factors(N)          # ValueError unless N is odd squarefree
     m = np.asarray(gram).shape[0]
     if zero_branch(chi, m):
         return CycloNum.zero(chi.order)
@@ -781,15 +781,6 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
     tilde = next((c for c in G if (c ** m) == chi), None)
     if tilde is None:
         raise ValueError("no m-th root of chi exists (branch detection bug?)")
-    const = Fraction(1)
-    for p, _ in fac:
-        g = gamma_const(m, p, variant.gamma_mode)
-        if m % 2 == 0:
-            sexp = m if variant.sign_exp == "m" else m - 2
-            A_mp = Fraction((-1) ** (sexp * (p - 1) // 4) * p ** ((m - 2) // 2))
-        else:
-            A_mp = Fraction((-1) ** ((m - 1) * (p - 1) // 4) * p ** ((m - 1) // 2))
-        const *= g * A_mp
     jac = jacobi_symbol_char(N)
     total = None
     for eta in subgroup_Dm(G, m):
@@ -800,7 +791,23 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
             term = term * jacobi_sum(first, jac)
         term = term * _Jm_lambda(lam.conjugate(), m - 1, budget)
         total = term if total is None else total + term
-    return total * const
+    return total * thm56_constant(m, N, variant)
+
+
+def thm56_constant(m: int, N: int, variant: HVariant = None) -> Fraction:
+    """prod_{p | N} A_{m,p} gamma_{m,p}: the Theorem 5.5/5.6 prefactor, with
+    the sign and gamma of the variant (the adjudicated ones by default)."""
+    variant = variant or DEFAULT_H_VARIANT
+    const = Fraction(1)
+    for p, _ in factorize(N):
+        g = gamma_const(m, p, variant.gamma_mode)
+        if m % 2 == 0:
+            sexp = m if variant.sign_exp == "m" else m - 2
+            A_mp = Fraction((-1) ** (sexp * (p - 1) // 4) * p ** ((m - 2) // 2))
+        else:
+            A_mp = Fraction((-1) ** ((m - 1) * (p - 1) // 4) * p ** ((m - 1) // 2))
+        const *= g * A_mp
+    return const
 
 
 def _Jm_lambda(lam: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:

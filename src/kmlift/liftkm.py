@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .characters import (DirichletChar, char_group, factorize, jacobi_sum,
                          kronecker, subgroup_Dm)
-from .charsums import (_Jm_lambda, gamma_const, h_sum, jacobi_symbol_char,
+from .charsums import (_Jm_lambda, h_sum, jacobi_symbol_char, thm56_constant,
                        zero_branch)
 from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
@@ -94,8 +94,7 @@ def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
     a = w2
     b = 0
     while a >= 0:
-        if a >= 0:
-            monomials.append(theta.power(a) * f2.power(b) if b else theta.power(a))
+        monomials.append(theta.power(a) * f2.power(b) if b else theta.power(a))
         a -= 4
         b += 1
     # cuspidal plus space: c(0) = 0 and support on (-1)^lam e = 0,1 mod 4
@@ -114,11 +113,8 @@ def build_plus_eigenform(k: int, n: int, prec: int = 260) -> PlusForm:
     for e in range(prec):
         if ((-1) ** lam * e) % 4 in (2, 3) and h.coeff(e) != 0:
             raise AssertionError(f"plus-space support violated at {e}")
-    if h.coeff(1) == 0:
-        first = next(e for e in range(1, prec) if h.coeff(e))
-        h = h.scale(1 / h.coeff(first))
-    else:
-        h = h.scale(1 / h.coeff(1))
+    first = next(e for e in range(1, prec) if h.coeff(e))
+    h = h.scale(1 / h.coeff(first))
     # Hecke eigenvalues and the Shimura correspondent (weight 2k - n)
     shimura = delta_qexp(prec)
     for weight, e in zip((4, 6), _SHIMURA_EXPONENTS[2 * lam]):
@@ -163,50 +159,41 @@ def satake_symmetric_eval(sp: SiegelPoly, cp: Fraction, k: int, n: int) -> Fract
 
 @dataclass
 class IkedaCoeffTable:
-    n: int
-    k: int
     classes: list               # (ClassRecord, c_I value)
     excluded: list = field(default_factory=list)
 
-    def by_det(self, D):
-        return [(rec, v) for rec, v in self.classes if rec.gram.det() == D]
 
-
-def ikeda_coeff(G: GramMat, h: PlusForm, k: int, n: int,
-                siegel_cache: dict = None) -> Fraction:
+def ikeda_coeff(G: GramMat, h: PlusForm, k: int, n: int) -> Fraction:
     """c_{I_n(h)}(T) = c_h(|d_T|) prod_p (p^(k-n/2-1/2))^{nu_p(f_T)} F~_p(T, beta_p)."""
     d, f = disc_split(G)
-    ch = h.coeff(abs(d))
-    if ch == 0 and abs(d) >= h.qexp.prec:
-        raise ValueError("h coefficient table too short")
-    out = Fraction(ch)
+    out = h.coeff(abs(d))
     if out == 0:
+        if abs(d) >= h.qexp.prec:
+            raise ValueError("h coefficient table too short")
         return out
     for p, e in factorize(f):
-        key = (G.entries, p)
-        if siegel_cache is not None and key in siegel_cache:
-            sp = siegel_cache[key]
-        else:
-            sp = siegel_series(G, p, mode="stratified")
-            if siegel_cache is not None:
-                siegel_cache[key] = sp
+        sp = siegel_series(G, p, mode="stratified")
         cp = h.shimura.coeff(p)
         out *= satake_symmetric_eval(sp, cp, k, n)
     return out
 
 
-def build_coeff_table(classes: ClassList, h: PlusForm, k: int, n: int,
-                      nu2_cap: int = 2) -> IkedaCoeffTable:
+# the dyadic scope: classes with nu_2(det 2T) above this cap are left out
+# of the coefficient table, and such indices are not checked
+NU2_CAP = 2
+
+
+def build_coeff_table(classes: ClassList, h: PlusForm, k: int,
+                      n: int) -> IkedaCoeffTable:
     """Ikeda coefficients for every class within the dyadic scope; classes with
-    nu_2(det) above the cap are excluded with a report entry."""
-    table = IkedaCoeffTable(n, k, [])
-    cache: dict = {}
+    nu_2(det) above NU2_CAP are excluded with a report entry."""
+    table = IkedaCoeffTable([])
     for rec in classes.classes:
         D = rec.gram.det()
-        if _pval(D, 2) > nu2_cap:
-            table.excluded.append({"det": D, "reason": f"nu_2({D}) > {nu2_cap}"})
+        if _pval(D, 2) > NU2_CAP:
+            table.excluded.append({"det": D, "reason": f"nu_2({D}) > {NU2_CAP}"})
             continue
-        v = ikeda_coeff(rec.gram, h, k, n, cache)
+        v = ikeda_coeff(rec.gram, h, k, n)
         table.classes.append((rec, v))
     return table
 
@@ -214,19 +201,8 @@ def build_coeff_table(classes: ClassList, h: PlusForm, k: int, n: int,
 # ---------------------------------------------------------------------------
 # Koecher-Maass streams
 
-@dataclass
-class KMStream:
-    kind: str
-    chi_desc: str
-    bound: int
-    coeffs: dict                # D -> CycloNum
-
-    def coeff(self, D) -> CycloNum:
-        return self.coeffs.get(D, CycloNum.zero())
-
-
 def km_stream(table: IkedaCoeffTable, chi: DirichletChar, kind: str,
-              bound: int) -> KMStream:
+              bound: int) -> DirStream:
     """Det-indexed coefficients: second kind weights by chi(det 2T); first kind
     weights by h(A, chi) (whose normalization carries e_N versus e through the
     coset identity)."""
@@ -241,13 +217,9 @@ def km_stream(table: IkedaCoeffTable, chi: DirichletChar, kind: str,
             w = h_sum(rec.gram.rows(), chi)
         else:
             raise ValueError("kind must be 'first' or 'second'")
-        if w.is_zero():
-            continue
         term = w * Fraction(cv, rec.e)
         out[D] = out.get(D, CycloNum.zero()) + term
-        if out[D].is_zero():
-            del out[D]
-    return KMStream(kind, chi.descriptor(), bound, out)
+    return DirStream(bound, out)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +232,15 @@ class FitReport:
     residuals: list
     notes: list = field(default_factory=list)
     checked: int = 0            # indices compared beyond the fit; not emitted
+
+    def compare(self, D, lhs, rhs, route=None, rhs_text=None):
+        """Count index D as checked; record it as a residual unless lhs == rhs."""
+        self.checked += 1
+        if lhs == rhs:
+            return
+        rec = {"D": D} if route is None else {"D": D, "route": route}
+        rec.update(lhs=repr(lhs), rhs=rhs_text or repr(rhs))
+        self.residuals.append(rec)
 
     @property
     def passed(self):
@@ -289,13 +270,14 @@ def shifted_l_side_stream(h: PlusForm, chi: DirichletChar, n: int,
                             [2 * j - 1 for j in range(1, n // 2 + 1)], bound)
 
 
-def admissible_indices(bound: int, nu2_cap: int = 2):
+def admissible_indices(bound: int, nu2_cap: int = NU2_CAP):
     return [D for D in range(1, bound + 1)
             if D % 4 in (0, 1) and _pval(D, 2) <= nu2_cap]
 
 
 def verify_thm41(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
-                 k: int, n: int, bound: int = 40, nu2_cap: int = 2) -> FitReport:
+                 k: int, n: int, bound: int = 40,
+                 nu2_cap: int = NU2_CAP) -> FitReport:
     """Fit (c_n, d_n) on the first two usable indices and verify every other
     admissible index exactly; the 2^(ns)-type monomial is the identity map
     D = integer index (reported, not assumed silently)."""
@@ -319,17 +301,15 @@ def verify_thm41(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     cn = (lhs.coeff(D1) * r2.coeff(D2) - lhs.coeff(D2) * r2.coeff(D1)) / det
     dn = (r1.coeff(D1) * lhs.coeff(D2) - r1.coeff(D2) * lhs.coeff(D1)) / det
     dn = dn / ch1
-    residuals = []
-    for D in idxs:
-        rhs = cn * r1.coeff(D) + dn * ch1 * r2.coeff(D)
-        if not (lhs.coeff(D) == rhs):
-            residuals.append({"D": D, "lhs": repr(lhs.coeff(D)), "rhs": repr(rhs)})
-    consts = {}
-    for label, v in (("c_n", cn), ("d_n", dn)):
-        consts[label] = _cyclo_str(v)
     notes = [f"fit indices D = {D1}, {D2}",
              "index normalization: integer index = det(2T) (2^{ns} absorbed)"]
-    return FitReport("thm4.1", consts, residuals, notes, checked=len(idxs) - 2)
+    report = FitReport("thm4.1", {"c_n": _cyclo_str(cn), "d_n": _cyclo_str(dn)},
+                       [], notes)
+    for D in idxs:
+        if D not in (D1, D2):       # the fit holds there by construction
+            rhs = cn * r1.coeff(D) + dn * ch1 * r2.coeff(D)
+            report.compare(D, lhs.coeff(D), rhs)
+    return report
 
 
 def _cyclo_str(v: CycloNum) -> str:
@@ -342,82 +322,77 @@ def _cyclo_str(v: CycloNum) -> str:
 # ---------------------------------------------------------------------------
 # Theorems 5.11 and 6.1 (first kind)
 
-def thm56_constant(n: int, N: int, gamma_mode="corrected") -> Fraction:
-    """prod_i (-1)^(n(p_i-1)/4) p_i^((n-2)/2) gamma_{n,p_i}: the Theorem 5.6
-    prefactor with the adjudicated sign and gamma."""
-    out = Fraction(1)
-    for p, _ in factorize(N):
-        out *= Fraction((-1) ** (n * (p - 1) // 4) * p ** ((n - 2) // 2))
-        out *= gamma_const(n, p, gamma_mode)
+def _eta_weights(chi: DirichletChar, n: int, conj_first=False) -> list:
+    """(lam, conj(lam)(2^n) J(lam, (*/N)) J_{n-1}(conj(lam))) for lam = chi * eta,
+    eta over the characters mod N with eta^n = 1: the eta-sum weights of
+    Theorems 5.11 / 6.1 and of the section-7 assembly.  conj_first takes
+    J(conj(lam), (*/N)) instead, as the section-7 display prints it."""
+    N = chi.modulus
+    jac = jacobi_symbol_char(N)
+    out = []
+    for eta in subgroup_Dm(char_group(N), n):
+        lam = chi * eta
+        first = lam.conjugate() if conj_first else lam
+        out.append((lam, lam.conjugate()(pow(2, n, N)) * jacobi_sum(first, jac)
+                    * _Jm_lambda(lam.conjugate(), n - 1)))
     return out
 
 
-def _eta_weights(chi: DirichletChar, n: int):
-    """(lam, conj(lam)(2^n) J(lam, (*/N)) J_{n-1}(conj(lam))) for lam = chi * eta,
-    eta over the characters mod N with eta^n = 1: the eta-sum weights of
-    Theorems 5.11 / 6.1 and of the section-7 assembly."""
-    N = chi.modulus
-    jac = jacobi_symbol_char(N)
-    for eta in subgroup_Dm(char_group(N), n):
-        lam = chi * eta
-        yield lam, lam.conjugate()(pow(2, n, N)) * jacobi_sum(lam, jac) \
-            * _Jm_lambda(lam.conjugate(), n - 1)
+def _eta_sum(weights: list, stream, bound: int) -> DirStream:
+    """sum over the eta-weights (lam, w) of w * stream(lam)."""
+    total = DirStream(bound)
+    for lam, w in weights:
+        total = total + stream(lam).scale(w)
+    return total
+
+
+def _r_chi(h: PlusForm, weights: list, k: int, n: int, bound: int) -> DirStream:
+    return _eta_sum(weights, lambda lam: rankin_side_stream(h, lam, k, n, bound),
+                    bound)
+
+
+def _m_chi(h: PlusForm, weights: list, n: int, bound: int) -> DirStream:
+    return _eta_sum(weights, lambda lam: shifted_l_side_stream(h, lam, n, bound),
+                    bound)
 
 
 def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
-                     k: int, n: int, bound: int = 40, nu2_cap: int = 2,
+                     k: int, n: int, bound: int = 40, nu2_cap: int = NU2_CAP,
                      cn: CycloNum = None, dn: CycloNum = None) -> FitReport:
     """Both first-kind routes: the direct h(A,chi)-weighted stream versus the
     Theorem 5.11 eta-combination of second-kind streams, then (given the
-    fitted Theorem 4.1 constants) the Theorem 6.1 combination."""
+    fitted Theorem 4.1 constants) the Theorem 6.1 combination
+    C_N (c_n R^(chi~) + d_n c_h(1) M^(chi~)) with chi~^n = chi."""
     N = chi.modulus
     idxs = admissible_indices(bound, nu2_cap)
     direct = km_stream(table, chi, "first", bound)
     report = FitReport("thm5.11+6.1", {}, [])
     if zero_branch(chi, n):
         for D in idxs:
-            if not direct.coeff(D).is_zero():
-                report.residuals.append({"D": D, "lhs": repr(direct.coeff(D)),
-                                         "rhs": "0 (branch 1)"})
-        report.checked = len(idxs)
+            report.compare(D, direct.coeff(D), 0, rhs_text="0 (branch 1)")
         report.notes.append("branch (1): chi^(p)(u_0) != 1; stream must vanish")
         return report
     tilde = next(c for c in char_group(N) if (c ** n) == chi)
     CN = thm56_constant(n, N)
+    weights = _eta_weights(tilde, n)
     # Theorem 5.11 route: direct == CN * sum_eta w_eta * L*(chi tilde eta)
-    comb = {D: CycloNum.zero() for D in idxs}
-    comb61 = {D: CycloNum.zero() for D in idxs}
-    for lam, w in _eta_weights(tilde, n):
-        second = km_stream(table, lam, "second", bound)
-        for D in idxs:
-            comb[D] = comb[D] + w * second.coeff(D)
-        if cn is None:
-            continue
-        r1 = rankin_side_stream(h, lam, k, n, bound)
-        r2 = shifted_l_side_stream(h, lam, n, bound)
-        for D in idxs:
-            comb61[D] = comb61[D] + w * (cn * r1.coeff(D)
-                                         + dn * Fraction(h.coeff(1)) * r2.coeff(D))
+    second = _eta_sum(weights, lambda lam: km_stream(table, lam, "second", bound),
+                      bound)
     for D in idxs:
-        rhs = comb[D] * CN
-        if not (direct.coeff(D) == rhs):
-            report.residuals.append({"D": D, "route": "5.11",
-                                     "lhs": repr(direct.coeff(D)), "rhs": repr(rhs)})
-    report.checked = len(idxs)
+        report.compare(D, direct.coeff(D), second.coeff(D) * CN, "5.11")
     report.constants["C_N (Thm 5.6 prefactor, corrected gamma)"] = \
         f"{CN.numerator}/{CN.denominator}"
-    if cn is not None:
-        for D in idxs:
-            rhs = comb61[D] * CN
-            if not (direct.coeff(D) == rhs):
-                report.residuals.append({"D": D, "route": "6.1",
-                                         "lhs": repr(direct.coeff(D)),
-                                         "rhs": repr(rhs)})
-        report.checked += len(idxs)
-        report.constants["c_{n,N}"] = _cyclo_str(cn * CN)
-        report.constants["d_{n,N}"] = _cyclo_str(dn * CN)
-        report.notes.append("(c_{n,N}, d_{n,N}) = C_N * (c_n, d_n): "
-                            "proportionality verified by the residual check")
+    if cn is None:
+        return report
+    R = _r_chi(h, weights, k, n, bound)
+    M = _m_chi(h, weights, n, bound)
+    for D in idxs:
+        rhs = (cn * R.coeff(D) + dn * Fraction(h.coeff(1)) * M.coeff(D)) * CN
+        report.compare(D, direct.coeff(D), rhs, "6.1")
+    report.constants["c_{n,N}"] = _cyclo_str(cn * CN)
+    report.constants["d_{n,N}"] = _cyclo_str(dn * CN)
+    report.notes.append("(c_{n,N}, d_{n,N}) = C_N * (c_n, d_n): "
+                        "proportionality verified by the residual check")
     return report
 
 
@@ -431,25 +406,15 @@ def r_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
     the brute-validated Theorem 5.6 weights so that the L(s, I_n(h), chi^n)
     reconstruction is internally consistent.
     """
-    N = chi.modulus
-    if (chi ** n).conductor != N:
+    if (chi ** n).conductor != chi.modulus:
         raise ValueError("chi^n must be primitive for the section-7 assembly")
-    total = DirStream(bound, {})
-    for lam, w in _eta_weights(chi, n):
-        if variant == "printed":
-            J1 = jacobi_sum(lam, jacobi_symbol_char(N))
-            w = w * J1.conjugate() / J1
-        total = total + rankin_side_stream(h, lam, k, n, bound).scale(w)
-    return total
+    return _r_chi(h, _eta_weights(chi, n, variant == "printed"), k, n, bound)
 
 
 def mchi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
                   bound: int = 40) -> DirStream:
     """The companion M^(chi) combination of pure shifted-L products."""
-    total = DirStream(bound, {})
-    for lam, w in _eta_weights(chi, n):
-        total = total + shifted_l_side_stream(h, lam, n, bound).scale(w)
-    return total
+    return _m_chi(h, _eta_weights(chi, n), n, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +454,8 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
         expo = Fraction(1 - n, 2) + Fraction(n + 1 - 2 * k, 4)
         pp = PPow(1, {q: expo * e for q, e in factorize(abs(d0))})
         # finite local factors
-        branch = {"iota": PPow(1), "eps": PPow(1)}
         a2, eps2 = _dyadic_unimodular_factor(d0 % 8)
-        branch["iota"] = branch["iota"] * PPow(1 / a2)
-        branch["eps"] = branch["eps"] * PPow(Fraction(eps2) / a2)
+        branch = {"iota": PPow(1 / a2), "eps": PPow(Fraction(eps2) / a2)}
         ok = True
         for p in [q for q in bad if q != 2]:
             nu = _pval(D, p)
@@ -529,8 +492,5 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
             report.constants["fitted 2-power"] = f"{fitted.numerator}/{fitted.denominator}"
             continue
         scale = fitted if fitted is not None else Fraction(1)
-        report.checked += 1
-        if not (got == want * scale):
-            report.residuals.append({"D": D, "lhs": repr(got),
-                                     "rhs": repr(want * scale)})
+        report.compare(D, got, want * scale)
     return report

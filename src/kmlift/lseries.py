@@ -280,11 +280,10 @@ def delta_qexp(prec: int) -> QExp:
 class DirStream:
     """Finite map {1..bound} -> CycloNum with Dirichlet convolution."""
 
-    __slots__ = ("bound", "coeffs", "tag")
+    __slots__ = ("bound", "coeffs")
 
-    def __init__(self, bound: int, coeffs=None, tag=""):
+    def __init__(self, bound: int, coeffs=None):
         self.bound = int(bound)
-        self.tag = tag
         self.coeffs = {}
         for k, v in (coeffs or {}).items():
             if 1 <= int(k) <= self.bound:
@@ -295,7 +294,7 @@ class DirStream:
     def coeff(self, k) -> CycloNum:
         return self.coeffs.get(k, CycloNum.zero())
 
-    def convolve(self, other: "DirStream", tag="") -> "DirStream":
+    def convolve(self, other: "DirStream") -> "DirStream":
         bound = min(self.bound, other.bound)
         c = {}
         for a, va in self.coeffs.items():
@@ -305,11 +304,10 @@ class DirStream:
                 k = a * b
                 if k <= bound:
                     c[k] = c.get(k, CycloNum.zero()) + va * vb
-        return DirStream(bound, c, tag or f"({self.tag})*({other.tag})")
+        return DirStream(bound, c)
 
     def scale(self, v) -> "DirStream":
-        return DirStream(self.bound, {k: c * v for k, c in self.coeffs.items()},
-                         self.tag)
+        return DirStream(self.bound, {k: c * v for k, c in self.coeffs.items()})
 
     def __add__(self, other):
         bound = min(self.bound, other.bound)
@@ -317,7 +315,7 @@ class DirStream:
         for k, v in other.coeffs.items():
             if k <= bound:
                 c[k] = c.get(k, CycloNum.zero()) + v
-        return DirStream(bound, c, self.tag)
+        return DirStream(bound, c)
 
     def __eq__(self, other):
         bound = min(self.bound, other.bound)
@@ -344,7 +342,7 @@ def hecke_stream(f: QExp, chi, bound: int) -> DirStream:
         if v.is_zero():
             continue
         c[m] = v * a
-    return DirStream(bound, c, "hecke")
+    return DirStream(bound, c)
 
 
 def lfactor_stream(f: QExp, chi, a: int, bound: int) -> DirStream:
@@ -358,7 +356,7 @@ def lfactor_stream(f: QExp, chi, a: int, bound: int) -> DirStream:
             if not v.is_zero():
                 c[m * m] = v * (co * Fraction(m) ** a)
         m += 1
-    return DirStream(bound, c, f"L(2s-{a})")
+    return DirStream(bound, c)
 
 
 def char_L_stream(chi, a: int, bound: int) -> DirStream:
@@ -370,7 +368,7 @@ def char_L_stream(chi, a: int, bound: int) -> DirStream:
         if not v.is_zero():
             c[d * d] = v * Fraction(d) ** a
         d += 1
-    return DirStream(bound, c, f"Lchar(2s-{a})")
+    return DirStream(bound, c)
 
 
 def rankin_stream(h1: QExp, h2: QExp, chi, k1: int, k2: int, bound: int,
@@ -392,7 +390,7 @@ def rankin_stream(h1: QExp, h2: QExp, chi, k1: int, k2: int, bound: int,
         if v.is_zero():
             continue
         core[m] = v * a
-    core_stream = DirStream(bound, core, "core")
+    core_stream = DirStream(bound, core)
     chi2 = chi * chi
     if variant == "R":
         pref = char_L_stream(chi2, k1 + k2 - 1, bound)
@@ -400,7 +398,7 @@ def rankin_stream(h1: QExp, h2: QExp, chi, k1: int, k2: int, bound: int,
         pref = _twisted_char_L_stream(chi2, k1 - k2, k1 + k2 - 1, bound)
     else:
         raise ValueError("variant must be 'R' or 'Rtilde'")
-    return pref.convolve(core_stream, tag=f"{variant}-stream")
+    return pref.convolve(core_stream)
 
 
 def _twisted_char_L_stream(chi2, k_diff: int, a: int, bound: int) -> DirStream:
@@ -416,7 +414,7 @@ def _twisted_char_L_stream(chi2, k_diff: int, a: int, bound: int) -> DirStream:
             if kron:
                 c[d * d] = v * (Fraction(kron) * Fraction(d) ** a)
         d += 1
-    return DirStream(bound, c, f"Ltwisted(2s-{a})")
+    return DirStream(bound, c)
 
 
 def shifted_L_stream(f: QExp, chi2, shifts, bound: int) -> DirStream:

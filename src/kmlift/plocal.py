@@ -489,14 +489,16 @@ def _stratified_A(G, p) -> list:
     they cancel unless G w = 0 mod p; then every lift, and every multiple of
     w, has the same T[v] mod p^2."""
     n = G.n
-    _, GV, Q, A1 = _modp_vectors(G, p)
+    vecs = _modp_vectors(G, p)
+    _, GV, Q, A1 = vecs
     rad = Q[(Q % p == 0) & (GV % p == 0).all(axis=1)]
     rank1 = p ** (n - 1) * int(np.where(rad % (p * p), -p, p * p - p).sum())
-    return [1, A1, rank1 // (p - 1) + _rank2_modp_sum(G, p)]
+    return [1, A1, rank1 // (p - 1) + _rank2_modp_sum(vecs, p)]
 
 
-def _rank2_modp_sum(G, p) -> int:
-    """Sum of e(tr(T S)/p) over the rank-2 symmetric S mod p, for every prime p.
+def _rank2_modp_sum(vecs, p) -> int:
+    """Sum of e(tr(T S)/p) over the rank-2 symmetric S mod p, for every prime p,
+    from the vectors ``vecs = _modp_vectors(G, p)`` of the form.
 
     Each such S is B^t C B for a unique plane W = row space of B and a unique
     invertible symmetric 2x2 C, with tr(T B^t C B) = tr(T_W C).  Over all C the
@@ -507,8 +509,8 @@ def _rank2_modp_sum(G, p) -> int:
     T_W = 0 mod p: their ordered bases are the independent pairs (v, w) in
     Z = {v : p | T[v]} with v G w = 0 mod p, and the dependent such pairs are
     the |Z| (p - 1) pairs w = a v."""
-    n = G.n
-    V, GV, Q, A1 = _modp_vectors(G, p)
+    V, GV, Q, A1 = vecs
+    n = V.shape[1]
     Z = Q % p == 0
     VZ, GZ = V[Z], GV[Z]
     step = max(1, _CHUNK // max(1, len(VZ)))

@@ -433,7 +433,6 @@ def fundamental_split(delta: int) -> DiscSplit:
 
 
 def _exact_isqrt(k: int) -> int:
-    from math import isqrt
     r = isqrt(k)
     if r * r != k:
         raise ValueError(f"{k} is not a perfect square")

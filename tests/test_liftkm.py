@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from kmlift.characters import char_group, parse_descriptor
+from kmlift.charsums import thm56_constant, zero_branch
 from kmlift.exactalg import CycloNum
 from kmlift.liftkm import (admissible_indices, build_coeff_table,
                            build_plus_eigenform, hecke_Tp2, ikeda_coeff,
                            km_stream, mchi_assemble, r_chi_assemble,
-                           satake_symmetric_eval, thm56_constant, verify_thm41,
-                           verify_thm42, verify_thm511_61, zero_branch)
+                           satake_symmetric_eval, verify_thm41, verify_thm42,
+                           verify_thm511_61)
 from kmlift.plocal import siegel_series
 from kmlift.quadforms import GramMat
 
@@ -200,6 +201,36 @@ def test_verify_thm511_61(flagship):
     assert rep.constants["d_{n,N}"] == "-1372/1"
     # the constants factor through the Theorem 5.6 prefactor
     assert thm56_constant(4, 7) * Fraction(-1, 48) == -16464
+
+
+def test_verify_thm511_61_at_composite_modulus(flagship, classlist16):
+    # every non-vanishing character mod 35 has an imprimitive chi^n, so the
+    # section-7 guard of r_chi_assemble must stay out of the check
+    h = flagship[0]
+    table = build_coeff_table(classlist16, h, 8, 4)
+    chi = parse_descriptor("35:0,2")
+    cn = CycloNum.from_rational(Fraction(-1, 48))
+    dn = CycloNum.from_rational(Fraction(-1, 576))
+    rep = verify_thm511_61(h, chi, table, 8, 4, 16, cn=cn, dn=dn)
+    assert rep.passed and rep.checked == 12
+    assert rep.constants == {
+        "C_N (Thm 5.6 prefactor, corrected gamma)": "56899584000/1",
+        "c_{n,N}": "-1185408000/1", "d_{n,N}": "-98784000/1"}
+    with pytest.raises(ValueError):
+        r_chi_assemble(h, chi, 8, 4, 16)
+
+
+def test_thm61_residuals_name_the_route(flagship):
+    # a wrong c_n leaves the Theorem 5.11 route clean and fails Theorem 6.1
+    h, cl, table = flagship
+    cn = CycloNum.from_rational(Fraction(-1, 47))
+    dn = CycloNum.from_rational(Fraction(-1, 576))
+    rep = verify_thm511_61(h, parse_descriptor("7:2"), table, 8, 4, 16,
+                           cn=cn, dn=dn)
+    assert not rep.passed and rep.residuals
+    for res in rep.residuals:
+        assert list(res) == ["D", "route", "lhs", "rhs"]
+        assert res["route"] == "6.1"
 
 
 def test_verify_thm511_without_constants_builds_no_streams(flagship, monkeypatch):

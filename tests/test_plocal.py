@@ -14,8 +14,8 @@ from kmlift.plocal import (dyadic_jordan, density_from_symbol,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
                            _SNF_BUCKET_CACHE, _aut_cong_count, _density_brute,
-                           _oracle_A_coeffs, _rank2_modp_sum, _snf_buckets,
-                           _stratified_A)
+                           _modp_vectors, _oracle_A_coeffs, _rank2_modp_sum,
+                           _snf_buckets, _stratified_A)
 from kmlift.quadforms import GramMat, is_positive_definite
 
 A2 = GramMat([[2, 1], [1, 2]])
@@ -259,7 +259,8 @@ def test_rank2_plane_route_matches_every_symmetric_matrix(n, p):
     rng = random.Random(1000 * n + p)
     for _ in range(8):
         G = _random_even_pd(n, rng)
-        assert _rank2_modp_sum(G, p) == _rank2_brute(G, p, rank2, pairs), G
+        assert _rank2_modp_sum(_modp_vectors(G, p), p) == \
+            _rank2_brute(G, p, rank2, pairs), G
 
 
 def test_ranks_mod_p_reference():
@@ -271,7 +272,8 @@ def test_ranks_mod_p_reference():
 
 @pytest.mark.parametrize("n,p", sorted(RANK2_COUNTS))
 def test_plane_sum_with_zero_form_counts_rank2_matrices(n, p):
-    assert _rank2_modp_sum(GramMat([[0] * n] * n), p) == RANK2_COUNTS[n, p]
+    zero = _modp_vectors(GramMat([[0] * n] * n), p)
+    assert _rank2_modp_sum(zero, p) == RANK2_COUNTS[n, p]
 
 
 def _normalized(p, n, q):
@@ -324,8 +326,8 @@ def test_stratified_counts_match_normalized_vector_loops():
                      for v in _normalized(p, n, p))
             rank1 = sum(_ramanujan_p2(p, _tval(G, v))
                         for v in _normalized(p, n, p * p))
-            assert (A[0], A[1], A[2] - _rank2_modp_sum(G, p)) == \
-                (1, A1, rank1), (G, p)
+            rank2 = _rank2_modp_sum(_modp_vectors(G, p), p)
+            assert (A[0], A[1], A[2] - rank2) == (1, A1, rank1), (G, p)
             signs.add((rank1 > 0) - (rank1 < 0))
     assert signs == {-1, 0, 1}        # both radical branches occur
 
