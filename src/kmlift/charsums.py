@@ -308,10 +308,11 @@ def _rep_count(X, S, T, q, dq):
 
     This is the representation count behind Lemma 5.1 (``count_A_brute``)
     and the brute local densities (``plocal._aut_cong_count``, where the
-    dyadic diagonal is read mod 2q).  The rows are fixed one at a time; each
-    later row keeps the index array of the candidates still allowed, a branch
-    stops once one of them is empty, and the last two rows are one chunked
-    pairing count; S and T are int64 arrays."""
+    dyadic diagonal is read mod 2q).  The rows above the last three are fixed
+    one at a time; each later row keeps the index array of the candidates
+    still allowed, and a branch stops once one of them is empty.  The last
+    three rows are counted with pair tables (``_rep_triples``), the last two
+    with one chunked pairing count; S and T are int64 arrays."""
     norms = _norms(X, S % dq, dq)
     cands = [np.flatnonzero(norms == T[i, i] % dq) for i in range(T.shape[0])]
     return _rep_rows(X, S % q, T % q, q, cands)
@@ -319,7 +320,12 @@ def _rep_count(X, S, T, q, dq):
 
 def _rep_rows(X, S, T, q, cands):
     """Completions of the last len(cands) rows; cands[k] indexes the rows of
-    X still allowed for row r - len(cands) + k."""
+    X still allowed for row r - len(cands) + k.  With more than three rows
+    left, or three whose m12 table or residue table would pass _CHUNK
+    entries, the first of them is fixed candidate by candidate.  (Blocking
+    m12 instead would rebuild m02 for every block, and the pair count
+    grows like len(c0) len(c1) len(c2) / q: on the ternary lists mod 121
+    that took ten times the per-candidate loop.)"""
     i = T.shape[0] - len(cands)
     if len(cands) == 1:
         return len(cands[0])
@@ -331,6 +337,9 @@ def _rep_rows(X, S, T, q, cands):
         for lo in range(0, left.shape[0], step):
             count += int((left[lo:lo + step] @ right % q == T[i, i + 1]).sum())
         return count
+    if len(cands) == 3 and max(len(cands[1]) * len(cands[2]),
+                               X.shape[1] * (q - 1) ** 2) < _CHUNK:
+        return _rep_triples(X, S, T, q, i, *cands)
     count = 0
     for x in X[cands[0]]:
         xs = x @ S % q
@@ -342,6 +351,34 @@ def _rep_rows(X, S, T, q, cands):
             rest.append(c)
         else:
             count += _rep_rows(X, S, T, q, rest)
+    return count
+
+
+def _rep_triples(X, S, T, q, i, c0, c1, c2):
+    """The triples (x0, x1, x2) of rows of X[c0], X[c1], X[c2] with
+    x_a S x_b^t = T[i + a, i + b] mod q for a < b.
+
+    Two boolean tables over c2, m02[x0, x2] and m12[x1, x2], hold the
+    congruences with row i + 2; each compatible pair (x0, x1) then counts
+    the x2 of m02[x0] & m12[x1], so every triple is still decided by its
+    three congruences.  A product (x S mod q) . x' of rows reduced mod q lies
+    in [0, m (q-1)^2] and is read off a residue table of that length instead
+    of being reduced.  m12 and the residue table are one array each (the
+    caller keeps both within _CHUNK entries); c0 is taken in blocks, so that
+    m02, the pair mask and each slice of gathered rows also hold at most
+    _CHUNK entries."""
+    res = np.arange(X.shape[1] * (q - 1) ** 2 + 1) % q
+    X1, X2 = X[c1] % q, X[c2].T % q
+    m12 = (res == T[i + 1, i + 2])[X1 @ S % q @ X2]
+    step = max(1, _CHUNK // max(1, len(c1), len(c2)))
+    count = 0
+    for lo0 in range(0, len(c0), step):
+        Y0 = X[c0[lo0:lo0 + step]] @ S % q
+        m02 = (res == T[i, i + 2])[Y0 @ X2]
+        e0, e1 = np.nonzero((res == T[i, i + 1])[Y0 @ X1.T])
+        for lo in range(0, len(e0), step):
+            count += int(np.count_nonzero(
+                m02[e0[lo:lo + step]] & m12[e1[lo:lo + step]]))
     return count
 
 

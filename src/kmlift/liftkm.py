@@ -411,7 +411,7 @@ def r_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
     return _r_chi(h, _eta_weights(chi, n, variant == "printed"), k, n, bound)
 
 
-def mchi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
+def mchi_assemble(h: PlusForm, chi: DirichletChar, n: int,
                   bound: int = 40) -> DirStream:
     """The companion M^(chi) combination of pure shifted-L products."""
     return _m_chi(h, _eta_weights(chi, n), n, bound)

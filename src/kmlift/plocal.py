@@ -29,7 +29,7 @@ from .charsums import (_CHUNK, DEFAULT_BUDGET, BudgetExceeded, _rep_count,
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
                        geometric_inverse, mat_det, p_half_power, poly_mul)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
-from .quadforms import GramMat, fundamental_split, hasse_invariant
+from .quadforms import GramMat, _hasse_diagonal, fundamental_split
 
 # largest S_n(Z/p^j) table the oracle route enumerates
 _ORACLE_CAP = 4_500_000
@@ -596,13 +596,14 @@ def p_series(n: int, p: int, d0, omega: str, prec: int, mode="brute",
     coeffs: dict = {}
     for sym in enumerate_zp_classes(n, p, d0, prec - 1):
         nu = sym.valuation()
-        G = GramMat(_diag_mat([2 * d for d in symbol_diagonal(sym, p)]))
+        diag = [2 * d for d in symbol_diagonal(sym, p)]
+        G = GramMat(_diag_mat(diag))
         sp = siegel_series(G, p, mode="stratified")
         ft = sp.ftilde_laurent()
         alpha = density_from_symbol(sym, p)
         w = Fraction(1)
         if omega == "eps":
-            w = Fraction(hasse_invariant(G.entries, p))
+            w = Fraction(_hasse_diagonal(diag, p))
         term = ft * Laurent.const(QSqrt(w / alpha, 0, p))
         coeffs[nu] = coeffs.get(nu, Laurent({})) + term
     return TruncSeries(prec, coeffs)

@@ -450,6 +450,12 @@ def hasse_invariant(A, p) -> int:
     diag = [B[0][0] for B in _congruence_blocks(A)]
     if len(diag) < len(A):
         raise ValueError("degenerate form")
+    return _hasse_diagonal(diag, p)
+
+
+def _hasse_diagonal(diag, p) -> int:
+    """epsilon of diag(a_1, ..., a_n), all a_i nonzero, with no
+    diagonalization."""
     eps = 1
     for i in range(len(diag)):
         for j in range(i, len(diag)):

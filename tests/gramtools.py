@@ -1,6 +1,8 @@
 """Helpers shared by the test modules (the package has no caller for them):
-G[U] = U^t G U on integer matrices given as lists of rows, and the plain
-column backtracking that the isometry search is checked against."""
+G[U] = U^t G U on integer matrices given as lists of rows, the plain column
+backtracking that the isometry search is checked against, and the
+row-by-row representation count that ``charsums._rep_count`` is checked
+against."""
 
 
 def mat_mul(A, B):
@@ -70,3 +72,37 @@ def reference_isometry_search(G1, G2, need_det=1, count_all=False,
     if count_all:
         return found[0]
     return witness[0]
+
+
+def reference_rep_count(X, S, T, q, dq):
+    """``charsums._rep_count`` with every row but the last two fixed
+    candidate by candidate: each candidate filters the later rows' candidate
+    lists, a branch stops once one of them is empty, and the last two rows
+    are one pairing count.  X, S, T are int64 arrays."""
+    import numpy as np
+
+    norms = (X @ (S % dq) % dq * X).sum(axis=1) % dq
+    cands = [np.flatnonzero(norms == T[i, i] % dq) for i in range(T.shape[0])]
+    S, T = S % q, T % q
+
+    def rows(cands):
+        i = T.shape[0] - len(cands)
+        if len(cands) == 1:
+            return len(cands[0])
+        if len(cands) == 2:
+            return int((X[cands[0]] @ S % q @ X[cands[1]].T % q
+                        == T[i, i + 1]).sum())
+        count = 0
+        for x in X[cands[0]]:
+            xs = x @ S % q
+            rest = []
+            for j, c in enumerate(cands[1:], start=i + 1):
+                c = c[X[c] @ xs % q == T[i, j]]
+                if not len(c):
+                    break
+                rest.append(c)
+            else:
+                count += rows(rest)
+        return count
+
+    return rows(cands)

@@ -16,8 +16,10 @@ from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
                              quad_char_sum_brute, run_lemma51_suite,
                              run_lemma53_suite, run_prop510_suite,
                              run_prop54_suite, sl_gram_counts,
-                             sym_dettarget_trace_counts)
+                             sym_dettarget_trace_counts, _vectors)
 from kmlift.exactalg import CycloNum, mat_det
+
+from gramtools import reference_rep_count
 
 
 def test_lemma51_examples():
@@ -351,6 +353,40 @@ def test_count_A_brute_edge_shapes():
     assert count_A_brute(S, [[3]], 5) == _ref_count_A(S.tolist(), [[3]], 5)
     assert count_A_brute(np.zeros((2, 2), dtype=np.int64),
                          np.zeros((5, 5), dtype=np.int64), 2) == 2 ** 10
+
+
+def _rep_kernel_cases():
+    """(X, S, T, q, dq) inputs of ``charsums._rep_count`` with three or four
+    rows: the Lemma 5.1 cases, two quaternary automorphism counts (the
+    dyadic diagonal read mod 2q) and candidate lists that are or become
+    empty."""
+    cases = [(_vectors(0, p ** len(S), p, len(S)), S, T, p, p)
+             for S, T, p in _count_A_cases() if len(T) >= 3]
+    for A, p, a in (([[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1],
+                      [1, 1, 1, 2]], 2, 2), (np.diag([2, 2, 2, 6]), 3, 1)):
+        A, q = np.asarray(A, dtype=np.int64), p ** a
+        cases.append((_vectors(0, q ** 4, q, 4), A, A, q,
+                      2 * q if p == 2 else q))
+    # x S x^t = x_0^2 mod 3: no row has norm 2, and no two norm-1 rows are
+    # orthogonal, so the pairs or the filtered lists run out
+    S = np.array([[1, 0], [0, 0]])
+    for T in (np.diag([1, 1, 2]), np.eye(3, dtype=np.int64),
+              np.eye(4, dtype=np.int64), np.ones((4, 4), dtype=np.int64)):
+        cases.append((_vectors(0, 9, 3, 2), S, T, 3, 3))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_rep_count_matches_row_by_row_reference(monkeypatch, chunk):
+    # a chunk of 64 makes the pair tables cross block edges and sends the
+    # larger candidate lists to the per-candidate loop
+    from kmlift import charsums
+    if chunk:
+        monkeypatch.setattr(charsums, "_CHUNK", chunk)
+    for X, S, T, q, dq in _rep_kernel_cases():
+        S, T = np.asarray(S, dtype=np.int64), np.asarray(T, dtype=np.int64)
+        assert charsums._rep_count(X, S, T, q, dq) == \
+            reference_rep_count(X, S, T, q, dq), (S, T, q)
 
 
 def test_exhaustive_kernels_budget_pins():

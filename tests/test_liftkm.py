@@ -286,7 +286,7 @@ def test_r_chi_assembly_consistency(flagship):
     chi7 = parse_descriptor("7:2")
     direct = km_stream(table, chi7, "first", 40)
     R = r_chi_assemble(h, chi7, 8, 4, 40, variant="adjudicated")
-    M = mchi_assemble(h, chi7, 8, 4, 40)
+    M = mchi_assemble(h, chi7, 4, 40)
     CN = thm56_constant(4, 7)
     cn, dn = Fraction(-1, 48), Fraction(-1, 576)
     for D in admissible_indices(40):

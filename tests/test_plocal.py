@@ -102,8 +102,8 @@ def test_good_prime_density():
 # (gram, alpha_2, mass): the seven det <= 40 classes with nu_2(det) <= 2
 # whose alpha_2 the former brute stabilization could not settle, and a det-8
 # class.  Each of the seven alpha_2 equals the brute count at a single level
-# a = nu_2(det) + 2 (30-65 s per form, so not run here); the masses are
-# consistent with the det-40 audit below
+# a = nu_2(det) + 2 (12 s for the first form, so not run here); the masses
+# are consistent with the det-40 audit below
 DYADIC_PINS = [
     ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], 6, Fraction(1, 96)),
     ([[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 2, 0], [-1, 0, 0, 4]], 6, Fraction(1, 96)),
@@ -147,6 +147,14 @@ def test_dyadic_density_closed_matches_brute():
               for c in range(1, 7) if a * c != b * b]
     for G in forms + DYADIC_TERNARY:
         assert local_density(G, 2) == _density_brute(G, 2), G
+
+
+def test_dyadic_density_closed_matches_brute_quaternary():
+    # A_4 (det 5) in two bases, counted at a = 2 and 3
+    for G in ([[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]],
+              [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]):
+        assert _density_brute(G, 2) == local_density(G, 2) == \
+            Fraction(15, 16), G
 
 
 def test_mass_audit_det40(flagship):
