@@ -42,7 +42,12 @@ def _check_budget(cost, budget=DEFAULT_BUDGET):
 # numpy enumeration kernels
 
 def _digit_arrays(lo, hi, N, E):
-    idx = np.arange(lo, hi, dtype=np.int64)
+    return _digits(np.arange(lo, hi, dtype=np.int64), N, E)
+
+
+def _digits(idx, N, E):
+    """The E base-N digits of each entry of the index array idx, least
+    significant first, one array per digit."""
     out = []
     for _ in range(E):
         out.append(idx % N)
@@ -117,11 +122,17 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     det Z = z det Z1 - w^t Adj(Z1) w and
     tr(BZ) = tr(B1 Z1) + sum_a (B[a,k] + B[k,a]) w_a + B[k,k] z.
     Each chunk of Z1 is taken with every w at once and tallied by
-    (det Z1, w^t Adj(Z1) w, trace without z); z then runs over every residue
-    (``_border_z``), so each cell of S_m(Z/N) is counted once and the count
-    is exact for composite N too.  The tallies are summed over the chunks
-    into N^3 bins while that table is small; past that, each chunk goes to
-    the z step on its own."""
+    (det Z1, Q, T), with Q = w^t Adj(Z1) w and T the trace without z; z then
+    runs over every residue (``_border_z``), so each cell of S_m(Z/N) is
+    counted once and the count is exact for composite N too.
+
+    Q and T are tallied unreduced: Q = Adj(Z1) . (w_a w_b) lies in
+    [0, E1 (N-1)^2] with E1 = k(k+1)/2, and T = tr(B1 Z1) + (w part mod N)
+    in [0, 2N-2].  Their bin widths are rounded up to multiples of N, so the
+    tally folds mod N by a reshape after the sweep.  Where that tally would
+    pass _CHUNK or the sweep itself, Q and T are reduced per cell into N x N
+    bins instead.  The tally is summed over the chunks while it fits in
+    _CHUNK; past that, each chunk goes to the z step on its own."""
     forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
     m = forms[0].shape[0]
     _check_budget(N ** (m * (m + 1) // 2), budget)
@@ -131,30 +142,40 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     k = m - 1
     nw = N ** k
     W = _digit_arrays(0, nw, N, k)
-    quads = _adj_quads(W, N)
-    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) for B in forms]
-    dense = N ** 3 <= _CHUNK
-    tally = [np.zeros(N ** 3, dtype=np.int64) for _ in forms] if dense else None
-    tables = [np.zeros(N * N, dtype=np.int64) for _ in forms]
+    quads = _adj_quads(W, N).astype(np.float64)
+    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) % N
+          for B in forms]
     total = N ** (k * (k + 1) // 2)
+    qmax = k * (k + 1) // 2 * (N - 1) ** 2
+    assert qmax < 2 ** 53  # so the float64 matmul giving Q is exact
+    s0, s1 = -(-(qmax + 1) // N) * N, 2 * N
+    reduce = N * s0 * s1 > min(_CHUNK, total * nw)
+    if reduce:
+        s0 = s1 = N
+    bins = N * s0 * s1
+    dense = bins <= _CHUNK
+    tally = [np.zeros(bins, dtype=np.int64) for _ in forms] if dense else None
+    tables = [np.zeros(N * N, dtype=np.int64) for _ in forms]
     step = max(1, _CHUNK // nw)
     for lo in range(0, total, step):
         hi = min(total, lo + step)
         M = _sym_entries(lo, hi, N, k)
         d1 = np.broadcast_to(_det_batch(M, N), (hi - lo,))
-        Q = _sym_adj_batch(M, N, hi - lo) @ quads % N
-        base = (d1[:, None] * N + Q) * N
+        Q = (_sym_adj_batch(M, N, hi - lo) @ quads).astype(np.int64)
+        base = (d1[:, None] * s0 + (Q % N if reduce else Q)) * s1
         for f, B in enumerate(forms):
-            key = (base + (_sym_trace(B, M, N)[:, None] + tw[f]) % N).ravel()
+            T = _sym_trace(B, M, N)[:, None] + tw[f]
+            key = (base + (T % N if reduce else T)).ravel()
             if dense:
-                tally[f] += np.bincount(key, minlength=N ** 3)
+                tally[f] += np.bincount(key, minlength=bins)
             else:
                 _border_z(tables[f], key, np.broadcast_to(1, key.shape),
                           int(B[k, k]), N)
     for f, B in enumerate(forms):
         if dense:
-            key = np.flatnonzero(tally[f])
-            _border_z(tables[f], key, tally[f][key], int(B[k, k]), N)
+            t = tally[f].reshape(N, s0 // N, N, s1 // N, N).sum(axis=(1, 3))
+            key = np.flatnonzero(t)
+            _border_z(tables[f], key, t.ravel()[key], int(B[k, k]), N)
         tables[f] = tables[f].reshape(N, N)
     return tables
 
@@ -173,12 +194,12 @@ def _border_z(table, key, counts, bkk, N):
 
 def sym_dettarget_trace_counts(A, N, det_target=1, budget=DEFAULT_BUDGET,
                                forms=None):
-    """For each form B in ``forms`` (defaults to [A]): counts[t] over
-    {Z in S_m(Z/N): det Z = det_target, tr(B Z) = t}, the det_target row of
-    ``_sym_tables``."""
+    """counts[t] over {Z in S_m(Z/N): det Z = det_target, tr(A Z) = t}, the
+    det_target row of ``_sym_tables``.  Given ``forms``, one such array per
+    form B in ``forms`` (A is then not read), always as a list."""
     out = [t[det_target % N] for t in
            _sym_tables([A] if forms is None else forms, N, budget)]
-    return out if len(out) > 1 else out[0]
+    return out if forms is not None else out[0]
 
 
 _SYM_DT_CACHE: dict = {}
@@ -203,11 +224,16 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     every trace sum over SL reduces to a weighting of this table because
     tr(A[X]) = tr(A * X X^t).
 
-    The sweep borders the last row: for each chunk of first rows r_1..r_{m-1}
-    it takes every last row x at once (one p^m x m array), so that
-    det X = c . x, with c the cofactor vector of the first rows, and
-    (X X^t)_{a,m} = r_a . x are integer matmuls; one bincount per chunk
-    tallies the Gram matrices of the det-1 cells."""
+    The sweep borders the last row x of X = [R; x]: det X = c . x, with c the
+    cofactor vector of the first rows R = (r_1, ..., r_{m-1}).  A first pass
+    gives every R its cofactor index and the key of its Gram block
+    (r_a . r_b), and sorts the R by cofactor.  For each block of nonzero c,
+    one sweep of c . x over every x gives the hyperplanes {x : c . x = 1},
+    and each R meets only the p^(m-1) rows x of its own hyperplane: exactly
+    its det-1 cells (c = 0 has none).  The entries r_a . x of a cell lie in
+    [0, m (p-1)^2], so with B = m (p-1)^2 + 1 they travel as one integer
+    dot x . sum_a B^a r_a, which a table of size B^(m-1) splits into its
+    base-B digits and reduces into the Gram key."""
     key = (m, p)
     if key in _SL_GRAM_CACHE:
         return _SL_GRAM_CACHE[key]
@@ -216,24 +242,44 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     E = m * (m + 1) // 2
     weight = np.zeros((m, m), dtype=np.int64)
     weight[tuple(zip(*_upper(m)))] = p ** np.arange(E)
-    last = np.stack(_digit_arrays(0, p ** m, p, m), axis=1)
-    last_key = (last * last).sum(axis=1) % p * weight[k, k]
-    table = np.zeros(p ** E, dtype=np.int64)
+    nx, h = p ** m, p ** k
+    last = _digit_arrays(0, nx, p, m)
+    last_key = sum(x * x for x in last) % p * weight[k, k]
+    B = m * (p - 1) ** 2 + 1
+    split = sum((d % p * weight[a, k] for a, d in
+                 enumerate(_digit_arrays(0, B ** k, B, k))),
+                np.zeros(B ** k, dtype=np.int64))
     total = p ** (k * m)
-    step = max(1, _CHUNK // p ** m)
-    for lo in range(0, total, step):
-        hi = min(total, lo + step)
+    cof = np.empty(total, dtype=np.int64)
+    gram = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        hi = min(total, lo + _CHUNK)
         digs = _digit_arrays(lo, hi, p, k * m)
         rows = [digs[a * m:(a + 1) * m] for a in range(k)]
-        cof = np.stack([np.broadcast_to((-1) ** (k + b) * _det_batch(
-            [r[:b] + r[b + 1:] for r in rows], p), (hi - lo,))
-            for b in range(m)], axis=1)
-        R = np.array(digs, dtype=np.int64).T.reshape(hi - lo, k, m)
-        gram = R @ R.transpose(0, 2, 1) % p
-        cross = R @ last.T % p
-        idx = ((gram * weight[:k, :k]).sum(axis=(1, 2))[:, None]
-               + weight[:k, k] @ cross + last_key)
-        table += np.bincount(idx[cof @ last.T % p == 1], minlength=p ** E)
+        cof[lo:hi] = sum((-1) ** (k + b) * _det_batch(
+            [r[:b] + r[b + 1:] for r in rows], p) % p * p ** b for b in range(m))
+        gram[lo:hi] = sum(sum(x * y for x, y in zip(rows[a], rows[b])) % p
+                          * weight[a, b] for a, b in _upper(k))
+    order = np.argsort(cof, kind="stable")
+    bounds = np.searchsorted(cof[order], np.arange(nx + 1))
+    table = np.zeros(p ** E, dtype=np.int64)
+    cstep, rstep = max(1, _CHUNK // nx), max(1, _CHUNK // h)
+    for c0 in range(1, nx, cstep):
+        c1 = min(nx, c0 + cstep)
+        C = _digit_arrays(c0, c1, p, m)
+        hyper = np.nonzero(sum(c[:, None] * x for c, x in zip(C, last)) % p
+                           == 1)[1].reshape(c1 - c0, h)
+        hx = [x[hyper] for x in last]
+        hkey = last_key[hyper]
+        for lo in range(bounds[c0], bounds[c1], rstep):
+            sel = order[lo:min(bounds[c1], lo + rstep)]
+            at = cof[sel] - c0
+            R = np.array(_digits(sel, p, k * m),
+                         dtype=np.int64).reshape(k, m, len(sel))
+            v = np.tensordot(B ** np.arange(k), R, 1)
+            dots = sum(hx[j][at] * v[j, :, None] for j in range(m))
+            idx = split[dots] + hkey[at] + gram[sel, None]
+            table += np.bincount(idx.ravel(), minlength=p ** E)
     _SL_GRAM_CACHE[key] = table
     return table
 

@@ -1,8 +1,9 @@
 """Helpers shared by the test modules (the package has no caller for them):
 G[U] = U^t G U on integer matrices given as lists of rows, the plain column
-backtracking that the isometry search is checked against, and the
-row-by-row representation count that ``charsums._rep_count`` is checked
-against."""
+backtracking that the isometry search is checked against, the row-by-row
+representation count that ``charsums._rep_count`` is checked against, and
+the one-row-bordered SL_m(F_p) sweep that ``charsums.sl_gram_counts`` is
+checked against."""
 
 
 def mat_mul(A, B):
@@ -106,3 +107,39 @@ def reference_rep_count(X, S, T, q, dq):
         return count
 
     return rows(cands)
+
+
+def reference_sl_gram_counts(m, p):
+    """``charsums.sl_gram_counts`` as a sweep of every cell of F_p^{m x m}:
+    for each chunk of first rows r_1..r_{m-1} it takes every last row x at
+    once (one p^m x m array), so that det X = c . x, with c the cofactor
+    vector of the first rows, and (X X^t)_{a,m} = r_a . x are integer
+    matmuls; one bincount per chunk tallies the Gram matrices of the det-1
+    cells."""
+    import numpy as np
+
+    from kmlift.charsums import _CHUNK, _det_batch, _digit_arrays, _upper
+
+    k = m - 1
+    E = m * (m + 1) // 2
+    weight = np.zeros((m, m), dtype=np.int64)
+    weight[tuple(zip(*_upper(m)))] = p ** np.arange(E)
+    last = np.stack(_digit_arrays(0, p ** m, p, m), axis=1)
+    last_key = (last * last).sum(axis=1) % p * weight[k, k]
+    table = np.zeros(p ** E, dtype=np.int64)
+    total = p ** (k * m)
+    step = max(1, _CHUNK // p ** m)
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        digs = _digit_arrays(lo, hi, p, k * m)
+        rows = [digs[a * m:(a + 1) * m] for a in range(k)]
+        cof = np.stack([np.broadcast_to((-1) ** (k + b) * _det_batch(
+            [r[:b] + r[b + 1:] for r in rows], p), (hi - lo,))
+            for b in range(m)], axis=1)
+        R = np.array(digs, dtype=np.int64).T.reshape(hi - lo, k, m)
+        gram = R @ R.transpose(0, 2, 1) % p
+        cross = R @ last.T % p
+        idx = ((gram * weight[:k, :k]).sum(axis=(1, 2))[:, None]
+               + weight[:k, k] @ cross + last_key)
+        table += np.bincount(idx[cof @ last.T % p == 1], minlength=p ** E)
+    return table

@@ -15,11 +15,11 @@ from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
                              h_brute_sl, h_brute_sym, h_closed,
                              quad_char_sum_brute, run_lemma51_suite,
                              run_lemma53_suite, run_prop510_suite,
-                             run_prop54_suite, sl_gram_counts,
+                             run_prop54_suite, sl_gram_counts, sl_group_order,
                              sym_dettarget_trace_counts, _vectors)
 from kmlift.exactalg import CycloNum, mat_det
 
-from gramtools import reference_rep_count
+from gramtools import reference_rep_count, reference_sl_gram_counts
 
 
 def test_lemma51_examples():
@@ -269,9 +269,9 @@ def _forms(m, N, rng):
     return [(sym + sym.T) % N, odd, corner, np.zeros((m, m), dtype=np.int64)]
 
 
-@pytest.mark.parametrize("m,N", [(1, 3), (1, 9), (1, 15), (2, 3), (2, 5),
-                                 (2, 7), (2, 9), (2, 15), (3, 3), (3, 5),
-                                 (3, 7), (4, 3)])
+@pytest.mark.parametrize("m,N", [(1, 3), (1, 7), (1, 9), (1, 15), (2, 3),
+                                 (2, 5), (2, 6), (2, 7), (2, 9), (2, 15),
+                                 (3, 3), (3, 5), (3, 7), (4, 3)])
 def test_sym_dettarget_trace_counts_matches_reference(m, N):
     rng = np.random.default_rng(10 * m + N)
     forms = _forms(m, N, rng)
@@ -283,9 +283,13 @@ def test_sym_dettarget_trace_counts_matches_reference(m, N):
         for f in range(len(forms)):
             expect = ref.get((f, det_target), [0] * N)
             assert got[f].tolist() == expect, (f, det_target)
-        # a single form returns its counts directly
+        # a single form returns its counts directly, a list of forms a list
         one = sym_dettarget_trace_counts(forms[1], N, det_target)
         assert one.tolist() == ref.get((1, det_target), [0] * N)
+        listed = sym_dettarget_trace_counts(forms[0], N, det_target,
+                                            forms=[forms[1]])
+        assert isinstance(listed, list) and len(listed) == 1
+        assert listed[0].tolist() == one.tolist()
     # the full (det, trace) table behind Im_brute / Jm_brute, B = 1_m
     table = _sym_dt_table(m, N)
     for d in range(N):
@@ -301,15 +305,26 @@ def test_sym_dettarget_trace_counts_every_cell_counted():
 
 
 def test_sym_tables_without_the_dense_tally(monkeypatch):
-    # with N^3 bins over the chunk size, each chunk goes to the z step alone
+    # with the chunk size under N^3, neither the unreduced tally nor the
+    # N^3 one fits, so each chunk goes to the z step alone: one _border_z
+    # call per chunk and form instead of one per form (m = 1 sweeps a single
+    # chunk, where both branches make the same calls).  The tables must
+    # equal the dense ones, which the reference test checks at these shapes.
     from kmlift import charsums
-    monkeypatch.setattr(charsums, "_CHUNK", 64)
-    for m, N in ((1, 7), (2, 5), (3, 5)):
-        forms = _forms(m, N, np.random.default_rng(N))
-        ref = _ref_dettarget_counts(m, N, [B.tolist() for B in forms])
-        for f, table in enumerate(charsums._sym_tables(forms, N)):
-            for d in range(N):
-                assert table[d].tolist() == ref.get((f, d), [0] * N), (m, f, d)
+    cases = [(m, N, _forms(m, N, np.random.default_rng(N)))
+             for m, N in ((1, 7), (2, 5), (2, 6), (3, 5), (4, 3))]
+    want = [charsums._sym_tables(forms, N) for _, N, forms in cases]
+    monkeypatch.setattr(charsums, "_CHUNK", 16)
+    calls = []
+    border_z = charsums._border_z
+    monkeypatch.setattr(charsums, "_border_z",
+                        lambda *a: calls.append(1) or border_z(*a))
+    for (m, N, forms), tables in zip(cases, want):
+        calls.clear()
+        got = charsums._sym_tables(forms, N)
+        assert [t.tolist() for t in got] == [t.tolist() for t in tables], \
+            (m, N)
+        assert len(calls) > len(forms) or m == 1, (m, N)
 
 
 def _ref_count_A(S, T, p):
@@ -389,13 +404,22 @@ def test_rep_count_matches_row_by_row_reference(monkeypatch, chunk):
             reference_rep_count(X, S, T, q, dq), (S, T, q)
 
 
-def test_exhaustive_kernels_budget_pins():
+def test_exhaustive_kernels_budget_pins(monkeypatch):
+    from kmlift import charsums
     A = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 3]])
     cost = 5 ** 6
     with pytest.raises(BudgetExceeded) as exc:
         sym_dettarget_trace_counts(A, 5, 1, budget=cost - 1)
     assert exc.value.cost == cost
     assert sym_dettarget_trace_counts(A, 5, 1, budget=cost).sum() > 0
+    monkeypatch.setattr(charsums, "_SL_GRAM_CACHE", {})
+    for m, p in ((2, 5), (3, 3)):
+        cost = p ** (m * m)
+        with pytest.raises(BudgetExceeded) as exc:
+            sl_gram_counts(m, p, budget=cost - 1)
+        assert exc.value.cost == cost
+        assert sl_gram_counts(m, p, budget=cost).sum() == \
+            sl_group_order(m, p)
     S, T = np.eye(3, dtype=np.int64), np.array([[1, 1], [1, 2]])
     cost = 3 ** (2 * 3)
     with pytest.raises(BudgetExceeded) as exc:
@@ -536,6 +560,21 @@ def test_sl_gram_counts_match_full_sweep(m, p):
         want[sum(sum(X[a][i] * X[b][i] for i in range(m)) % p * p ** e
                  for e, (a, b) in enumerate(upper))] += 1
     assert sl_gram_counts(m, p).tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_sl_gram_counts_match_bordered_reference(monkeypatch, chunk):
+    # the one-row-bordered sweep over every cell of F_p^{m x m}; at (2, 37)
+    # p^4 passes the chunk size, and a chunk of 64 makes every cofactor block
+    # and row block small
+    from kmlift import charsums
+    shapes = ((1, 5), (2, 5), (2, 7), (3, 3), (3, 5), (2, 37))
+    want = [reference_sl_gram_counts(m, p).tolist() for m, p in shapes]
+    monkeypatch.setattr(charsums, "_SL_GRAM_CACHE", {})
+    if chunk:
+        monkeypatch.setattr(charsums, "_CHUNK", chunk)
+    for (m, p), table in zip(shapes, want):
+        assert charsums.sl_gram_counts(m, p).tolist() == table, (m, p)
 
 
 @pytest.mark.parametrize("m,p", [(3, 5), (4, 3)])
