@@ -122,17 +122,11 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     det Z = z det Z1 - w^t Adj(Z1) w and
     tr(BZ) = tr(B1 Z1) + sum_a (B[a,k] + B[k,a]) w_a + B[k,k] z.
     Each chunk of Z1 is taken with every w at once and tallied by
-    (det Z1, Q, T), with Q = w^t Adj(Z1) w and T the trace without z; z then
-    runs over every residue (``_border_z``), so each cell of S_m(Z/N) is
-    counted once and the count is exact for composite N too.
-
-    Q and T are tallied unreduced: Q = Adj(Z1) . (w_a w_b) lies in
-    [0, E1 (N-1)^2] with E1 = k(k+1)/2, and T = tr(B1 Z1) + (w part mod N)
-    in [0, 2N-2].  Their bin widths are rounded up to multiples of N, so the
-    tally folds mod N by a reshape after the sweep.  Where that tally would
-    pass _CHUNK or the sweep itself, Q and T are reduced per cell into N x N
-    bins instead.  The tally is summed over the chunks while it fits in
-    _CHUNK; past that, each chunk goes to the z step on its own."""
+    (det Z1, w^t Adj(Z1) w, trace without z); z then runs over every residue
+    (``_border_z``), so each cell of S_m(Z/N) is counted once and the count
+    is exact for composite N too.  The tallies are summed over the chunks
+    into N^3 bins while that table is small; past that, each chunk goes to
+    the z step on its own."""
     forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
     m = forms[0].shape[0]
     _check_budget(N ** (m * (m + 1) // 2), budget)
@@ -142,40 +136,30 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     k = m - 1
     nw = N ** k
     W = _digit_arrays(0, nw, N, k)
-    quads = _adj_quads(W, N).astype(np.float64)
-    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) % N
-          for B in forms]
-    total = N ** (k * (k + 1) // 2)
-    qmax = k * (k + 1) // 2 * (N - 1) ** 2
-    assert qmax < 2 ** 53  # so the float64 matmul giving Q is exact
-    s0, s1 = -(-(qmax + 1) // N) * N, 2 * N
-    reduce = N * s0 * s1 > min(_CHUNK, total * nw)
-    if reduce:
-        s0 = s1 = N
-    bins = N * s0 * s1
-    dense = bins <= _CHUNK
-    tally = [np.zeros(bins, dtype=np.int64) for _ in forms] if dense else None
+    quads = _adj_quads(W, N)
+    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) for B in forms]
+    dense = N ** 3 <= _CHUNK
+    tally = [np.zeros(N ** 3, dtype=np.int64) for _ in forms] if dense else None
     tables = [np.zeros(N * N, dtype=np.int64) for _ in forms]
+    total = N ** (k * (k + 1) // 2)
     step = max(1, _CHUNK // nw)
     for lo in range(0, total, step):
         hi = min(total, lo + step)
         M = _sym_entries(lo, hi, N, k)
         d1 = np.broadcast_to(_det_batch(M, N), (hi - lo,))
-        Q = (_sym_adj_batch(M, N, hi - lo) @ quads).astype(np.int64)
-        base = (d1[:, None] * s0 + (Q % N if reduce else Q)) * s1
+        Q = _sym_adj_batch(M, N, hi - lo) @ quads % N
+        base = (d1[:, None] * N + Q) * N
         for f, B in enumerate(forms):
-            T = _sym_trace(B, M, N)[:, None] + tw[f]
-            key = (base + (T % N if reduce else T)).ravel()
+            key = (base + (_sym_trace(B, M, N)[:, None] + tw[f]) % N).ravel()
             if dense:
-                tally[f] += np.bincount(key, minlength=bins)
+                tally[f] += np.bincount(key, minlength=N ** 3)
             else:
                 _border_z(tables[f], key, np.broadcast_to(1, key.shape),
                           int(B[k, k]), N)
     for f, B in enumerate(forms):
         if dense:
-            t = tally[f].reshape(N, s0 // N, N, s1 // N, N).sum(axis=(1, 3))
-            key = np.flatnonzero(t)
-            _border_z(tables[f], key, t.ravel()[key], int(B[k, k]), N)
+            key = np.flatnonzero(tally[f])
+            _border_z(tables[f], key, tally[f][key], int(B[k, k]), N)
         tables[f] = tables[f].reshape(N, N)
     return tables
 
@@ -252,8 +236,9 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     total = p ** (k * m)
     cof = np.empty(total, dtype=np.int64)
     gram = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
+    step = max(1, _CHUNK // max(1, k * m))  # k m digit arrays per chunk
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
         digs = _digit_arrays(lo, hi, p, k * m)
         rows = [digs[a * m:(a + 1) * m] for a in range(k)]
         cof[lo:hi] = sum((-1) ** (k + b) * _det_batch(

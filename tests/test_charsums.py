@@ -305,25 +305,33 @@ def test_sym_dettarget_trace_counts_every_cell_counted():
 
 
 def test_sym_tables_without_the_dense_tally(monkeypatch):
-    # with the chunk size under N^3, neither the unreduced tally nor the
-    # N^3 one fits, so each chunk goes to the z step alone: one _border_z
-    # call per chunk and form instead of one per form (m = 1 sweeps a single
-    # chunk, where both branches make the same calls).  The tables must
-    # equal the dense ones, which the reference test checks at these shapes.
+    # with N^3 bins over the chunk size, each chunk goes to the z step alone:
+    # one _border_z call per chunk and form instead of one per form (m = 1
+    # sweeps a single chunk, where both branches make the same calls).
+    # (1, 7), (2, 5) and (3, 5) are checked by enumeration; (2, 6) and (4, 3)
+    # take the forms that the reference test draws at their shape, so their
+    # dense tables are the ones it has checked.
     from kmlift import charsums
-    cases = [(m, N, _forms(m, N, np.random.default_rng(N)))
-             for m, N in ((1, 7), (2, 5), (2, 6), (3, 5), (4, 3))]
-    want = [charsums._sym_tables(forms, N) for _, N, forms in cases]
+    cases = []
+    for m, N in ((1, 7), (2, 5), (3, 5)):
+        forms = _forms(m, N, np.random.default_rng(N))
+        ref = _ref_dettarget_counts(m, N, [B.tolist() for B in forms])
+        cases.append((m, N, forms, [[ref.get((f, d), [0] * N)
+                                     for d in range(N)]
+                                    for f in range(len(forms))]))
+    for m, N in ((2, 6), (4, 3)):
+        forms = _forms(m, N, np.random.default_rng(10 * m + N))
+        cases.append((m, N, forms, [t.tolist() for t in
+                                    charsums._sym_tables(forms, N)]))
     monkeypatch.setattr(charsums, "_CHUNK", 16)
     calls = []
     border_z = charsums._border_z
     monkeypatch.setattr(charsums, "_border_z",
                         lambda *a: calls.append(1) or border_z(*a))
-    for (m, N, forms), tables in zip(cases, want):
+    for m, N, forms, want in cases:
         calls.clear()
         got = charsums._sym_tables(forms, N)
-        assert [t.tolist() for t in got] == [t.tolist() for t in tables], \
-            (m, N)
+        assert [t.tolist() for t in got] == want, (m, N)
         assert len(calls) > len(forms) or m == 1, (m, N)
 
 
