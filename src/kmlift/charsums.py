@@ -21,7 +21,7 @@ import numpy as np
 from .exactalg import CycloNum, _congruence_blocks, mat_det
 from .characters import (DirichletChar, _as_unit_int, _root_sum, char_group,
                          factorize, find_primitive_root_of_unity_mod,
-                         jacobi_sum, legendre, local_component, subgroup_Dm)
+                         jacobi_sum, legendre, local_component)
 
 DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
@@ -709,10 +709,45 @@ def jacobi_symbol_char(N: int) -> DirichletChar:
     return chi
 
 
+def _local_parts(chi: DirichletChar):
+    """[(p, chi^(p))] over the primes p of the odd squarefree modulus."""
+    fac = _odd_squarefree_factors(chi.modulus)
+    return [(p, local_component(chi, p) if len(fac) > 1 else chi)
+            for p, _ in fac]
+
+
 def Jm_chi(chi: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:
     """J_m(chi) = J_m(chi (*/N)^(m-1), chi), factored over primes of N."""
-    _odd_squarefree_factors(chi.modulus)
-    return _Jm_lambda(chi, m, budget)
+    out = CycloNum.one()
+    for p, cp in _local_parts(chi):
+        first = cp * (legendre_char(p) ** ((m - 1) % 2))
+        out = out * Jm_sum(first, cp, m, mode="auto", budget=budget)
+    return out
+
+
+def root_weights(chi: DirichletChar, m: int, conj_first=False,
+                 budget=DEFAULT_BUDGET) -> list:
+    """(lam, J(lam, (*/N)) J_{m-1}(conj(lam))) over the lam mod N with
+    lam^m = chi: the eta-sum of Theorems 5.5/5.6, 5.11/6.1 and the section-7
+    assembly, since these lam are chi~ D_{N,m} for any root chi~ (none when
+    chi has no m-th root).  The Jacobi factor enters for even m only;
+    conj_first takes it on conj(lam).
+
+    The h oracles (h_brute_sl, h_brute_sym) never call this, and the
+    Theorem 5.11 check weights each class by conj(lam)(2^n) lam(D) where
+    h_closed takes chi_det_halfintegral, so both chi(det A) conventions stay
+    compared.
+    """
+    jac = jacobi_symbol_char(chi.modulus)
+    out = []
+    for lam in char_group(chi.modulus):
+        if lam ** m != chi:
+            continue
+        w = Jm_chi(lam.conjugate(), m - 1, budget)
+        if m % 2 == 0:
+            w = jacobi_sum(lam.conjugate() if conj_first else lam, jac) * w
+        out.append((lam, w))
+    return out
 
 
 def thm59_printed(chi: DirichletChar, i: int, m: int, with_p_power=False) -> CycloNum:
@@ -771,34 +806,22 @@ def gram_mod_p(gram, p: int):
 
 def h_brute_sl(gram, chi: DirichletChar, budget=DEFAULT_BUDGET) -> CycloNum:
     """sum over SL_m(Z/N) of chi(tr(A[U])), computed prime by prime via CRT."""
-    N = chi.modulus
-    if N == 1:
-        return CycloNum.one()
-    fac = _odd_squarefree_factors(N)
     m = np.asarray(gram).shape[0]
     total = CycloNum.one()
-    for p, _ in fac:
+    for p, chip in _local_parts(chi):
         _check_budget(sl_group_order(m, p) + p ** (m * m), budget)
-        chip = local_component(chi, p) if len(fac) > 1 else chi
         counts = sl_trace_counts(gram_mod_p(gram, p), p, budget)
         total = total * _weight_counts(counts, chip)
     return total
 
 
-def h_brute_sym(gram, chi: DirichletChar, gamma_mode="corrected",
-                budget=DEFAULT_BUDGET) -> CycloNum:
+def h_brute_sym(gram, chi: DirichletChar, budget=DEFAULT_BUDGET) -> CycloNum:
     """h via the Prop 5.2 route: gamma * sum_c chi(c) #M_p(A, c), per prime."""
-    N = chi.modulus
-    if N == 1:
-        return CycloNum.one()
-    fac = _odd_squarefree_factors(N)
     m = np.asarray(gram).shape[0]
     total = CycloNum.one()
-    for p, _ in fac:
-        chip = local_component(chi, p) if len(fac) > 1 else chi
+    for p, chip in _local_parts(chi):
         counts = sym_dettarget_trace_counts(gram_mod_p(gram, p), p, 1, budget)
-        g = gamma_const(m, p, gamma_mode)
-        total = total * (_weight_counts(counts, chip) * g)
+        total = total * (_weight_counts(counts, chip) * gamma_const(m, p))
     return total
 
 
@@ -821,14 +844,8 @@ DEFAULT_H_VARIANT = HVariant()
 
 def zero_branch(chi: DirichletChar, n: int) -> bool:
     """Theorem 5.5/5.6/6.1 branch (1) detector."""
-    N = chi.modulus
-    for p, _ in factorize(N):
-        l = gcd(n, p - 1)
-        u0 = find_primitive_root_of_unity_mod(p, l)
-        chip = local_component(chi, p) if len(factorize(N)) > 1 else chi
-        if chip.logs[u0]:
-            return True
-    return False
+    return any(chip.logs[find_primitive_root_of_unity_mod(p, gcd(n, p - 1))]
+               for p, chip in _local_parts(chi))
 
 
 def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
@@ -839,26 +856,14 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
-    _odd_squarefree_factors(N)          # ValueError unless N is odd squarefree
     m = np.asarray(gram).shape[0]
-    if zero_branch(chi, m):
+    if zero_branch(chi, m):             # ValueError unless N is odd squarefree
         return CycloNum.zero(chi.order)
     if m % 2 == 1 and (chi ** 2).conductor != N:
         raise ValueError("odd m closed form needs chi^2 primitive")
-    G = char_group(N)
-    tilde = next((c for c in G if (c ** m) == chi), None)
-    if tilde is None:
-        raise ValueError("no m-th root of chi exists (branch detection bug?)")
-    jac = jacobi_symbol_char(N)
-    total = None
-    for eta in subgroup_Dm(G, m):
-        lam = tilde * eta
-        term = chi_det_halfintegral(lam, gram)
-        if m % 2 == 0:
-            first = lam.conjugate() if variant.conj_first_jacobi else lam
-            term = term * jacobi_sum(first, jac)
-        term = term * _Jm_lambda(lam.conjugate(), m - 1, budget)
-        total = term if total is None else total + term
+    weights = root_weights(chi, m, variant.conj_first_jacobi, budget)
+    total = sum((chi_det_halfintegral(lam, gram) * w for lam, w in weights),
+                CycloNum.zero())
     return total * thm56_constant(m, N, variant)
 
 
@@ -878,28 +883,14 @@ def thm56_constant(m: int, N: int, variant: HVariant = None) -> Fraction:
     return const
 
 
-def _Jm_lambda(lam: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:
-    """J_m(lam) = J_m(lam (*/N)^(m-1), lam) via prime factorization."""
-    N = lam.modulus
-    if N == 1 or m == 0:
-        return CycloNum.one()
-    out = CycloNum.one()
-    for p, _ in factorize(N):
-        lp = local_component(lam, p) if len(factorize(N)) > 1 else lam
-        leg = legendre_char(p)
-        first = lp * (leg ** ((m - 1) % 2))
-        out = out * Jm_sum(first, lp, m, mode="auto", budget=budget)
-    return out
-
-
-def h_sum(gram, chi: DirichletChar, mode="closed", variant: HVariant = None,
-          gamma_mode="corrected", budget=DEFAULT_BUDGET) -> CycloNum:
+def h_sum(gram, chi: DirichletChar, mode="closed",
+          budget=DEFAULT_BUDGET) -> CycloNum:
     if mode == "brute_sl":
         return h_brute_sl(gram, chi, budget)
     if mode == "brute_sym":
-        return h_brute_sym(gram, chi, gamma_mode, budget)
+        return h_brute_sym(gram, chi, budget)
     if mode == "closed":
-        return h_closed(gram, chi, variant, budget)
+        return h_closed(gram, chi, budget=budget)
     raise ValueError(f"unknown h_sum mode {mode!r}")
 
 
@@ -950,7 +941,7 @@ class CharSumReport:
 # identity suite runners (shared by the CLI and the test suite)
 
 def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
-                      budget=DEFAULT_BUDGET, brute_cost_cap=50_000_000):
+                      budget=DEFAULT_BUDGET):
     """Brute #A(S, T) against the general product formulas on random diagonal
     nondegenerate pairs, plus the two documented discrepancies of the printed
     odd-m specialized display."""
@@ -962,7 +953,7 @@ def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
         p = int(rng.choice(primes))
         m = int(rng.integers(1, max_m + 1))
         r = int(rng.integers(1, m + 1))
-        if p ** (r * m) > brute_cost_cap:
+        if p ** (r * m) > 50_000_000:       # brute cost cap
             continue
         S = np.diag(rng.integers(1, p, size=m))
         T = np.diag(rng.integers(1, p, size=r))
@@ -983,7 +974,7 @@ def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
 
 
 def run_prop52_suite(grid=((2, 3), (2, 5), (3, 3), (3, 5), (4, 3)), seed=5,
-                     forms_per_cell=2, budget=DEFAULT_BUDGET):
+                     budget=DEFAULT_BUDGET):
     """#R_p(A, c) = gamma_corrected * #M_p(A, c) for diagonal A and every c
     (R: X in SL_m(F_p) with tr(A[X]) = c; M: Z in S_m(F_p) with det Z = 1
     and tr(AZ) = c); the ratio is constant across (A, c)."""
@@ -992,8 +983,7 @@ def run_prop52_suite(grid=((2, 3), (2, 5), (3, 3), (3, 5), (4, 3)), seed=5,
     for m, p in grid:
         gam_c = gamma_const(m, p, "corrected")
         gam_p = gamma_const(m, p, "printed")
-        rcounts = None
-        for _ in range(forms_per_cell):
+        for _ in range(2):                  # two forms per cell
             A = np.diag(rng.integers(1, p, size=m))
             rc = sl_trace_counts(gram_like(A, p), p, budget)
             mc = sym_dettarget_trace_counts(gram_like(A, p), p, 1, budget)

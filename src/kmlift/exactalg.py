@@ -609,17 +609,12 @@ def _is_zero(v):
 class TruncSeries:
     """Truncated power series sum_{k<prec} c_k t^k; multiplication truncates."""
 
-    __slots__ = ("prec", "coeffs", "var")
+    __slots__ = ("prec", "coeffs")
 
-    def __init__(self, prec, coeffs=None, var="t"):
+    def __init__(self, prec, coeffs=None):
         self.prec = int(prec)
-        self.var = var
         self.coeffs = {int(k): v for k, v in (coeffs or {}).items()
                        if 0 <= int(k) < self.prec and not _laurent_or_val_zero(v)}
-
-    @staticmethod
-    def const(v, prec, var="t"):
-        return TruncSeries(prec, {0: v}, var)
 
     def coeff(self, k):
         return self.coeffs.get(k)
@@ -631,10 +626,10 @@ class TruncSeries:
         for k, v in other.coeffs.items():
             if k < prec:
                 c[k] = c[k] + v if k in c else v
-        return TruncSeries(prec, c, self.var)
+        return TruncSeries(prec, c)
 
     def __neg__(self):
-        return TruncSeries(self.prec, {k: -v for k, v in self.coeffs.items()}, self.var)
+        return TruncSeries(self.prec, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -650,15 +645,14 @@ class TruncSeries:
                 k = k1 + k2
                 if k < prec:
                     c[k] = c[k] + v1 * v2 if k in c else v1 * v2
-        return TruncSeries(prec, c, self.var)
+        return TruncSeries(prec, c)
 
     def scale(self, v):
-        return TruncSeries(self.prec, {k: c * v for k, c in self.coeffs.items()},
-                           self.var)
+        return TruncSeries(self.prec, {k: c * v for k, c in self.coeffs.items()})
 
     def _check(self, other):
-        if not isinstance(other, TruncSeries) or other.var != self.var:
-            raise ValueError("mismatched series variables")
+        if not isinstance(other, TruncSeries):
+            raise ValueError("a TruncSeries combines only with a TruncSeries")
 
     def __eq__(self, other):
         prec = min(self.prec, other.prec)
@@ -687,7 +681,7 @@ def _laurent_or_val_zero(v):
     return _is_zero(v)
 
 
-def geometric_inverse(c, k: int, prec: int, one, var="t") -> TruncSeries:
+def geometric_inverse(c, k: int, prec: int, one) -> TruncSeries:
     """Expansion of 1/(1 - c*t^k) to the given precision; ``one`` is the
     multiplicative unit of the coefficient domain."""
     if k <= 0:
@@ -697,7 +691,7 @@ def geometric_inverse(c, k: int, prec: int, one, var="t") -> TruncSeries:
         acc = acc * c
         coeffs[j * k] = acc
         j += 1
-    return TruncSeries(prec, coeffs, var)
+    return TruncSeries(prec, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import (DirichletChar, char_group, factorize, jacobi_sum,
-                         kronecker, subgroup_Dm)
-from .charsums import (_Jm_lambda, h_sum, jacobi_symbol_char, thm56_constant,
-                       zero_branch)
+from .characters import DirichletChar, factorize, kronecker
+from .charsums import h_sum, root_weights, thm56_constant, zero_branch
 from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       eisenstein_qexp, lfactor_stream, rankin_stream,
@@ -322,20 +320,14 @@ def _cyclo_str(v: CycloNum) -> str:
 # ---------------------------------------------------------------------------
 # Theorems 5.11 and 6.1 (first kind)
 
-def _eta_weights(chi: DirichletChar, n: int, conj_first=False) -> list:
-    """(lam, conj(lam)(2^n) J(lam, (*/N)) J_{n-1}(conj(lam))) for lam = chi * eta,
-    eta over the characters mod N with eta^n = 1: the eta-sum weights of
-    Theorems 5.11 / 6.1 and of the section-7 assembly.  conj_first takes
-    J(conj(lam), (*/N)) instead, as the section-7 display prints it."""
-    N = chi.modulus
-    jac = jacobi_symbol_char(N)
-    out = []
-    for eta in subgroup_Dm(char_group(N), n):
-        lam = chi * eta
-        first = lam.conjugate() if conj_first else lam
-        out.append((lam, lam.conjugate()(pow(2, n, N)) * jacobi_sum(first, jac)
-                    * _Jm_lambda(lam.conjugate(), n - 1)))
-    return out
+def _eta_weights(target: DirichletChar, n: int, conj_first=False) -> list:
+    """(lam, conj(lam)(2^n) w) over the (lam, w) of root_weights(target, n):
+    the eta-sum weights of Theorems 5.11 / 6.1 (target chi) and of the
+    section-7 assembly (target chi^n).  conj_first takes J(conj(lam), (*/N)),
+    as the section-7 display prints it."""
+    two_n = pow(2, n, target.modulus)
+    return [(lam, lam.conjugate()(two_n) * w)
+            for lam, w in root_weights(target, n, conj_first)]
 
 
 def _eta_sum(weights: list, stream, bound: int) -> DirStream:
@@ -372,9 +364,8 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
             report.compare(D, direct.coeff(D), 0, rhs_text="0 (branch 1)")
         report.notes.append("branch (1): chi^(p)(u_0) != 1; stream must vanish")
         return report
-    tilde = next(c for c in char_group(N) if (c ** n) == chi)
     CN = thm56_constant(n, N)
-    weights = _eta_weights(tilde, n)
+    weights = _eta_weights(chi, n)
     # Theorem 5.11 route: direct == CN * sum_eta w_eta * L*(chi tilde eta)
     second = _eta_sum(weights, lambda lam: km_stream(table, lam, "second", bound),
                       bound)
@@ -408,13 +399,14 @@ def r_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
     """
     if (chi ** n).conductor != chi.modulus:
         raise ValueError("chi^n must be primitive for the section-7 assembly")
-    return _r_chi(h, _eta_weights(chi, n, variant == "printed"), k, n, bound)
+    return _r_chi(h, _eta_weights(chi ** n, n, variant == "printed"), k, n,
+                  bound)
 
 
 def mchi_assemble(h: PlusForm, chi: DirichletChar, n: int,
                   bound: int = 40) -> DirStream:
     """The companion M^(chi) combination of pure shifted-L products."""
-    return _m_chi(h, _eta_weights(chi, n), n, bound)
+    return _m_chi(h, _eta_weights(chi ** n, n), n, bound)
 
 
 # ---------------------------------------------------------------------------

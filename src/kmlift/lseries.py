@@ -325,50 +325,31 @@ class DirStream:
         return True
 
 
-def unit_stream(bound) -> DirStream:
-    return DirStream(bound, {1: CycloNum.one()})
+def _twisted(coeff, chi, bound: int, square=False) -> DirStream:
+    """The chi-twisted stream of coeff: weight chi(m) coeff(m) at index m, or
+    at m^2 when square (an L(2s - a, *) factor)."""
+    c = {}
+    m = 1
+    while (m * m if square else m) <= bound:
+        a = coeff(m)
+        if a:
+            v = chi(m)
+            if not v.is_zero():
+                c[m * m if square else m] = v * a
+        m += 1
+    return DirStream(bound, c)
 
 
 def hecke_stream(f: QExp, chi, bound: int) -> DirStream:
     """L(s, f, chi) coefficients c_f(m) chi(m) for a normalized eigenform f."""
     if f.coeff(1) != 1:
         raise ValueError("eigenform must be normalized: c_f(1) = 1")
-    c = {}
-    for m in range(1, bound + 1):
-        a = f.coeff(m)
-        if not a:
-            continue
-        v = chi(m)
-        if v.is_zero():
-            continue
-        c[m] = v * a
-    return DirStream(bound, c)
+    return _twisted(f.coeff, chi, bound)
 
 
 def lfactor_stream(f: QExp, chi, a: int, bound: int) -> DirStream:
     """L(2s - a, f, chi) as a stream: index m^2, weight c_f(m) chi(m) m^a."""
-    c = {}
-    m = 1
-    while m * m <= bound:
-        co = f.coeff(m)
-        if co:
-            v = chi(m)
-            if not v.is_zero():
-                c[m * m] = v * (co * Fraction(m) ** a)
-        m += 1
-    return DirStream(bound, c)
-
-
-def char_L_stream(chi, a: int, bound: int) -> DirStream:
-    """L(2s - a, chi) as a stream: index d^2, weight chi(d) d^a."""
-    c = {}
-    d = 1
-    while d * d <= bound:
-        v = chi(d)
-        if not v.is_zero():
-            c[d * d] = v * Fraction(d) ** a
-        d += 1
-    return DirStream(bound, c)
+    return _twisted(lambda m: f.coeff(m) * Fraction(m) ** a, chi, bound, True)
 
 
 def rankin_stream(h1: QExp, h2: QExp, chi, k1: int, k2: int, bound: int,
@@ -381,45 +362,22 @@ def rankin_stream(h1: QExp, h2: QExp, chi, k1: int, k2: int, bound: int,
     """
     if min(h1.prec, h2.prec) < bound + 1:
         raise ValueError("q-expansion precision below the requested bound")
-    core = {}
-    for m in range(1, bound + 1):
-        a = h1.coeff(m) * h2.coeff(m)
-        if not a:
-            continue
-        v = chi(m)
-        if v.is_zero():
-            continue
-        core[m] = v * a
-    core_stream = DirStream(bound, core)
-    chi2 = chi * chi
-    if variant == "R":
-        pref = char_L_stream(chi2, k1 + k2 - 1, bound)
-    elif variant == "Rtilde":
-        pref = _twisted_char_L_stream(chi2, k1 - k2, k1 + k2 - 1, bound)
-    else:
+    if variant not in ("R", "Rtilde"):
         raise ValueError("variant must be 'R' or 'Rtilde'")
-    return pref.convolve(core_stream)
 
+    def pref(d):
+        w = Fraction(d) ** (k1 + k2 - 1)
+        if variant == "Rtilde":     # chi_{-4}^(k1-k2); principal mod 4 if even
+            w *= kronecker(-4, d) if (k1 - k2) % 2 else d % 2
+        return w
 
-def _twisted_char_L_stream(chi2, k_diff: int, a: int, bound: int) -> DirStream:
-    c = {}
-    d = 1
-    while d * d <= bound:
-        v = chi2(d)
-        if not v.is_zero():
-            if k_diff % 2:
-                kron = kronecker(-4, d)
-            else:
-                kron = 0 if d % 2 == 0 else 1   # chi_{-4}^even = principal mod 4
-            if kron:
-                c[d * d] = v * (Fraction(kron) * Fraction(d) ** a)
-        d += 1
-    return DirStream(bound, c)
+    core = _twisted(lambda m: h1.coeff(m) * h2.coeff(m), chi, bound)
+    return _twisted(pref, chi * chi, bound, True).convolve(core)
 
 
 def shifted_L_stream(f: QExp, chi2, shifts, bound: int) -> DirStream:
     """prod_j L(2s - a_j, f, chi2) assembled by stream convolution."""
-    out = unit_stream(bound)
+    out = DirStream(bound, {1: 1})
     for a in shifts:
         out = out.convolve(lfactor_stream(f, chi2, a, bound))
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kmlift.characters import char_group, jacobi_sum
+from kmlift.characters import char_group, jacobi_sum, subgroup_Dm
 from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
                              HVariant, Im_brute, Im_closed, Jm_brute, Jm_chi,
                              Jm_recursion, _sym_dt_table,
@@ -12,8 +12,8 @@ from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
                              bordered_det_sum_closed, chi_det_halfintegral,
                              count_A_brute,
                              count_A_closed, count_A_display, gamma_const,
-                             h_brute_sl, h_brute_sym, h_closed,
-                             quad_char_sum_brute, run_lemma51_suite,
+                             h_brute_sl, h_closed, h_sum,
+                             quad_char_sum_brute, root_weights, run_lemma51_suite,
                              run_lemma53_suite, run_prop510_suite,
                              run_prop54_suite, sl_gram_counts, sl_group_order,
                              sym_dettarget_trace_counts, _vectors)
@@ -124,17 +124,43 @@ def test_chi_det_halfintegral():
 
 
 def test_h_three_modes_agree():
-    grams = [[[2, 0], [0, 2]], [[2, 1], [1, 2]], [[4, 1], [1, 2]]]
-    for p in (5, 7):
-        G = char_group(p)
-        for chi in G:
-            if chi.is_trivial():
+    # the three h_sum modes on every primitive chi (the closed forms assume
+    # it), the ternary form where chi^2 is primitive too; [[2,1],[1,4]]
+    # gives h = 0 at every such chi mod 7 and 35, 2 * 1_2 does not
+    binary = [[[2, 0], [0, 2]], [[2, 1], [1, 2]], [[4, 1], [1, 2]],
+              [[2, 1], [1, 4]]]
+    ternary = [[2, 1, 0], [1, 2, 0], [0, 0, 4]]
+    nonzero = 0
+    for N in (5, 7, 35):
+        for chi in char_group(N):
+            if not chi.is_primitive():
                 continue
+            grams = list(binary)
+            if N != 35 and (chi ** 2).conductor == N:
+                grams.append(ternary)
             for gram in grams:
-                b1 = h_brute_sl(gram, chi)
-                b2 = h_brute_sym(gram, chi)
-                c = h_closed(gram, chi)
-                assert b1 == b2 == c, (p, chi.descriptor(), gram)
+                vals = [h_sum(gram, chi, mode)
+                        for mode in ("brute_sl", "brute_sym", "closed")]
+                assert vals[0] == vals[1] == vals[2], (chi.descriptor(), gram)
+                nonzero += not vals[0].is_zero()
+    assert nonzero > 0
+    with pytest.raises(ValueError, match="unknown h_sum mode"):
+        h_sum(binary[0], char_group(5).trivial(), "closed_form")
+
+
+def test_root_weights_run_over_chi_tilde_times_Dm():
+    # the lam of root_weights(chi, m) are chi~ D_{N,m}, and there are none
+    # when chi has no m-th root
+    for N in (5, 7, 35):
+        G = char_group(N)
+        for m in (2, 3, 4):
+            for chi in G:
+                got = [lam for lam, _ in root_weights(chi, m)]
+                tilde = next((c for c in G if c ** m == chi), None)
+                want = [] if tilde is None else \
+                    [tilde * eta for eta in subgroup_Dm(G, m)]
+                assert len(got) == len(set(got)) == len(want)
+                assert set(got) == set(want), (chi.descriptor(), m)
 
 
 def test_h_composite_modulus():
