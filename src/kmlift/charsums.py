@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exactalg import CycloNum, _congruence_blocks, mat_det
+from .exactalg import CycloNum, _congruence_blocks, _wedge, mat_det
 from .characters import (DirichletChar, _as_unit_int, _root_sum, char_group,
                          factorize, find_primitive_root_of_unity_mod,
                          jacobi_sum, legendre, local_component)
@@ -82,26 +82,15 @@ def _sym_trace(A, M, N):
     return tr % N
 
 
-def _det_batch(M, N):
-    """Determinant mod N of a batch given as nested entry lists M[i][j] of
-    arrays or ints (1 for the empty matrix), by Laplace expansion along the
-    first row."""
-    if len(M) <= 1:
-        return M[0][0] % N if M else 1
-    d = 0
-    for j, x in enumerate(M[0]):
-        term = x * _det_batch([row[:j] + row[j + 1:] for row in M[1:]], N)
-        d = d - term if j % 2 else d + term
-    return d % N
-
-
 def _sym_adj_batch(M, N, size):
     """Adjugate entries Adj[a, b] (a <= b, in ``_upper`` order) mod N of a
     batch of symmetric matrices given as nested entry lists, one column per
-    entry."""
-    cols = [np.broadcast_to((-1) ** (a + b) * _det_batch(
-        [row[:a] + row[a + 1:] for i, row in enumerate(M) if i != b], N) % N,
-        (size,)) for a, b in _upper(len(M))]
+    entry: Adj[a, b] = (-1)^(a+b) w_b[k-1-a], with w_b the wedge of the
+    rows other than b."""
+    k = len(M)
+    w = [_wedge(M[:b] + M[b + 1:], N) for b in range(k)]
+    cols = [np.broadcast_to((-1) ** (a + b) * w[b][k - 1 - a] % N, (size,))
+            for a, b in _upper(k)]
     return np.stack(cols, axis=1) if cols else np.zeros((size, 0), np.int64)
 
 
@@ -146,7 +135,7 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     for lo in range(0, total, step):
         hi = min(total, lo + step)
         M = _sym_entries(lo, hi, N, k)
-        d1 = np.broadcast_to(_det_batch(M, N), (hi - lo,))
+        d1 = np.broadcast_to(_wedge(M, N)[0], (hi - lo,))
         Q = _sym_adj_batch(M, N, hi - lo) @ quads % N
         base = (d1[:, None] * N + Q) * N
         for f, B in enumerate(forms):
@@ -241,8 +230,8 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
         hi = min(total, lo + step)
         digs = _digit_arrays(lo, hi, p, k * m)
         rows = [digs[a * m:(a + 1) * m] for a in range(k)]
-        cof[lo:hi] = sum((-1) ** (k + b) * _det_batch(
-            [r[:b] + r[b + 1:] for r in rows], p) % p * p ** b for b in range(m))
+        cof[lo:hi] = sum((-1) ** i * x % p * p ** (k - i)
+                         for i, x in enumerate(_wedge(rows, p)))
         gram[lo:hi] = sum(sum(x * y for x, y in zip(rows[a], rows[b])) % p
                           * weight[a, b] for a, b in _upper(k))
     order = np.argsort(cof, kind="stable")
@@ -415,8 +404,6 @@ def _rep_triples(X, S, T, q, i, c0, c1, c2):
 
 def count_A_closed(S, T, p) -> Fraction:
     """Lemma 5.1 (1), general product formulas; S, T nondegenerate."""
-    S = [[x % p for x in row] for row in np.asarray(S, dtype=np.int64).tolist()]
-    T = [[x % p for x in row] for row in np.asarray(T, dtype=np.int64).tolist()]
     m, r = len(S), len(T)
     detS = mat_det(S) % p
     detT = mat_det(T) % p
@@ -455,7 +442,6 @@ def count_A_display(S, c, p, variant="printed"):
     For odd m the printed display carries the exponent (m+1)/2 where the
     general formula gives (m-1)/2; ``variant='general'`` uses the latter.
     """
-    S = np.asarray(S, dtype=np.int64).tolist()
     m = len(S)
     detS = mat_det(S) % p
     if m % 2 == 0:
@@ -553,7 +539,7 @@ def bordered_det_sum_brute(eta: DirichletChar, Z1, z, budget=DEFAULT_BUDGET) -> 
     _check_budget(total, budget)
     # det [[Z1, w],[w^t, z]] = det(Z1) z - w^t Adj(Z1) w
     quads = _adj_quads(_digit_arrays(0, total, p, len(Z1)), p)
-    vals = (_det_batch(Z1, p) * z - _sym_adj_batch(Z1, p, 1) @ quads) % p
+    vals = (_wedge(Z1, p)[0] * z - _sym_adj_batch(Z1, p, 1) @ quads) % p
     counts = np.bincount(vals[0], minlength=p)
     return _weight_counts(counts, eta)
 
@@ -564,9 +550,8 @@ def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="derived") -> Cyc
     p = eta.modulus
     if (eta ** 2).is_trivial():
         raise ValueError("Prop 5.4 needs eta^2 nontrivial")
-    Z1l = np.asarray(Z1).tolist()
-    l = len(Z1l) + 1
-    detZ1 = mat_det(Z1l) % p
+    l = len(Z1) + 1
+    detZ1 = mat_det(Z1) % p
     leg = legendre_char(p)
     if detZ1 % p == 0:
         return CycloNum.zero(eta.order)
@@ -785,9 +770,8 @@ def chi_det_halfintegral(chi: DirichletChar, gram) -> CycloNum:
     N = chi.modulus
     if N % 2 == 0:
         raise ValueError("convention defined for odd conductor only")
-    G = [list(map(int, row)) for row in np.asarray(gram).tolist()]
-    m = len(G)
-    detG = mat_det(G)
+    m = len(gram)
+    detG = mat_det(gram)
     t = 2 ** (2 * (m // 2))
     num = detG * t
     den = 2 ** m

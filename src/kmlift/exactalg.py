@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from operator import index
 
@@ -99,6 +100,20 @@ def _bareiss_step(M, k, prev):
             row[j] = (pk * row[j] - a * rowk[j]) // prev
 
 
+def _bareiss_pass(G):
+    """Bareiss elimination of an integer matrix without row swaps: the
+    eliminated rows and the pivots up to and including the first zero; the
+    k-th pivot is the k-th leading minor."""
+    M = _int_matrix(G)
+    pivots = []
+    for k in range(len(M)):
+        pivots.append(M[k][k])
+        if not M[k][k]:
+            break
+        _bareiss_step(M, k, pivots[k - 1] if k else 1)
+    return M, pivots
+
+
 def mat_det(G):
     """Exact determinant of an integer matrix (list of rows), by Bareiss
     fraction-free elimination with row swaps."""
@@ -118,22 +133,43 @@ def mat_det(G):
 
 
 def leading_minors(G):
-    """[det G[:k, :k] for k = 1..n] of an integer matrix: Bareiss elimination
-    without row swaps, whose k-th pivot is the k-th leading minor.  After a
-    zero minor the remaining ones come from ``mat_det``."""
-    A = _int_matrix(G)
-    M = [row[:] for row in A]
-    n = len(M)
-    out, prev = [], 1
-    for k in range(n):
-        out.append(M[k][k])
-        if M[k][k] == 0:
-            out.extend(mat_det([row[:j] for row in A[:j]])
-                       for j in range(k + 2, n + 1))
-            break
-        _bareiss_step(M, k, prev)
-        prev = M[k][k]
-    return out
+    """[det G[:k, :k] for k = 1..n] of an integer matrix: the pivots of
+    ``_bareiss_pass``; after a zero minor the remaining ones come from
+    ``mat_det``."""
+    pivots = _bareiss_pass(G)[1]
+    return pivots + [mat_det([row[:j] for row in G[:j]])
+                     for j in range(len(pivots) + 1, len(G) + 1)]
+
+
+@lru_cache(maxsize=None)
+def _wedge_plan(n):
+    """How the (j+1)-wedge of vectors u_0..u_j in Z^n follows from the
+    j-wedge and v = u_j, for j < n.  A j-wedge holds the j x j minors
+    det(u_0..u_{j-1} at coordinates S) for the j-subsets S, in
+    ``combinations`` order; Laplace along v gives
+    w'[S] = sum_t (-1)^(j-t) v[s_t] w[S - s_t].  Entry j lists, per
+    (j+1)-subset, the terms (s_t, index of S - s_t, sign)."""
+    plan = []
+    for j in range(n):
+        index = {S: q for q, S in enumerate(combinations(range(n), j))}
+        plan.append(tuple(
+            tuple((r, index[S[:t] + S[t + 1:]], (-1) ** (j - t))
+                  for t, r in enumerate(S))
+            for S in combinations(range(n), j + 1)))
+    return plan
+
+
+def _wedge(vectors, N):
+    """The j-wedge mod N of j vectors of length n (entries ints or arrays of
+    one shape, for a batch), built one vector at a time along ``_wedge_plan``
+    and reduced after each, so every prefix shares its minors.  The rows of
+    a square matrix give [det]; n - 1 vectors give w with the cofactor of
+    coordinate b equal to (-1)^(n-1-b) w[n-1-b]."""
+    w = [1]                 # the 0-wedge
+    if vectors:
+        for terms, v in zip(_wedge_plan(len(vectors[0])), vectors):
+            w = [sum(sg * v[r] * w[q] for r, q, sg in ts) % N for ts in terms]
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def jordan_decompose(G, p: int) -> JordanSymbol:
     valuation with the product of their unit classes."""
     if p == 2:
         raise ValueError("use dyadic_jordan for p = 2")
-    if mat_det(_int_rows(G)) == 0:
+    if mat_det(_rows(G)) == 0:
         raise ValueError("degenerate form")
     blocks: dict = {}
     for [[d]] in _congruence_blocks(_rows(G), p):
@@ -92,10 +92,6 @@ def jordan_decompose(G, p: int) -> JordanSymbol:
 
 def _rows(G):
     return G.entries if isinstance(G, GramMat) else G
-
-
-def _int_rows(G):
-    return [list(map(int, r)) for r in _rows(G)]
 
 
 def _unit_class(u: Fraction, p: int) -> int:
@@ -237,8 +233,8 @@ def _density_dyadic(G) -> Fraction:
 def _density_brute(G, p: int, budget=DEFAULT_BUDGET) -> Fraction:
     """Backtracking count of #A_a(A, A) at a = nu_p(det) + 1 + [p = 2] and at
     a + 1, which must agree (odd-type dyadic forms settle one digit later)."""
-    A = np.asarray(_int_rows(G), dtype=np.int64)
-    a = _pval(mat_det(A.tolist()), p) + 1 + (p == 2)
+    A = np.asarray(_rows(G), dtype=np.int64)
+    a = _pval(mat_det(A), p) + 1 + (p == 2)
     v1 = _aut_cong_count(A, p, a, budget)
     v2 = _aut_cong_count(A, p, a + 1, budget)
     if v1 != v2:

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import isqrt, lcm, prod
 from operator import mul
 
 import numpy as np
 
 from .characters import factorize, hilbert_symbol
-from .exactalg import (_bareiss_step, _congruence_blocks, _int_matrix,
+from .exactalg import (_bareiss_pass, _congruence_blocks, _wedge_plan,
                        leading_minors, mat_det)
 
 
@@ -119,15 +118,11 @@ def vectors_of_norm(G, t: int):
     G[v] = sum_k (d_{k+1} v_k + sum_{j>k} b_kj v_j)^2 / (d_k d_{k+1}).
     Scaled by L = lcm(d_k d_{k+1}), the remainder stays an integer and each
     coordinate is bounded with ``isqrt``; the last coordinate is outermost."""
-    M = _int_matrix(G)
+    M, pivots = _bareiss_pass(G)
     n = len(M)
-    d, prev = [1], 1
-    for k in range(n):
-        if M[k][k] <= 0:
-            raise ValueError("not positive definite")
-        _bareiss_step(M, k, prev)
-        prev = M[k][k]
-        d.append(prev)
+    if not all(x > 0 for x in pivots):
+        raise ValueError("not positive definite")
+    d = [1] + pivots
     w = [d[k] * d[k + 1] for k in range(n)]
     L = lcm(*w)
     w = [L // x for x in w]
@@ -159,23 +154,6 @@ def vectors_of_norm(G, t: int):
 
 # ---------------------------------------------------------------------------
 # isometries and automorphisms
-
-@lru_cache(maxsize=None)
-def _wedge_plan(n):
-    """How the (j+1)-wedge of columns u_0..u_j follows from the j-wedge and
-    v = u_j, for j < n.  A j-wedge holds det(rows S, columns 0..j-1) for the
-    j-subsets S of rows, in ``combinations`` order; Laplace along column j
-    gives w'[S] = sum_t (-1)^(j-t) v[s_t] w[S - s_t].  Entry j lists, per
-    (j+1)-subset, the terms (s_t, index of S - s_t, sign)."""
-    plan = []
-    for j in range(n):
-        index = {S: q for q, S in enumerate(combinations(range(n), j))}
-        plan.append(tuple(
-            tuple((r, index[S[:t] + S[t + 1:]], (-1) ** (j - t))
-                  for t, r in enumerate(S))
-            for S in combinations(range(n), j + 1)))
-    return plan
-
 
 def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                      congruence=1):

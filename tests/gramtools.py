@@ -1,9 +1,34 @@
 """Helpers shared by the test modules (the package has no caller for them):
 G[U] = U^t G U on integer matrices given as lists of rows, the plain column
 backtracking that the isometry search is checked against, the row-by-row
-representation count that ``charsums._rep_count`` is checked against, and
-the one-row-bordered SL_m(F_p) sweep that ``charsums.sl_gram_counts`` is
-checked against."""
+representation count that ``charsums._rep_count`` is checked against, the
+one-row-bordered SL_m(F_p) sweep that ``charsums.sl_gram_counts`` is checked
+against, and the Leibniz determinant that every determinant and minor kernel
+is checked against."""
+
+from itertools import combinations, permutations
+
+
+def leibniz_det(M):
+    """det M as the Leibniz sum over permutations; the entries may be ints or
+    numpy arrays of one shape (a batch of matrices)."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term = term * M[i][perm[i]]
+        total = total + term
+    return total
+
+
+def leibniz_minors(vectors):
+    """The j x j minors of j vectors of length n, one per j-subset of
+    coordinates in ``combinations`` order, each a Leibniz sum."""
+    n = len(vectors[0]) if vectors else 0
+    return [leibniz_det([[v[c] for c in S] for v in vectors])
+            for S in combinations(range(n), len(vectors))]
 
 
 def mat_mul(A, B):
@@ -113,12 +138,12 @@ def reference_sl_gram_counts(m, p):
     """``charsums.sl_gram_counts`` as a sweep of every cell of F_p^{m x m}:
     for each chunk of first rows r_1..r_{m-1} it takes every last row x at
     once (one p^m x m array), so that det X = c . x, with c the cofactor
-    vector of the first rows, and (X X^t)_{a,m} = r_a . x are integer
-    matmuls; one bincount per chunk tallies the Gram matrices of the det-1
-    cells."""
+    vector of the first rows (Leibniz sums), and (X X^t)_{a,m} = r_a . x are
+    integer matmuls; one bincount per chunk tallies the Gram matrices of the
+    det-1 cells."""
     import numpy as np
 
-    from kmlift.charsums import _CHUNK, _det_batch, _digit_arrays, _upper
+    from kmlift.charsums import _CHUNK, _digit_arrays, _upper
 
     k = m - 1
     E = m * (m + 1) // 2
@@ -133,8 +158,8 @@ def reference_sl_gram_counts(m, p):
         hi = min(total, lo + step)
         digs = _digit_arrays(lo, hi, p, k * m)
         rows = [digs[a * m:(a + 1) * m] for a in range(k)]
-        cof = np.stack([np.broadcast_to((-1) ** (k + b) * _det_batch(
-            [r[:b] + r[b + 1:] for r in rows], p), (hi - lo,))
+        cof = np.stack([np.broadcast_to((-1) ** (k + b) * leibniz_det(
+            [r[:b] + r[b + 1:] for r in rows]), (hi - lo,))
             for b in range(m)], axis=1)
         R = np.array(digs, dtype=np.int64).T.reshape(hi - lo, k, m)
         gram = R @ R.transpose(0, 2, 1) % p

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kmlift.exactalg import (CycloNum, PPow, QSqrt, TruncSeries,
-                             cyclotomic_poly, leading_minors, mat_det,
+from kmlift.exactalg import (CycloNum, PPow, QSqrt, TruncSeries, _bareiss_pass,
+                             _wedge, cyclotomic_poly, leading_minors, mat_det,
                              p_half_power, poly_deg)
 from kmlift.quadforms import is_positive_definite
+
+from gramtools import leibniz_det, leibniz_minors
 
 
 def test_cyclo_basic_relations():
@@ -111,23 +112,9 @@ def test_ppow_integrality():
 # determinants against the Leibniz permutation expansion
 
 
-def _leibniz(M):
-    n = len(M)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        for i in range(n):
-            sign *= M[i][perm[i]]
-        total += sign
-    return total
-
-
 def _leibniz_minors(M):
-    return [_leibniz([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+    return [leibniz_det([row[:k] for row in M[:k]])
+            for k in range(1, len(M) + 1)]
 
 
 @st.composite
@@ -161,15 +148,37 @@ def _symmetric_matrices(draw):
 @example([[1, 2], [2, 4]])
 @example([[0, 0], [0, 0]])
 def test_mat_det_matches_leibniz(M):
-    assert mat_det(M) == _leibniz(M)
+    assert mat_det(M) == leibniz_det(M)
 
 
 @given(_int_matrices())
 @example([[0, 1], [1, 0]])
 @example([[1, 1, 0], [1, 1, 0], [0, 0, 5]])
 @example([[2, 1, 0], [1, 0, 3], [0, 3, 1]])
+@example([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 3, 2], [1, 0, 2, 5]])
 def test_leading_minors_match_leibniz(M):
     assert leading_minors(M) == _leibniz_minors(M)
+    assert leading_minors(np.asarray(M, dtype=np.int64)) == _leibniz_minors(M)
+
+
+@given(_int_matrices())
+@example([[0, 1], [1, 0]])
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 5]])
+@example([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 3, 2], [1, 0, 2, 5]])
+@example([[3, 1, 2], [1, 2, 0], [2, 0, 1]])
+def test_bareiss_pass_matches_leibniz(M):
+    # the pivots are the leading minors up to and including the first zero,
+    # and below a nonzero pivot row k holds det(rows 0..k, columns 0..k-1, j)
+    R, pivots = _bareiss_pass(M)
+    minors = _leibniz_minors(M)
+    n = len(M)
+    assert pivots == minors[:len(pivots)]
+    assert len(pivots) == n or (pivots[-1] == 0 and all(pivots[:-1]))
+    for k in range(len(pivots)):
+        for j in range(k, n):
+            cols = list(range(k)) + [j]
+            assert R[k][j] == leibniz_det([[M[i][c] for c in cols]
+                                           for i in range(k + 1)])
 
 
 @given(_symmetric_matrices())
@@ -187,7 +196,30 @@ def test_mat_det_exact_on_int64_input(M):
     A = np.asarray(M, dtype=np.int64)
     d = mat_det(A)
     assert type(d) is int
-    assert d == _leibniz(M)
+    assert d == leibniz_det(M)
+
+
+@pytest.mark.parametrize("N", [5, 35])
+def test_wedge_matches_leibniz(N):
+    # every j x j minor mod N of j vectors of length n <= 5, as ints and as
+    # one int64 batch; n - 1 vectors give the cofactors of the last row
+    rng = random.Random(N)
+    for n in range(1, 6):
+        for j in range(n + 1):
+            for _ in range(3):
+                V = [[rng.randint(-3 * N, 3 * N) for _ in range(n)]
+                     for _ in range(j)]
+                assert _wedge(V, N) == [x % N for x in leibniz_minors(V)], V
+                B = [[np.array([rng.randint(0, N - 1) for _ in range(6)])
+                      for _ in range(n)] for _ in range(j)]
+                assert all(np.array_equal(*np.broadcast_arrays(g, w % N))
+                           for g, w in zip(_wedge(B, N), leibniz_minors(B)))
+                if j == n - 1:
+                    x = [rng.randint(0, N - 1) for _ in range(n)]
+                    w = _wedge(V, N)
+                    cof = [(-1) ** (n - 1 - b) * w[n - 1 - b] for b in range(n)]
+                    assert sum(c * y for c, y in zip(cof, x)) % N == \
+                        leibniz_det(V + [x]) % N
 
 
 def test_mat_det_refuses_fraction_entries():
