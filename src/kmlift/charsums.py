@@ -834,12 +834,15 @@ def zero_branch(chi: DirichletChar, n: int) -> bool:
 
 def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
              budget=DEFAULT_BUDGET):
-    """Theorems 5.5/5.6 closed evaluation; exact CycloNum (0 in branch (1))."""
+    """Theorems 5.5/5.6 closed evaluation; exact CycloNum (0 in branch (1)).
+    The theorems take chi primitive, so an imprimitive chi is refused."""
     if variant is None:
         variant = DEFAULT_H_VARIANT
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
+    if not chi.is_primitive():
+        raise ValueError(f"closed h needs chi primitive: {chi.descriptor()}")
     m = np.asarray(gram).shape[0]
     if zero_branch(chi, m):             # ValueError unless N is odd squarefree
         return CycloNum.zero(chi.order)

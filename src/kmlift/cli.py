@@ -79,6 +79,8 @@ def cmd_jacobi(args):
 def cmd_local(args):
     t0 = time.time()
     G = GramMat(_parse_gram(args.gram))
+    if args.mode is None:
+        args.mode = "stratified" if args.what == "siegel" else "closed"
     if args.what == "density":
         v = plocal.local_density(G, args.p, mode=args.mode, budget=args.budget)
         data = {"gram": G.rows(), "p": args.p, "mode": args.mode,
@@ -227,7 +229,8 @@ def build_parser():
     lo.add_argument("--gram", default="2 1;1 2",
                     help="rows of G = 2T, ';'-separated")
     lo.add_argument("--p", type=int, default=3)
-    lo.add_argument("--mode", default="closed")
+    lo.add_argument("--mode", help="density: closed (default) or brute; "
+                                   "siegel: stratified (default) or oracle")
     lo.add_argument("--n", type=int, default=2)
     lo.add_argument("--d0", type=int, default=1)
     lo.add_argument("--omega", default="iota", choices=["iota", "eps"])

@@ -19,9 +19,9 @@ from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       eisenstein_qexp, lfactor_stream, rankin_stream,
                       shifted_L_stream, theta_series, weight2_eisenstein_odd)
-from .plocal import (SiegelPoly, _diag_mat, _kappa_zeta_L,
-                     density_from_symbol, enumerate_zp_classes, local_density,
-                     siegel_series, symbol_diagonal)
+from .plocal import (_STRATIFIED_DEG, SiegelPoly, _diag_mat, _kappa_zeta_L,
+                     _siegel_degree, density_from_symbol, enumerate_zp_classes,
+                     local_density, siegel_series, symbol_diagonal)
 from .quadforms import (ClassList, GramMat, disc_split, fundamental_split,
                         hasse_invariant)
 
@@ -183,13 +183,21 @@ NU2_CAP = 2
 
 def build_coeff_table(classes: ClassList, h: PlusForm, k: int,
                       n: int) -> IkedaCoeffTable:
-    """Ikeda coefficients for every class within the dyadic scope; classes with
-    nu_2(det) above NU2_CAP are excluded with a report entry."""
+    """Ikeda coefficients for every class in scope; a class with nu_2(det)
+    above NU2_CAP, or with deg F_p past the stratified route at some
+    p | f_T, is excluded with a report entry."""
     table = IkedaCoeffTable([])
     for rec in classes.classes:
         D = rec.gram.det()
         if _pval(D, 2) > NU2_CAP:
             table.excluded.append({"det": D, "reason": f"nu_2({D}) > {NU2_CAP}"})
+            continue
+        deg, p = max(((_siegel_degree(rec.gram, p)[2], p)
+                      for p, _ in factorize(disc_split(rec.gram).f)),
+                     default=(0, 1))
+        if deg > _STRATIFIED_DEG:
+            table.excluded.append(
+                {"det": D, "reason": f"deg F_{p} = {deg} > {_STRATIFIED_DEG}"})
             continue
         v = ikeda_coeff(rec.gram, h, k, n)
         table.classes.append((rec, v))
@@ -273,6 +281,15 @@ def admissible_indices(bound: int, nu2_cap: int = NU2_CAP):
             if D % 4 in (0, 1) and _pval(D, 2) <= nu2_cap]
 
 
+def _checked_indices(table: IkedaCoeffTable, bound: int, nu2_cap: int):
+    """The admissible indices less the dets of excluded classes, whose
+    coefficients the table cannot give, and the notes naming them."""
+    idxs = admissible_indices(bound, nu2_cap)
+    skipped = sorted({x["det"] for x in table.excluded}.intersection(idxs))
+    notes = [f"indices skipped, a class of that det is excluded: {skipped}"]
+    return [D for D in idxs if D not in skipped], notes if skipped else []
+
+
 def verify_thm41(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
                  k: int, n: int, bound: int = 40,
                  nu2_cap: int = NU2_CAP) -> FitReport:
@@ -282,7 +299,7 @@ def verify_thm41(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     lhs = km_stream(table, chi, "second", bound)
     r1 = rankin_side_stream(h, chi, k, n, bound)
     r2 = shifted_l_side_stream(h, chi, n, bound)
-    idxs = admissible_indices(bound, nu2_cap)
+    idxs, notes = _checked_indices(table, bound, nu2_cap)
     pair = None
     for i, D1 in enumerate(idxs):
         for D2 in idxs[i + 1:]:
@@ -293,14 +310,14 @@ def verify_thm41(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
         if pair:
             break
     if pair is None:
-        return FitReport("thm4.1", {}, [], ["degenerate fit system"])
+        return FitReport("thm4.1", {}, [], notes + ["degenerate fit system"])
     D1, D2, det = pair
     ch1 = Fraction(h.coeff(1))
     cn = (lhs.coeff(D1) * r2.coeff(D2) - lhs.coeff(D2) * r2.coeff(D1)) / det
     dn = (r1.coeff(D1) * lhs.coeff(D2) - r1.coeff(D2) * lhs.coeff(D1)) / det
     dn = dn / ch1
-    notes = [f"fit indices D = {D1}, {D2}",
-             "index normalization: integer index = det(2T) (2^{ns} absorbed)"]
+    notes += [f"fit indices D = {D1}, {D2}",
+              "index normalization: integer index = det(2T) (2^{ns} absorbed)"]
     report = FitReport("thm4.1", {"c_n": _cyclo_str(cn), "d_n": _cyclo_str(dn)},
                        [], notes)
     for D in idxs:
@@ -356,9 +373,9 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     fitted Theorem 4.1 constants) the Theorem 6.1 combination
     C_N (c_n R^(chi~) + d_n c_h(1) M^(chi~)) with chi~^n = chi."""
     N = chi.modulus
-    idxs = admissible_indices(bound, nu2_cap)
+    idxs, notes = _checked_indices(table, bound, nu2_cap)
     direct = km_stream(table, chi, "first", bound)
-    report = FitReport("thm5.11+6.1", {}, [])
+    report = FitReport("thm5.11+6.1", {}, [], notes)
     if zero_branch(chi, n):
         for D in idxs:
             report.compare(D, direct.coeff(D), 0, rhs_text="0 (branch 1)")

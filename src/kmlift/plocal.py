@@ -295,12 +295,18 @@ class SiegelPoly:
                 "symmetric": self.symmetric}
 
 
-def _local_d_part_val(p, nu_det, xi):
-    if xi != 0:
-        return 0
-    if p == 2:
-        return 2 if nu_det % 2 == 0 else 3
-    return 1
+_STRATIFIED_DEG = 2     # the highest deg F_p the stratified route reaches
+
+
+def _siegel_degree(G: GramMat, p: int):
+    """(nu_p(det G), xi~, deg F_p) for T = G/2, n even: deg F_p is nu_p(det)
+    less nu_p of the local discriminant part, which is 0 unless xi~ = 0."""
+    detG = G.det()
+    nu = _pval(detG, p)
+    xi = xi_tilde(p, Fraction((-1) ** (G.n // 2) * detG))  # class of det T
+    deg = nu - (0 if xi else 1 if p != 2 else 2 + nu % 2)
+    assert deg % 2 == 0, (nu, xi)
+    return nu, xi, deg
 
 
 def siegel_series(G: GramMat, p: int, mode="stratified",
@@ -309,20 +315,16 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     n = G.n
     if n % 2:
         raise ValueError("Siegel series implemented for even rank")
-    detG = G.det()
-    nu = _pval(detG, p)
-    xi = xi_tilde(p, Fraction((-1) ** (n // 2) * detG))  # det T same square class
-    nu_d = _local_d_part_val(p, nu, xi)
-    deg = nu - nu_d
+    nu, xi, deg = _siegel_degree(G, p)
     nu_f = deg // 2
-    assert deg % 2 == 0, (nu, nu_d)
     if deg == 0:
         return SiegelPoly(p, n, (1,), nu, 0, xi, True)
     if mode == "oracle":
         A = _oracle_A_coeffs(G, p, deg, budget)
     elif mode == "stratified":
-        if deg > 2:
-            raise ValueError("stratified extraction scoped to deg F <= 2")
+        if deg > _STRATIFIED_DEG:
+            raise ValueError("stratified extraction scoped to "
+                             f"deg F <= {_STRATIFIED_DEG}")
         A = _stratified_A(G, p)
     else:
         raise ValueError(f"unknown mode {mode!r}")

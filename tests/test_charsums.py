@@ -164,15 +164,20 @@ def test_root_weights_run_over_chi_tilde_times_Dm():
 
 
 def test_h_composite_modulus():
-    # CRT brute against the Theorem 5.6 closed product form at N = 35
-    G = char_group(35)
-    gram = [[2, 1], [1, 2]]
-    for chi in G:
-        if not chi.is_primitive():
-            continue
-        b = h_brute_sl(gram, chi)
-        c = h_closed(gram, chi)
-        assert b == c, chi.descriptor()
+    # CRT brute against the Theorem 5.6 closed product form at N = 35, where
+    # h(A_2, chi) vanishes at every primitive chi, and at N = 91 on A_2 and
+    # 2 1_2, where some values do not
+    a2, two = [[2, 1], [1, 2]], [[2, 0], [0, 2]]
+    compared, nonzero = 0, 0
+    for N, gram in ((35, a2), (91, a2), (91, two)):
+        for chi in char_group(N):
+            if not chi.is_primitive():
+                continue
+            b = h_brute_sl(gram, chi)
+            assert b == h_closed(gram, chi), (chi.descriptor(), gram)
+            compared += N == 91
+            nonzero += not b.is_zero()
+    assert compared == 110 and nonzero == 10
 
 
 def test_h_conjugation_equivariance():

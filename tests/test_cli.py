@@ -66,6 +66,29 @@ def test_cli_local_density(tmp_path):
     assert data["alpha"] == "6/1"
 
 
+def test_cli_local_siegel_default_mode_is_stratified(tmp_path):
+    # without --mode, siegel takes the stratified route (density keeps closed)
+    args = ["local", "siegel", "--gram", "2 0;0 18", "--p", "3"]
+    reports = []
+    for extra in ([], ["--mode", "stratified"]):
+        out = tmp_path / str(len(extra))
+        assert main(["--out", str(out)] + args + extra) == 0
+        reports.append((out / "local-siegel.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert main(["--out", str(tmp_path), "local", "density"]) == 0
+    assert json.load(open(tmp_path / "local-density.json"))["mode"] == "closed"
+
+
+def test_cli_firstkind_refuses_imprimitive_chi(tmp_path, capsys):
+    # the closed h(A, chi) of Theorems 5.5/5.6 takes chi primitive; 5:0 is
+    # the trivial character mod 5, so no report is written
+    assert main(["--out", str(tmp_path), "firstkind", "--chi", "5:0",
+                 "--det-bound", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "primitive" in err
+    assert not (tmp_path / "firstkind.json").exists()
+
+
 def test_cli_report_determinism(tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -203,21 +203,50 @@ def test_verify_thm511_61(flagship):
     assert thm56_constant(4, 7) * Fraction(-1, 48) == -16464
 
 
+def test_classes_past_the_stratified_degree_are_excluded():
+    # at det 81 the stratified route would need deg F_3 = 4: the five det-81
+    # classes are excluded with a report entry, index 81 is skipped with a
+    # note, and every other index is still checked; below det 81 only the
+    # dyadic cap excludes
+    from kmlift.quadforms import enumerate_classes
+    h = build_plus_eigenform(8, 4, prec=81 * 6 + 10)
+    table = build_coeff_table(enumerate_classes(4, 81), h, 8, 4)
+    assert len(table.classes) == 94
+    reasons = [(x["det"], x["reason"]) for x in table.excluded]
+    assert [r for r in reasons if r[0] == 81] == [(81, "deg F_3 = 4 > 2")] * 5
+    assert all(r.startswith("nu_2(") for D, r in reasons if D < 81)
+    note = "indices skipped, a class of that det is excluded: [81]"
+    idxs = admissible_indices(81)
+    rep = verify_thm41(h, char_group(1).trivial(), table, 8, 4, 81)
+    assert rep.passed and note in rep.notes
+    assert rep.checked == len(idxs) - 3       # the fit pair and D = 81
+    rep = verify_thm511_61(h, parse_descriptor("7:2"), table, 8, 4, 81)
+    assert rep.passed and rep.notes == [note]
+    assert rep.checked == len(idxs) - 1
+
+
 def test_verify_thm511_61_at_composite_modulus(flagship, classlist16):
-    # every non-vanishing character mod 35 has an imprimitive chi^n, so the
-    # section-7 guard of r_chi_assemble must stay out of the check
+    # 91:2,4 is primitive with components of order 3, so it is not in
+    # branch (1) and chi^4 = chi is primitive; the imprimitive 35:0,2 is
+    # refused by the closed h and by the section-7 guard
     h = flagship[0]
     table = build_coeff_table(classlist16, h, 8, 4)
-    chi = parse_descriptor("35:0,2")
+    chi = parse_descriptor("91:2,4")
+    assert chi.is_primitive() and not zero_branch(chi, 4)
+    assert any(not v.is_zero()
+               for v in km_stream(table, chi, "first", 16).coeffs.values())
     cn = CycloNum.from_rational(Fraction(-1, 48))
     dn = CycloNum.from_rational(Fraction(-1, 576))
     rep = verify_thm511_61(h, chi, table, 8, 4, 16, cn=cn, dn=dn)
     assert rep.passed and rep.checked == 12
     assert rep.constants == {
-        "C_N (Thm 5.6 prefactor, corrected gamma)": "56899584000/1",
-        "c_{n,N}": "-1185408000/1", "d_{n,N}": "-98784000/1"}
+        "C_N (Thm 5.6 prefactor, corrected gamma)": "49003287330816/1",
+        "c_{n,N}": "-1020901819392/1", "d_{n,N}": "-85075151616/1"}
+    imprimitive = parse_descriptor("35:0,2")
+    with pytest.raises(ValueError, match="primitive"):
+        verify_thm511_61(h, imprimitive, table, 8, 4, 16, cn=cn, dn=dn)
     with pytest.raises(ValueError):
-        r_chi_assemble(h, chi, 8, 4, 16)
+        r_chi_assemble(h, imprimitive, 8, 4, 16)
 
 
 def test_thm61_residuals_name_the_route(flagship):
