@@ -230,6 +230,7 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
         hi = min(total, lo + step)
         digs = _digit_arrays(lo, hi, p, k * m)
         rows = [digs[a * m:(a + 1) * m] for a in range(k)]
+        # wedge entry i is (-1)^i times the cofactor of coordinate k - i
         cof[lo:hi] = sum((-1) ** i * x % p * p ** (k - i)
                          for i, x in enumerate(_wedge(rows, p)))
         gram[lo:hi] = sum(sum(x * y for x, y in zip(rows[a], rows[b])) % p
