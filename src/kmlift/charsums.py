@@ -2,12 +2,12 @@
 the trace sums h(A,chi), the determinant-trace sums I_m and J_m, and the
 closed formulas with their brute-force oracles.
 
-Every closed formula carries the printed constants and, where the oracle has
-established a discrepancy, a derived variant; ``variant`` arguments select
-between them and the suite runners record which one matched.  Heavy
-enumerations accumulate integer counts per residue (or per (det, trace) pair)
-and apply character values only to the count tables, so the inner loops are
-branch-free numpy sweeps.
+Where the oracle contradicts a printed display, the function takes
+``variant="corrected"`` (the default, oracle-validated) or ``"printed"``, and
+the suite runners record which one matched.  Heavy enumerations accumulate
+integer counts per residue (or per (det, trace) pair) and apply character
+values only to the count tables, so the inner loops are branch-free numpy
+sweeps.
 """
 
 from __future__ import annotations
@@ -36,6 +36,16 @@ class BudgetExceeded(RuntimeError):
 def _check_budget(cost, budget=DEFAULT_BUDGET):
     if cost > budget:
         raise BudgetExceeded(cost, budget)
+
+
+def _is_printed(variant) -> bool:
+    """True for variant "printed", False for "corrected"; any other value is
+    refused, so a misspelt variant never selects a formula silently."""
+    if variant == "printed":
+        return True
+    if variant != "corrected":
+        raise ValueError(f"variant must be 'corrected' or 'printed': {variant!r}")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +420,14 @@ def count_A_closed(S, T, p) -> Fraction:
     detT = mat_det(T) % p
     if detS % p == 0 or detT % p == 0:
         raise ValueError("closed Lemma 5.1 needs nondegenerate S and T")
-    prodf = Fraction(1)
+    val = Fraction(p) ** (r * m - r * (r + 1) // 2)
     for e in range(m - r + 1, m):
         if e % 2 == 0:
-            prodf *= 1 - Fraction(1, p ** e)
-    base = Fraction(p) ** (r * m - r * (r + 1) // 2)
-    if r % 2 == 0:
-        if m % 2 == 0:
-            val = base * (1 - _chi_even(detS, m, p) * Fraction(1, p ** (m // 2))) \
-                * (1 + _chi_perp(detS, detT, m, r, p) * Fraction(1, p ** ((m - r) // 2))) * prodf
-        else:
-            val = base * prodf
-    else:
-        if m % 2 == 0:
-            val = base * (1 - _chi_even(detS, m, p) * Fraction(1, p ** (m // 2))) * prodf
-        else:
-            val = base * (1 + _chi_perp(detS, detT, m, r, p) * Fraction(1, p ** ((m - r) // 2))) * prodf
+            val *= 1 - Fraction(1, p ** e)
+    if m % 2 == 0:
+        val *= 1 - _chi_even(detS, m, p) * Fraction(1, p ** (m // 2))
+    if (m + r) % 2 == 0:
+        val *= 1 + _chi_perp(detS, detT, m, r, p) * Fraction(1, p ** ((m - r) // 2))
     assert val.denominator == 1 and val >= 0, val
     return val
 
@@ -437,35 +439,34 @@ def _chi_perp(detS, detT, m, r, p):
     return _chi_even(d, size, p)
 
 
-def count_A_display(S, c, p, variant="printed"):
-    """The specialized #A(S, c) displays for c a unit scalar.
+def count_A_display(S, c, p):
+    """The printed specialized #A(S, c) displays for c a unit scalar.
 
-    For odd m the printed display carries the exponent (m+1)/2 where the
-    general formula gives (m-1)/2; ``variant='general'`` uses the latter.
+    For odd m the printed display carries the sign exponent (m+1)/2 where
+    the general formula gives (m-1)/2: the corrected count is
+    ``count_A_closed(S, [[c]], p)``.
     """
     m = len(S)
     detS = mat_det(S) % p
     if m % 2 == 0:
         return Fraction(p) ** (m // 2 - 1) * (p ** (m // 2) - _chi_even(detS, m, p))
-    expo = (m + 1) // 2 if variant == "printed" else (m - 1) // 2
-    eps = legendre((-1) ** expo * c * detS, p)
+    eps = legendre((-1) ** ((m + 1) // 2) * c * detS, p)
     return Fraction(p) ** ((m - 1) // 2) * (p ** ((m - 1) // 2) + eps)
 
 
 # ---------------------------------------------------------------------------
 # Proposition 5.2: gamma and the R = gamma * M proportionality
 
-def gamma_const(m: int, p: int, mode="corrected") -> Fraction:
-    base = Fraction(p) ** (m * m - m * (m + 1) // 2)
-    if m % 2 == 0:
-        eps = 1 if mode == "printed" else legendre((-1) ** (m // 2), p)
-        val = base * (1 - eps * Fraction(1, p ** (m // 2)))
-        for e in range(1, (m - 2) // 2 + 1):
-            val *= 1 - Fraction(1, p ** (2 * e))
-        return val
-    val = base
+def gamma_const(m: int, p: int, variant="corrected") -> Fraction:
+    """gamma_{m,p}; the even-m factor is 1 - ((-1)^(m/2)/p) p^(-m/2), printed
+    as 1 - p^(-m/2)."""
+    printed = _is_printed(variant)
+    val = Fraction(p) ** (m * m - m * (m + 1) // 2)
     for e in range(1, (m - 1) // 2 + 1):
         val *= 1 - Fraction(1, p ** (2 * e))
+    if m % 2 == 0:
+        eps = 1 if printed else legendre((-1) ** (m // 2), p)
+        val *= 1 - eps * Fraction(1, p ** (m // 2))
     return val
 
 
@@ -545,9 +546,10 @@ def bordered_det_sum_brute(eta: DirichletChar, Z1, z, budget=DEFAULT_BUDGET) -> 
     return _weight_counts(counts, eta)
 
 
-def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="derived") -> CycloNum:
+def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="corrected") -> CycloNum:
     """Prop 5.4; for even l the printed sign exponent l/2 conflicts with the
-    chain Lemma 5.1 -> 5.3 which gives (l-2)/2 (variant='derived')."""
+    chain Lemma 5.1 -> 5.3, which gives the corrected (l-2)/2."""
+    printed = _is_printed(variant)
     p = eta.modulus
     if (eta ** 2).is_trivial():
         raise ValueError("Prop 5.4 needs eta^2 nontrivial")
@@ -557,7 +559,7 @@ def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="derived") -> Cyc
     if detZ1 % p == 0:
         return CycloNum.zero(eta.order)
     if l % 2 == 0:
-        expo = l // 2 if variant == "printed" else (l - 2) // 2
+        expo = l // 2 if printed else (l - 2) // 2
         J = jacobi_sum(eta, leg)
         sgn = legendre((-1) ** expo * detZ1, p)
         return J * eta(detZ1 * z) * Fraction(sgn * legendre(z, p) * p ** ((l - 2) // 2))
@@ -631,12 +633,13 @@ def _odd_squarefree_factors(N):
 
 
 def Jm_recursion(chi: DirichletChar, eta: DirichletChar, m: int,
-                 variant="derived") -> CycloNum:
+                 variant="corrected") -> CycloNum:
     """Prop 5.8 single step, recursing to J_1 = Jacobi sum, J_0 = 1.
 
-    variant='printed' uses the printed even-m prefactor (-1/p)^(m/2); 'derived'
-    uses (-1/p)^((m-2)/2) as forced by the corrected Prop 5.4.
+    variant "printed" uses the printed even-m prefactor (-1/p)^(m/2);
+    "corrected" uses (-1/p)^((m-2)/2), as forced by the corrected Prop 5.4.
     """
+    printed = _is_printed(variant)
     p = chi.modulus
     _require_prime(p)
     if m == 0:
@@ -654,13 +657,13 @@ def Jm_recursion(chi: DirichletChar, eta: DirichletChar, m: int,
         pref = Fraction(legendre(-1, p) ** ((m - 1) // 2) * p ** ((m - 1) // 2))
         return (J1 * Jm1 + inner_eta) * pref
     J1 = jacobi_sum(chi * leg, (chi ** (m - 1)) * leg * eta)
-    sgn_exp = m // 2 if variant == "printed" else (m - 2) // 2
+    sgn_exp = m // 2 if printed else (m - 2) // 2
     pref = Fraction(legendre(-1, p) ** sgn_exp * p ** ((m - 2) // 2))
     return (J1 * Jm1 + inner_eta) * jacobi_sum(chi, leg) * pref
 
 
 def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
-           budget=DEFAULT_BUDGET, variant="derived") -> CycloNum:
+           budget=DEFAULT_BUDGET) -> CycloNum:
     """J_m(chi, eta); mode in {brute, recursion, auto}.
 
     auto uses the recursion when its hypotheses hold and the modulus is an
@@ -670,12 +673,12 @@ def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
     if mode == "brute":
         return Jm_brute(chi, eta, m, budget)
     if mode == "recursion":
-        return Jm_recursion(chi, eta, m, variant)
+        return Jm_recursion(chi, eta, m)
     fac = factorize(N)
     if (len(fac) == 1 and fac[0][1] == 1 and N > 2 and m >= 2
             and not chi.is_trivial() and not (chi ** 2).is_trivial()
             and not eta.is_trivial()):
-        return Jm_recursion(chi, eta, m, variant)
+        return Jm_recursion(chi, eta, m)
     if m == 0:
         return CycloNum.one()
     if m == 1:
@@ -711,19 +714,21 @@ def Jm_chi(chi: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:
     return out
 
 
-def root_weights(chi: DirichletChar, m: int, conj_first=False,
+def root_weights(chi: DirichletChar, m: int, variant="corrected",
                  budget=DEFAULT_BUDGET) -> list:
     """(lam, J(lam, (*/N)) J_{m-1}(conj(lam))) over the lam mod N with
     lam^m = chi: the eta-sum of Theorems 5.5/5.6, 5.11/6.1 and the section-7
     assembly, since these lam are chi~ D_{N,m} for any root chi~ (none when
-    chi has no m-th root).  The Jacobi factor enters for even m only;
-    conj_first takes it on conj(lam).
+    chi has no m-th root).  The Jacobi factor enters for even m only; the
+    "printed" variant takes it on conj(lam), as the Theorem 5.5 and section-7
+    displays print it.
 
     The h oracles (h_brute_sl, h_brute_sym) never call this, and the
     Theorem 5.11 check weights each class by conj(lam)(2^n) lam(D) where
     h_closed takes chi_det_halfintegral, so both chi(det A) conventions stay
     compared.
     """
+    conj = _is_printed(variant)
     jac = jacobi_symbol_char(chi.modulus)
     out = []
     for lam in char_group(chi.modulus):
@@ -731,17 +736,18 @@ def root_weights(chi: DirichletChar, m: int, conj_first=False,
             continue
         w = Jm_chi(lam.conjugate(), m - 1, budget)
         if m % 2 == 0:
-            w = jacobi_sum(lam.conjugate() if conj_first else lam, jac) * w
+            w = jacobi_sum(lam.conjugate() if conj else lam, jac) * w
         out.append((lam, w))
     return out
 
 
-def thm59_printed(chi: DirichletChar, i: int, m: int, with_p_power=False) -> CycloNum:
-    """The four printed Theorem 5.9 displays for J_m(chi (*/p)^i, chi).
+def thm59_display(chi: DirichletChar, i: int, m: int, variant="corrected") -> CycloNum:
+    """The four Theorem 5.9 displays for J_m(chi (*/p)^i, chi).
 
-    with_p_power=True inserts the p^((m-2)/2) factor missing from the printed
-    (2.1) display.
+    The printed (2.1) display lacks a factor p^((m-2)/2); the "corrected"
+    variant restores it.
     """
+    printed = _is_printed(variant)
     p = chi.modulus
     _require_prime(p)
     leg = legendre_char(p)
@@ -757,7 +763,7 @@ def thm59_printed(chi: DirichletChar, i: int, m: int, with_p_power=False) -> Cyc
     cond = chi ** m * (leg ** ((i + 1) % 2))
     if not cond.is_trivial():
         pref = Fraction(e1 ** ((m - 2) // 2))
-        if with_p_power:
+        if not printed:
             pref *= p ** ((m - 2) // 2)
         return jacobi_sum(lchar, leg) * jacobi_sum(l1, cond) * Jm_sum(l1, chi, m - 1) * pref
     return chi(-1) * jacobi_sum(lchar, leg) * Jm_sum(lchar, chi, m - 2) * Fraction(p ** (m - 1))
@@ -810,35 +816,19 @@ def h_brute_sym(gram, chi: DirichletChar, budget=DEFAULT_BUDGET) -> CycloNum:
     return total
 
 
-@dataclass
-class HVariant:
-    gamma_mode: str = "corrected"    # printed | corrected
-    sign_exp: str = "m"              # 'm' (Thm 5.5/5.6) | 'm-2' (Thm 5.11 display)
-    conj_first_jacobi: bool = False  # J(conj(tilde*eta), (*/N)) vs unconjugated
-
-    def label(self):
-        return f"gamma={self.gamma_mode},sign={self.sign_exp},conjJ={self.conj_first_jacobi}"
-
-
-# Adjudicated against SL brute force on p in {5,7}, m in {2,3}: the even-m
-# branch needs the corrected gamma, the (-1)^(m(p-1)/4) sign, and the
-# unconjugated J(tilde*eta, (*/N)) of Theorem 5.6 (Theorem 5.5's display
-# conjugates it; that variant fails for some characters at p = 7).
-DEFAULT_H_VARIANT = HVariant()
-
-
 def zero_branch(chi: DirichletChar, n: int) -> bool:
     """Theorem 5.5/5.6/6.1 branch (1) detector."""
     return any(chip.logs[find_primitive_root_of_unity_mod(p, gcd(n, p - 1))]
                for p, chip in _local_parts(chi))
 
 
-def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
+def h_closed(gram, chi: DirichletChar, variant="corrected",
              budget=DEFAULT_BUDGET):
     """Theorems 5.5/5.6 closed evaluation; exact CycloNum (0 in branch (1)).
-    The theorems take chi primitive, so an imprimitive chi is refused."""
-    if variant is None:
-        variant = DEFAULT_H_VARIANT
+    The theorems take chi primitive, so an imprimitive chi is refused.  The
+    "printed" variant conjugates the first Jacobi factor as Theorem 5.5's
+    display does; against the SL brute force it fails at p = 5 and 7."""
+    _is_printed(variant)                # refused before the early returns
     N = chi.modulus
     if N == 1:
         return CycloNum.one()
@@ -849,21 +839,23 @@ def h_closed(gram, chi: DirichletChar, variant: HVariant = None,
         return CycloNum.zero(chi.order)
     if m % 2 == 1 and (chi ** 2).conductor != N:
         raise ValueError("odd m closed form needs chi^2 primitive")
-    weights = root_weights(chi, m, variant.conj_first_jacobi, budget)
+    weights = root_weights(chi, m, variant, budget)
     total = sum((chi_det_halfintegral(lam, gram) * w for lam, w in weights),
                 CycloNum.zero())
-    return total * thm56_constant(m, N, variant)
+    return total * thm56_constant(m, N)
 
 
-def thm56_constant(m: int, N: int, variant: HVariant = None) -> Fraction:
-    """prod_{p | N} A_{m,p} gamma_{m,p}: the Theorem 5.5/5.6 prefactor, with
-    the sign and gamma of the variant (the adjudicated ones by default)."""
-    variant = variant or DEFAULT_H_VARIANT
+def thm56_constant(m: int, N: int, variant="corrected") -> Fraction:
+    """prod_{p | N} A_{m,p} gamma_{m,p}: the Theorem 5.5/5.6 prefactor.  For
+    even m the "printed" variant takes the sign exponent m - 2 of the
+    Theorem 5.11 display and the printed gamma; "corrected" takes m and the
+    corrected gamma."""
+    printed = _is_printed(variant)
     const = Fraction(1)
     for p, _ in factorize(N):
-        g = gamma_const(m, p, variant.gamma_mode)
+        g = gamma_const(m, p, variant)
         if m % 2 == 0:
-            sexp = m if variant.sign_exp == "m" else m - 2
+            sexp = m - 2 if printed else m
             A_mp = Fraction((-1) ** (sexp * (p - 1) // 4) * p ** ((m - 2) // 2))
         else:
             A_mp = Fraction((-1) ** ((m - 1) * (p - 1) // 4) * p ** ((m - 1) // 2))
@@ -950,8 +942,8 @@ def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
         rep.record(b == c, {"p": p, "S": S.diagonal().tolist(),
                             "T": T.diagonal().tolist()}, b, c)
         done += 1
-    d1 = count_A_display([[1]], 1, 3, "printed"), count_A_brute([[1]], [[1]], 3)
-    d2 = count_A_display(np.eye(3, dtype=int), 1, 3, "printed"), \
+    d1 = count_A_display([[1]], 1, 3), count_A_brute([[1]], [[1]], 3)
+    d2 = count_A_display(np.eye(3, dtype=int), 1, 3), \
         count_A_brute(np.eye(3, dtype=int), [[1]], 3)
     rep.variant_notes.append(
         f"printed odd-m display at (m,p,S,c)=(1,3,1,1): {d1[0]} vs brute {d1[1]}")
@@ -1034,7 +1026,7 @@ def run_prop54_suite(primes=(5, 7, 11, 13), budget=DEFAULT_BUDGET):
             for Z1 in mats:
                 for z in (0, 1, 2):
                     b = bordered_det_sum_brute(eta, Z1, z, budget)
-                    cl = bordered_det_sum_closed(eta, Z1, z, "derived")
+                    cl = bordered_det_sum_closed(eta, Z1, z)
                     rep.record(b == cl, {"p": p, "eta": eta.descriptor(),
                                          "l": Z1.shape[0] + 1, "z": z}, b, cl)
                     pr = bordered_det_sum_closed(eta, Z1, z, "printed")
@@ -1065,22 +1057,22 @@ def run_prop57_58_thm59_suite(primes=(5, 7, 11, 13), brute_max_m=3,
                     bJ = Jm_brute(chi, eta, m, budget)
                     rep.record(bI == Im_closed(chi, eta, m),
                                {"p": p, "m": m, "which": "I"}, bI, "closed")
-                    rec = Jm_recursion(chi, eta, m, "derived") if m >= 1 else bJ
+                    rec = Jm_recursion(chi, eta, m) if m >= 1 else bJ
                     rep.record(bJ == rec, {"p": p, "m": m, "which": "J"}, bJ, rec)
                     if m >= 2 and not (Jm_recursion(chi, eta, m, "printed") == bJ):
                         printed58_fail += 1
-        # Theorem 5.9 displays against the derived recursion, m up to rec_max_m
+        # Theorem 5.9 displays against the corrected recursion, m up to rec_max_m
         for chi in chis[:3]:
             for i in (0, 1):
                 leg = legendre_char(p)
                 lchar = chi * (leg ** (i % 2))
                 for m in range(2, rec_max_m + 1):
-                    rec = Jm_recursion(lchar, chi, m, "derived")
-                    pr_fixed = thm59_printed(chi, i, m, with_p_power=True)
+                    rec = Jm_recursion(lchar, chi, m)
+                    pr_fixed = thm59_display(chi, i, m)
                     rep.record(pr_fixed == rec,
                                {"p": p, "m": m, "i": i, "which": "thm5.9"},
                                "recursion", "display+p-power")
-                    if m % 2 == 0 and not (thm59_printed(chi, i, m, False) == rec):
+                    if m % 2 == 0 and not (thm59_display(chi, i, m, "printed") == rec):
                         thm59_missing_power += 1
     rep.variant_notes.append(
         f"printed Prop 5.8 even-m prefactor (-1/p)^(m/2) fails {printed58_fail} "
@@ -1118,10 +1110,9 @@ THM55_FORMS = {
 }
 
 
-def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None, seed=7,
+def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None,
                        budget=DEFAULT_BUDGET):
-    """h closed (adjudicated variant) against the SL brute route."""
-    rng = np.random.default_rng(seed)
+    """h closed (corrected variant) against the SL brute route."""
     rep = CharSumReport("thm5.5+5.6", {"primes": list(primes), "ms": list(ms)})
     if forms is None:
         forms = THM55_FORMS
@@ -1141,6 +1132,6 @@ def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None, seed=7,
                                         "chi": chi.descriptor()}, b, c)
                     if c.is_zero() and b.is_zero():
                         zero_branch_seen += 1
-    rep.variant_notes.append(DEFAULT_H_VARIANT.label() + " matches brute")
+    rep.variant_notes.append("gamma=corrected,sign=m,conjJ=False matches brute")
     rep.variant_notes.append(f"vanishing branch confirmed on {zero_branch_seen} points")
     return rep

@@ -79,6 +79,8 @@ def cmd_jacobi(args):
 def cmd_local(args):
     t0 = time.time()
     G = GramMat(_parse_gram(args.gram))
+    if args.what == "pseries" and args.mode is not None:
+        raise ValueError("pseries compares brute and closed; it takes no --mode")
     if args.mode is None:
         args.mode = "stratified" if args.what == "siegel" else "closed"
     if args.what == "density":
@@ -89,7 +91,8 @@ def cmd_local(args):
     if args.what == "siegel":
         sp = plocal.siegel_series(G, args.p, mode=args.mode, budget=args.budget)
         data = sp.to_dict()
-        return _finish(args, "local-siegel", data, sp.symmetric, t0)
+        # siegel_series raises unless F~ satisfies its functional equation
+        return _finish(args, "local-siegel", data, True, t0)
     if args.what == "pseries":
         s_brute = plocal.p_series(args.n, args.p, Fraction(args.d0), args.omega,
                                   args.prec, mode="brute", budget=args.budget)
@@ -230,7 +233,8 @@ def build_parser():
                     help="rows of G = 2T, ';'-separated")
     lo.add_argument("--p", type=int, default=3)
     lo.add_argument("--mode", help="density: closed (default) or brute; "
-                                   "siegel: stratified (default) or oracle")
+                                   "siegel: stratified (default) or oracle; "
+                                   "pseries: none")
     lo.add_argument("--n", type=int, default=2)
     lo.add_argument("--d0", type=int, default=1)
     lo.add_argument("--omega", default="iota", choices=["iota", "eps"])

@@ -19,9 +19,9 @@ from .exactalg import CycloNum, PPow, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       eisenstein_qexp, lfactor_stream, rankin_stream,
                       shifted_L_stream, theta_series, weight2_eisenstein_odd)
-from .plocal import (_STRATIFIED_DEG, SiegelPoly, _diag_mat, _kappa_zeta_L,
-                     _siegel_degree, density_from_symbol, enumerate_zp_classes,
-                     local_density, siegel_series, symbol_diagonal)
+from .plocal import (_STRATIFIED_DEG, SiegelPoly, _genus_class_terms,
+                     _kappa_zeta_L, _siegel_degree, local_density,
+                     siegel_series)
 from .quadforms import (ClassList, GramMat, disc_split, fundamental_split,
                         hasse_invariant)
 
@@ -142,8 +142,6 @@ def satake_symmetric_eval(sp: SiegelPoly, cp: Fraction, k: int, n: int) -> Fract
     power sums, independent of the root choice.
     """
     p, nu, c = sp.p, sp.nu_f, sp.fcoeffs
-    if not sp.symmetric:
-        raise ValueError("asymmetric F~ reached the Satake evaluation")
     if nu == 0:
         return Fraction(1)
     e2 = Fraction(p) ** (2 * k - n - 1)
@@ -337,14 +335,14 @@ def _cyclo_str(v: CycloNum) -> str:
 # ---------------------------------------------------------------------------
 # Theorems 5.11 and 6.1 (first kind)
 
-def _eta_weights(target: DirichletChar, n: int, conj_first=False) -> list:
+def _eta_weights(target: DirichletChar, n: int, variant="corrected") -> list:
     """(lam, conj(lam)(2^n) w) over the (lam, w) of root_weights(target, n):
     the eta-sum weights of Theorems 5.11 / 6.1 (target chi) and of the
-    section-7 assembly (target chi^n).  conj_first takes J(conj(lam), (*/N)),
-    as the section-7 display prints it."""
+    section-7 assembly (target chi^n).  The "printed" variant takes
+    J(conj(lam), (*/N)), as the section-7 display prints it."""
     two_n = pow(2, n, target.modulus)
     return [(lam, lam.conjugate()(two_n) * w)
-            for lam, w in root_weights(target, n, conj_first)]
+            for lam, w in root_weights(target, n, variant)]
 
 
 def _eta_sum(weights: list, stream, bound: int) -> DirStream:
@@ -405,19 +403,18 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
 
 
 def r_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
-                   bound: int = 40, variant: str = "adjudicated") -> DirStream:
+                   bound: int = 40, variant: str = "corrected") -> DirStream:
     """R^(chi)(s, h, E_{n/2+1/2}): the finite eta-sum of Jacobi-weighted
     twisted Rankin x shifted-L streams (chi^n primitive required).
 
-    variant 'printed' follows the section-7 display and conjugates the
-    J(chi eta, (*/N)) factor; 'adjudicated' leaves it unconjugated, matching
+    variant "printed" follows the section-7 display and conjugates the
+    J(chi eta, (*/N)) factor; "corrected" leaves it unconjugated, matching
     the brute-validated Theorem 5.6 weights so that the L(s, I_n(h), chi^n)
     reconstruction is internally consistent.
     """
     if (chi ** n).conductor != chi.modulus:
         raise ValueError("chi^n must be primitive for the section-7 assembly")
-    return _r_chi(h, _eta_weights(chi ** n, n, variant == "printed"), k, n,
-                  bound)
+    return _r_chi(h, _eta_weights(chi ** n, n, variant), k, n, bound)
 
 
 def mchi_assemble(h: PlusForm, chi: DirichletChar, n: int,
@@ -470,15 +467,12 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
             nu = _pval(D, p)
             nu0 = 1 if abs(d0) % p == 0 else 0
             loc = {"iota": Fraction(0), "eps": Fraction(0)}
-            for sym in enumerate_zp_classes(n, p, d0, nu):
-                if sym.valuation() != nu:
+            for nu_det, sp, iota, eps in _genus_class_terms(n, p, d0, nu):
+                if nu_det != nu:
                     continue
-                G = GramMat(_diag_mat([2 * x for x in symbol_diagonal(sym, p)]))
-                sp = siegel_series(G, p, mode="stratified")
                 sat = satake_symmetric_eval(sp, h.shimura.coeff(p), k, n)
-                alpha = density_from_symbol(sym, p)
-                loc["iota"] += sat / alpha
-                loc["eps"] += Fraction(hasse_invariant(G.entries, p)) * sat / alpha
+                loc["iota"] += sat * iota
+                loc["eps"] += sat * eps
             expo = Fraction(nu * (n + 1), 2) + Fraction(nu0 * (2 * k - n - 1), 4)
             for w in ("iota", "eps"):
                 branch[w] = branch[w] * PPow(loc[w], {p: expo})

@@ -70,9 +70,6 @@ class JordanSymbol:
     def valuation(self) -> int:
         return sum(b.scale * b.dim for b in self.blocks)
 
-    def n(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
 
 def jordan_decompose(G, p: int) -> JordanSymbol:
     """p odd: the 1x1 pivots of the congruence reduction over Z_p, grouped by
@@ -266,10 +263,6 @@ class SiegelPoly:
     nu_det: int           # nu_p(det 2T)
     nu_f: int             # nu_p of the conductor part
     xi: int               # xi_p(T)
-    symmetric: bool = True
-
-    def degree(self):
-        return len(self.fcoeffs) - 1
 
     def check_symmetry(self) -> bool:
         """c_{nu_f + t} = c_{nu_f - t} p^{(n+1) t} for the F~ functional equation."""
@@ -290,9 +283,10 @@ class SiegelPoly:
         return Laurent(coeffs)
 
     def to_dict(self):
+        # siegel_series returns only F that pass check_symmetry
         return {"p": self.p, "n": self.n, "coeffs": list(self.fcoeffs),
                 "nu_det": self.nu_det, "nu_f": self.nu_f, "xi": self.xi,
-                "symmetric": self.symmetric}
+                "symmetric": True}
 
 
 _STRATIFIED_DEG = 2     # the highest deg F_p the stratified route reaches
@@ -318,7 +312,7 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     nu, xi, deg = _siegel_degree(G, p)
     nu_f = deg // 2
     if deg == 0:
-        return SiegelPoly(p, n, (1,), nu, 0, xi, True)
+        return SiegelPoly(p, n, (1,), nu, 0, xi)
     if mode == "oracle":
         A = _oracle_A_coeffs(G, p, deg, budget)
     elif mode == "stratified":
@@ -329,9 +323,8 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     else:
         raise ValueError(f"unknown mode {mode!r}")
     c = _solve_F_from_A(A, p, n, xi, deg)
-    sp = SiegelPoly(p, n, tuple(c), nu, nu_f, xi, True)
-    sp.symmetric = sp.check_symmetry()
-    if not sp.symmetric:
+    sp = SiegelPoly(p, n, tuple(c), nu, nu_f, xi)
+    if not sp.check_symmetry():
         raise RuntimeError(f"F~ functional equation failed: {sp}")
     return sp
 
@@ -592,19 +585,24 @@ def p_series(n: int, p: int, d0, omega: str, prec: int, mode="brute",
     if p == 2:
         raise ValueError("brute genus series needs p odd")
     coeffs: dict = {}
-    for sym in enumerate_zp_classes(n, p, d0, prec - 1):
-        nu = sym.valuation()
-        diag = [2 * d for d in symbol_diagonal(sym, p)]
-        G = GramMat(_diag_mat(diag))
-        sp = siegel_series(G, p, mode="stratified")
-        ft = sp.ftilde_laurent()
-        alpha = density_from_symbol(sym, p)
-        w = Fraction(1)
-        if omega == "eps":
-            w = Fraction(_hasse_diagonal(diag, p))
-        term = ft * Laurent.const(QSqrt(w / alpha, 0, p))
+    for nu, sp, iota, eps in _genus_class_terms(n, p, d0, prec - 1):
+        w = iota if omega == "iota" else eps
+        term = sp.ftilde_laurent() * Laurent.const(QSqrt(w, 0, p))
         coeffs[nu] = coeffs.get(nu, Laurent({})) + term
     return TruncSeries(prec, coeffs)
+
+
+def _genus_class_terms(n: int, p: int, d0, max_val: int):
+    """(nu_p(det), F_p, 1/alpha_p, eps_p/alpha_p) for each class of
+    ``enumerate_zp_classes(n, p, d0, max_val)``: the per-class terms of the
+    genus series (``p_series``) and of the Theorem 4.2 reassembly.  Each
+    class is taken at its diagonal representative 2 diag, whose Hasse
+    invariant eps_p needs no diagonalization."""
+    for sym in enumerate_zp_classes(n, p, d0, max_val):
+        diag = [2 * d for d in symbol_diagonal(sym, p)]
+        sp = siegel_series(GramMat(_diag_mat(diag)), p, mode="stratified")
+        inv = 1 / density_from_symbol(sym, p)
+        yield sym.valuation(), sp, inv, _hasse_diagonal(diag, p) * inv
 
 
 def _diag_mat(diag):

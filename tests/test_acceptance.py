@@ -41,9 +41,9 @@ def test_criterion_01_lemma51():
     rep = run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11)
     ok = rep.passed and rep.total >= 200
     # documented discrepancy reproduced at (m,p) = (1,3) and (3,3)
-    ok &= count_A_display([[1]], 1, 3, "printed") != count_A_brute([[1]], [[1]], 3)
+    ok &= count_A_display([[1]], 1, 3) != count_A_brute([[1]], [[1]], 3)
     S3 = np.eye(3, dtype=int)
-    ok &= count_A_display(S3, 1, 3, "printed") != count_A_brute(S3, [[1]], 3)
+    ok &= count_A_display(S3, 1, 3) != count_A_brute(S3, [[1]], 3)
     _announce("1 Lemma 5.1 suite (200 pairs + erratum grid)", t0, ok, 120)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kmlift.characters import char_group, jacobi_sum, subgroup_Dm
-from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
-                             HVariant, Im_brute, Im_closed, Jm_brute, Jm_chi,
+from kmlift.charsums import (THM55_FORMS, BudgetExceeded,
+                             Im_brute, Im_closed, Jm_brute, Jm_chi,
                              Jm_recursion, _sym_dt_table,
                              bordered_det_sum_brute,
                              bordered_det_sum_closed, chi_det_halfintegral,
@@ -14,6 +14,7 @@ from kmlift.charsums import (DEFAULT_H_VARIANT, THM55_FORMS, BudgetExceeded,
                              count_A_closed, count_A_display, gamma_const,
                              h_brute_sl, h_closed, h_sum,
                              quad_char_sum_brute, root_weights, run_lemma51_suite,
+                             thm56_constant, thm59_display,
                              run_lemma53_suite, run_prop510_suite,
                              run_prop54_suite, sl_gram_counts, sl_group_order,
                              sym_dettarget_trace_counts, _vectors)
@@ -35,13 +36,13 @@ def test_lemma51_examples():
 def test_lemma51_documented_discrepancy():
     # printed odd-m specialized display disagrees with brute at the two
     # documented grid points; the general formula is authoritative
-    assert count_A_display([[1]], 1, 3, "printed") == 0
+    assert count_A_display([[1]], 1, 3) == 0
     assert count_A_brute([[1]], [[1]], 3) == 2
-    assert count_A_display([[1]], 1, 3, "general") == 2
+    assert count_A_closed([[1]], [[1]], 3) == 2
     S3 = np.eye(3, dtype=int)
-    assert count_A_display(S3, 1, 3, "printed") == 12
+    assert count_A_display(S3, 1, 3) == 12
     assert count_A_brute(S3, [[1]], 3) == 6
-    assert count_A_display(S3, 1, 3, "general") == 6
+    assert count_A_closed(S3, [[1]], 3) == 6
 
 
 def test_gamma_printed_vs_corrected():
@@ -59,12 +60,13 @@ def test_lemma53_small():
 def test_prop54_adjudication():
     rep = run_prop54_suite(primes=(5, 7))
     assert rep.passed
-    # derived matches everywhere; printed even-l fails off p = 1 mod 4
+    # corrected matches everywhere; printed even-l fails off p = 1 mod 4
     G = char_group(7)
     eta = next(c for c in G if c.order == 3)
     Z1 = np.diag([1])
     b = bordered_det_sum_brute(eta, Z1, 1)
-    assert bordered_det_sum_closed(eta, Z1, 1, "derived") == b
+    assert bordered_det_sum_closed(eta, Z1, 1) == b
+    assert bordered_det_sum_closed(eta, Z1, 1, "corrected") == b
     assert not (bordered_det_sum_closed(eta, Z1, 1, "printed") == b)
 
 
@@ -197,30 +199,51 @@ def test_h_zero_branch_detection():
         assert h_closed(gram, chi).is_zero()
 
 
-def test_default_variant_is_adjudicated():
-    v = DEFAULT_H_VARIANT
-    assert v.gamma_mode == "corrected"
-    assert v.sign_exp == "m"
-    assert v.conj_first_jacobi is False
+def test_erratum_functions_refuse_unknown_variant():
+    # every printed-vs-corrected switch takes "corrected" or "printed" only;
+    # a misspelt value is refused instead of selecting the corrected formula
+    chi = next(c for c in char_group(7) if c.order == 3)
+    calls = [lambda v: gamma_const(2, 7, v),
+             lambda v: bordered_det_sum_closed(chi, np.diag([1]), 1, v),
+             lambda v: Jm_recursion(chi, chi, 2, v),
+             lambda v: thm59_display(chi, 0, 4, v),
+             lambda v: h_closed([[2, 1], [1, 2]], chi, v),
+             lambda v: thm56_constant(2, 7, v),
+             lambda v: root_weights(chi, 2, v)]
+    for call in calls:
+        call("corrected")
+        call("printed")
+        with pytest.raises(ValueError, match="variant must be"):
+            call("bogus")
+    # refused also where the value would not be read: odd m, N = 1, branch (1)
+    with pytest.raises(ValueError, match="variant must be"):
+        gamma_const(3, 5, "bogus")
+    with pytest.raises(ValueError, match="variant must be"):
+        h_closed([[2]], char_group(1).trivial(), "bogus")
+    with pytest.raises(ValueError, match="variant must be"):
+        h_closed(np.diag([2, 2, 2, 2]).tolist(),
+                 next(c for c in char_group(5) if c.order == 4), "bogus")
 
 
 def test_printed_h_variants_mismatch_brute():
-    # each printed field of HVariant, alone, against the SL brute force over
-    # the Theorem 5.5/5.6 suite's binary forms and the nontrivial characters
-    variants = {"default": HVariant(),
-                "gamma printed": HVariant(gamma_mode="printed"),
-                "sign m-2": HVariant(sign_exp="m-2"),
-                "conj J": HVariant(conj_first_jacobi=True)}
-    want = {5: {"default": 0, "gamma printed": 0, "sign m-2": 0, "conj J": 7},
-            7: {"default": 0, "gamma printed": 8, "sign m-2": 8, "conj J": 12}}
+    # the printed displays of the trace sums against the SL brute force over
+    # the Theorem 5.5/5.6 suite's binary forms and the nontrivial characters:
+    # the conjugated first Jacobi factor (h_closed's printed variant), and the
+    # printed sign exponent with the printed gamma (thm56_constant's)
+    want = {5: {"corrected": 0, "h printed": 7, "constant printed": 0},
+            7: {"corrected": 0, "h printed": 12, "constant printed": 8}}
     for p, points in ((5, 24), (7, 40)):
         chis = [chi for chi in char_group(p) if not chi.is_trivial()]
         cases = [(gram, chi, h_brute_sl(gram, chi))
                  for gram in THM55_FORMS[2] for chi in chis]
         assert len(cases) == points
-        got = {name: sum(not (h_closed(gram, chi, v) == b)
-                         for gram, chi, b in cases)
-               for name, v in variants.items()}
+        scale = thm56_constant(2, p, "printed") / thm56_constant(2, p)
+        got = {"corrected": sum(not (h_closed(gram, chi) == b)
+                                for gram, chi, b in cases),
+               "h printed": sum(not (h_closed(gram, chi, "printed") == b)
+                                for gram, chi, b in cases),
+               "constant printed": sum(not (h_closed(gram, chi) * scale == b)
+                                       for gram, chi, b in cases)}
         assert got == want[p], p
 
 

@@ -79,6 +79,29 @@ def test_cli_local_siegel_default_mode_is_stratified(tmp_path):
     assert json.load(open(tmp_path / "local-density.json"))["mode"] == "closed"
 
 
+def test_cli_local_pseries_refuses_mode(tmp_path, capsys):
+    # pseries always compares the brute and the closed series, so an explicit
+    # --mode is refused rather than ignored; without it the run passes
+    args = ["local", "pseries", "--n", "2", "--p", "3", "--prec", "4"]
+    for mode in ("bogus", "brute"):
+        assert main(["--out", str(tmp_path)] + args + ["--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--mode" in err
+        assert not (tmp_path / "local-pseries.json").exists()
+    assert main(["--out", str(tmp_path)] + args) == 0
+    assert json.load(open(tmp_path / "local-pseries.json"))[
+        "brute_equals_closed"] is True
+
+
+def test_cli_forms_enumerate(tmp_path):
+    from kmlift.quadforms import enumerate_classes
+    assert main(["--out", str(tmp_path), "forms", "enumerate", "--n", "4",
+                 "--det-bound", "16"]) == 0
+    data = json.load(open(tmp_path / "forms-enumerate.json"))
+    want = enumerate_classes(4, 16).to_dict()["classes"]
+    assert len(want) == 9 and data["classes"] == want
+
+
 def test_cli_firstkind_refuses_imprimitive_chi(tmp_path, capsys):
     # the closed h(A, chi) of Theorems 5.5/5.6 takes chi primitive; 5:0 is
     # the trivial character mod 5, so no report is written

@@ -310,17 +310,19 @@ def test_verify_thm42(flagship):
 
 def test_r_chi_assembly_consistency(flagship):
     # L(s, I_n(h), chi^n) = C_N [c_n R^(chi) + d_n c_h(1) M^(chi)] with the
-    # adjudicated weights; eta-sum collapses to one term when D_{N,n} = {1}
+    # corrected weights; eta-sum collapses to one term when D_{N,n} = {1}
     h, cl, table = flagship
     chi7 = parse_descriptor("7:2")
     direct = km_stream(table, chi7, "first", 40)
-    R = r_chi_assemble(h, chi7, 8, 4, 40, variant="adjudicated")
+    R = r_chi_assemble(h, chi7, 8, 4, 40, variant="corrected")
     M = mchi_assemble(h, chi7, 4, 40)
     CN = thm56_constant(4, 7)
     cn, dn = Fraction(-1, 48), Fraction(-1, 576)
     for D in admissible_indices(40):
         want = (R.coeff(D) * cn + M.coeff(D) * dn) * CN
         assert direct.coeff(D) == want, D
+    with pytest.raises(ValueError, match="variant must be"):
+        r_chi_assemble(h, chi7, 8, 4, 40, variant="bogus")
     # trivial eta-collapse example: N = 11, n = 4 -> D_{11,4} = {1, quadratic}?
     # gcd(4, 10) = 2: size 2; a collapse case is gcd(n, p-1) = 1: p = 11, n = 3
     from kmlift.characters import factorize
