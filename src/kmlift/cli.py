@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import charsums, lseries, plocal, quadforms
-from .characters import char_group, parse_descriptor
+from .characters import char_group, factorize, parse_descriptor
 from .exactalg import CycloNum
 from .quadforms import GramMat
 from .reports import manifest, write_report
@@ -41,10 +41,18 @@ def _finish(args, name, data, passed, t0):
     return 0 if passed else 1
 
 
+# charsum arguments, the suites that read each and its default
+_CHARSUM_ARGS = {
+    "primes": ({"lemma5.1", "lemma5.3", "prop5.4", "prop5.7", "prop5.8",
+                "thm5.9", "prop5.10"}, [5, 7, 11, 13]),
+    "m": ({"lemma5.1"}, 4),
+    "pairs": ({"lemma5.1"}, 200),
+}
+
+
 def cmd_charsum(args):
     t0 = time.time()
     budget = args.budget
-    primes = tuple(args.primes)
     sec57 = lambda: charsums.run_prop57_58_thm59_suite(primes, budget=budget)
     sec55 = lambda: charsums.run_thm55_56_suite(budget=budget)
     runners = {
@@ -61,6 +69,13 @@ def cmd_charsum(args):
         print(f"unknown identity {args.identity!r}; choose from "
               f"{sorted(runners)}", file=sys.stderr)
         return 2
+    for name, (readers, default) in _CHARSUM_ARGS.items():
+        if args.identity not in readers:
+            if getattr(args, name) is not None:
+                raise ValueError(f"charsum {args.identity} takes no --{name}")
+        elif getattr(args, name) is None:
+            setattr(args, name, default)
+    primes = tuple(args.primes or ())
     rep = runners[args.identity]()
     return _finish(args, f"charsum-{args.identity}", rep.to_dict(),
                    rep.passed, t0)
@@ -78,6 +93,8 @@ def cmd_jacobi(args):
 
 def cmd_local(args):
     t0 = time.time()
+    if factorize(args.p) != [(args.p, 1)]:
+        raise ValueError(f"--p must be a prime, not {args.p}")
     G = GramMat(_parse_gram(args.gram))
     if args.what == "pseries" and args.mode is not None:
         raise ValueError("pseries compares brute and closed; it takes no --mode")
@@ -135,6 +152,8 @@ def cmd_forms(args):
         data = cl.to_dict()
         return _finish(args, "forms-enumerate", data, True, t0)
     if args.what == "aut":
+        if args.N < 1:
+            raise ValueError(f"--N must be at least 1, not {args.N}")
         G = GramMat(_parse_gram(args.gram))
         data = {"gram": G.rows(), "e": quadforms.automorphism_count(G, args.N),
                 "N": args.N,
@@ -197,8 +216,10 @@ def cmd_firstkind(args):
 
 
 def _parse_gram(text):
-    rows = [r for r in text.replace(",", " ").split(";")]
-    return [[int(x) for x in r.split()] for r in rows]
+    rows = [[int(x) for x in r.split()] for r in text.replace(",", " ").split(";")]
+    if not all(len(r) == len(rows) for r in rows):
+        raise ValueError(f"--gram must be a nonempty square matrix: {text!r}")
+    return rows
 
 
 def build_parser():
@@ -214,9 +235,10 @@ def build_parser():
 
     c = sub.add_parser("charsum", help="section-5 identity suites")
     c.add_argument("--identity", required=True)
-    c.add_argument("--primes", type=int, nargs="+", default=[5, 7, 11, 13])
-    c.add_argument("--m", type=int, default=4)
-    c.add_argument("--pairs", type=int, default=200)
+    c.add_argument("--primes", type=int, nargs="+",
+                   help="default 5 7 11 13; not read by prop5.2, thm5.5, thm5.6")
+    c.add_argument("--m", type=int, help="lemma5.1 only; default 4")
+    c.add_argument("--pairs", type=int, help="lemma5.1 only; default 200")
     c.set_defaults(func=cmd_charsum)
 
     j = sub.add_parser("jacobi", help="generalized Jacobi sums J_m")

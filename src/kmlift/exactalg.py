@@ -175,55 +175,26 @@ def _wedge(vectors, N):
 # ---------------------------------------------------------------------------
 # integer polynomials (dense list of coefficients, constant term first)
 
-def poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_deg(c):
-    """Degree, or None for the zero polynomial (sentinel, never -1)."""
-    c = poly_trim(c)
-    return len(c) - 1 if c else None
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
-
-
-def poly_mul(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def poly_mul(a, b, prec):
+    """Coefficients of a * b below x^prec."""
+    out = [0] * prec
+    for i, x in enumerate(a[:prec]):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_trim(out)
+            for j, y in enumerate(b[:prec - i], i):
+                out[j] += x * y
+    return out
 
 
-def poly_divmod_exact(a, b):
-    """Quotient and remainder of a by b over Q; b must be nonzero."""
-    a = [Fraction(x) for x in poly_trim(a)]
-    b = [Fraction(x) for x in poly_trim(b)]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b):
-        c = a[-1] / lead
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        a = poly_trim(a)
-        if not a:
-            break
-    return poly_trim(q), a
+def poly_div_monic(a, b):
+    """Exact quotient of a by the monic integer polynomial b."""
+    a, k = list(a), len(b) - 1
+    q = [0] * (len(a) - k)
+    for i in reversed(range(len(q))):
+        q[i] = c = a[i + k]
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    assert not any(a), "polynomial division left a remainder"
+    return q
 
 
 def nullspace(rows):
@@ -261,18 +232,13 @@ def nullspace(rows):
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(L: int):
-    """Coefficients of the L-th cyclotomic polynomial (integers, monic)."""
-    if L == 1:
-        return (-1, 1)
-    num = [0] * L + [1]
-    num[0] = -1
-    den = [1]
+    """Coefficients of the L-th cyclotomic polynomial (integers, monic): x^L - 1
+    divided by Phi_d for each proper divisor d of L."""
+    q = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            den = poly_mul(den, list(cyclotomic_poly(d)))
-    q, r = poly_divmod_exact(num, den)
-    assert not r, "cyclotomic division must be exact"
-    return tuple(int(c) for c in q)
+            q = poly_div_monic(q, cyclotomic_poly(d))
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)
@@ -406,22 +372,15 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self):
+        """y / N(x) for y the product of the conjugates sigma_a(x), a != 1
+        a unit mod L: x y is the norm N(x), a nonzero rational."""
         if not self.coeffs:
             raise ZeroDivisionError("cyclotomic zero has no inverse")
-        L, phi = self.level, _phi(self.level)
-        a = [self.coeffs.get(i, Fraction(0)) for i in range(phi)]
-        # extended Euclid in Q[x] against Phi_L
-        r0, r1 = [Fraction(c) for c in cyclotomic_poly(L)], poly_trim(a)
-        s0, s1 = [], [Fraction(1)]
-        while poly_deg(r1) is not None and poly_deg(r1) > 0:
-            q, r = poly_divmod_exact(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_add(s0, [-c for c in poly_mul(q, s1)])
-        if poly_deg(r1) is None:
-            raise ZeroDivisionError("not invertible (zero divisor?)")
-        c = r1[0]
-        inv = {e: v / c for e, v in enumerate(s1) if v}
-        return CycloNum(L, inv)
+        y = CycloNum.one(self.level)
+        for a in range(2, self.level):
+            if gcd(a, self.level) == 1:
+                y = y * self.galois(a)
+        return y * (1 / (self * y).rational_value())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -442,6 +401,9 @@ class CycloNum:
         return self.galois(self.level - 1) if self.level > 1 else self
 
     # -- predicates
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def is_zero(self):
         return not self.coeffs
 
@@ -519,12 +481,6 @@ class QSqrt:
     def __neg__(self):
         return QSqrt(-self.a, -self.b, self.base)
 
-    def __sub__(self, other):
-        return self + (-self._same(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._same(other)
         base = self.base if self.b else o.base
@@ -533,17 +489,8 @@ class QSqrt:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.base
-        if n == 0:
-            raise ZeroDivisionError
-        return QSqrt(self.a / n, -self.b / n, self.base)
-
-    def __truediv__(self, other):
-        return self * self._same(other).inverse()
-
-    def __rtruediv__(self, other):
-        return QSqrt(other, 0, self.base) / self
+    def __bool__(self):
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         o = self._same(other)
@@ -551,14 +498,6 @@ class QSqrt:
 
     def __hash__(self):
         return hash((self.a, self.b, self.base if self.b else 1))
-
-    def is_rational(self):
-        return self.b == 0
-
-    def rational_value(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"not rational: {self}")
-        return self.a
 
     def __repr__(self):
         if self.b == 0:
@@ -582,8 +521,7 @@ class Laurent:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {int(j): v for j, v in (coeffs or {}).items()
-                       if not _is_zero(v)}
+        self.coeffs = {int(j): v for j, v in (coeffs or {}).items() if v}
 
     @staticmethod
     def const(v):
@@ -602,11 +540,6 @@ class Laurent:
     def __neg__(self):
         return Laurent({j: -v for j, v in self.coeffs.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, Laurent):
-            other = Laurent.const(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Laurent):
             other = Laurent.const(other)
@@ -624,19 +557,11 @@ class Laurent:
             other = Laurent.const(other)
         return self.coeffs == other.coeffs
 
-    def is_zero(self):
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __repr__(self):
         return "Laurent(" + ", ".join(f"X^{j}: {v}" for j, v in sorted(self.coeffs.items())) + ")"
-
-
-def _is_zero(v):
-    if isinstance(v, CycloNum):
-        return v.is_zero()
-    if isinstance(v, QSqrt):
-        return v.a == 0 and v.b == 0
-    return v == 0
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +575,7 @@ class TruncSeries:
     def __init__(self, prec, coeffs=None):
         self.prec = int(prec)
         self.coeffs = {int(k): v for k, v in (coeffs or {}).items()
-                       if 0 <= int(k) < self.prec and not _laurent_or_val_zero(v)}
-
-    def coeff(self, k):
-        return self.coeffs.get(k)
+                       if 0 <= int(k) < self.prec and v}
 
     def __add__(self, other):
         self._check(other)
@@ -683,38 +605,17 @@ class TruncSeries:
                     c[k] = c[k] + v1 * v2 if k in c else v1 * v2
         return TruncSeries(prec, c)
 
-    def scale(self, v):
-        return TruncSeries(self.prec, {k: c * v for k, c in self.coeffs.items()})
-
     def _check(self, other):
         if not isinstance(other, TruncSeries):
             raise ValueError("a TruncSeries combines only with a TruncSeries")
 
     def __eq__(self, other):
-        prec = min(self.prec, other.prec)
-        for k in range(prec):
-            a, b = self.coeffs.get(k), other.coeffs.get(k)
-            if a is None and b is None:
-                continue
-            if a is None or b is None:
-                if not _laurent_or_val_zero(a if a is not None else b):
-                    return False
-                continue
-            if not a == b:
-                return False
-        return True
+        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0)
+                   for k in range(min(self.prec, other.prec)))
 
     def __repr__(self):
         inner = ", ".join(f"t^{k}: {v}" for k, v in sorted(self.coeffs.items()))
         return f"TruncSeries<{self.prec}>({inner})"
-
-
-def _laurent_or_val_zero(v):
-    if v is None:
-        return True
-    if isinstance(v, Laurent):
-        return v.is_zero()
-    return _is_zero(v)
 
 
 def geometric_inverse(c, k: int, prec: int, one) -> TruncSeries:
@@ -728,47 +629,3 @@ def geometric_inverse(c, k: int, prec: int, one) -> TruncSeries:
         coeffs[j * k] = acc
         j += 1
     return TruncSeries(prec, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# formal products of prime powers with fractional exponents (bookkeeping for
-# mass/KM assemblies; integrality asserted at extraction time)
-
-class PPow:
-    """rational * prod_p p^(e_p) with Fraction exponents e_p."""
-
-    __slots__ = ("unit", "exps")
-
-    def __init__(self, unit=1, exps=None):
-        self.unit = Fraction(unit)
-        self.exps = {int(p): Fraction(e) for p, e in (exps or {}).items() if e}
-
-    def __mul__(self, other):
-        if not isinstance(other, PPow):
-            other = PPow(other)
-        e = dict(self.exps)
-        for p, v in other.exps.items():
-            e[p] = e.get(p, Fraction(0)) + v
-            if not e[p]:
-                del e[p]
-        return PPow(self.unit * other.unit, e)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, PPow):
-            other = PPow(other)
-        inv = PPow(1 / other.unit, {p: -v for p, v in other.exps.items()})
-        return self * inv
-
-    def value(self) -> Fraction:
-        """Collapse to an exact rational; all exponents must be integers."""
-        out = self.unit
-        for p, e in self.exps.items():
-            if e.denominator != 1:
-                raise ValueError(f"non-integral exponent {e} at prime {p}")
-            out *= Fraction(p) ** int(e)
-        return out
-
-    def __repr__(self):
-        return f"PPow({self.unit}, {self.exps})"

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .characters import DirichletChar, factorize, kronecker
 from .charsums import h_sum, root_weights, thm56_constant, zero_branch
-from .exactalg import CycloNum, PPow, _pval, nullspace
+from .exactalg import CycloNum, _pval, nullspace
 from .lseries import (QExp, DirStream, cohen_eisenstein, delta_qexp,
                       eisenstein_qexp, lfactor_stream, rankin_stream,
                       shifted_L_stream, theta_series, weight2_eisenstein_odd)
@@ -454,14 +454,15 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
         d0, f = fundamental_split(D)
         ch = Fraction(h.coeff(abs(d0)))
         bad = sorted({q for q, _ in factorize(2 * D)})
-        # kappa_n zeta(2i) L(n/2, chi_d0) times the 2^{-1-n/2}; pp holds the
-        # |d0|^{1/2 - n/2} left by the functional equation and |d0|^{(n+1-2k)/4}
+        # kappa_n zeta(2i) L(n/2, chi_d0) times the 2^{-1-n/2}; exps starts
+        # with the |d0|^{1/2 - n/2} left by the functional equation and
+        # |d0|^{(n+1-2k)/4}, and gains each local factor's power of p
         rat = _kappa_zeta_L(n, d0, bad) / 2 ** (1 + n // 2)
         expo = Fraction(1 - n, 2) + Fraction(n + 1 - 2 * k, 4)
-        pp = PPow(1, {q: expo * e for q, e in factorize(abs(d0))})
-        # finite local factors
+        exps = {q: expo * e for q, e in factorize(abs(d0))}
+        # finite local factors: the rational unit of each branch
         a2, eps2 = _dyadic_unimodular_factor(d0 % 8)
-        branch = {"iota": PPow(1 / a2), "eps": PPow(Fraction(eps2) / a2)}
+        branch = {"iota": 1 / a2, "eps": Fraction(eps2) / a2}
         ok = True
         for p in [q for q in bad if q != 2]:
             nu = _pval(D, p)
@@ -473,9 +474,10 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
                 sat = satake_symmetric_eval(sp, h.shimura.coeff(p), k, n)
                 loc["iota"] += sat * iota
                 loc["eps"] += sat * eps
-            expo = Fraction(nu * (n + 1), 2) + Fraction(nu0 * (2 * k - n - 1), 4)
-            for w in ("iota", "eps"):
-                branch[w] = branch[w] * PPow(loc[w], {p: expo})
+            exps[p] = exps.get(p, 0) + Fraction(nu * (n + 1), 2) \
+                + Fraction(nu0 * (2 * k - n - 1), 4)
+            for w in branch:
+                branch[w] *= loc[w]
             if loc["iota"] == 0 and loc["eps"] == 0:
                 ok = False
         if not ok:
@@ -483,8 +485,12 @@ def verify_thm42(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
             continue
         # kappa(d0,n,1)_2^{-1} cancels the epsilon-term sign exactly, so the
         # two branches combine with unit weights; the quarter-powers of the
-        # local factors only collapse against the |d0|-powers in pp
-        tot = (pp * branch["iota"]).value() + (pp * branch["eps"]).value()
+        # local factors only collapse against the |d0|-powers in exps
+        tot = branch["iota"] + branch["eps"]
+        for q, e in exps.items():
+            if e.denominator != 1:
+                raise ValueError(f"non-integral exponent {e} at prime {q}")
+            tot *= Fraction(q) ** int(e)
         rhs_rat = rat * ch * tot
         got = lhs.coeff(D)
         want = chi(D) * rhs_rat

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 from .characters import DirichletChar, _root_sum, divisors, factorize, kronecker
-from .exactalg import CycloNum
+from .exactalg import CycloNum, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ class QExp:
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
         return QExp._from_ints(self.weight2 + other.weight2, prec,
-                               _mul_trunc(self.num, other.num, prec),
+                               poly_mul(self.num, other.num, prec),
                                self.den * other.den)
 
     def power(self, e: int):
@@ -207,16 +207,6 @@ class QExp:
             f[k] = s // (k * b[0])
         out = [0] * (prec - K) + f
         return QExp._from_ints(self.weight2 * e, prec, out, self.den ** e)
-
-
-def _mul_trunc(a, b, prec):
-    """Integer coefficients of a * b below q^prec."""
-    out = [0] * prec
-    for i, x in enumerate(a[:prec]):
-        if x:
-            for j, y in enumerate(b[:prec - i], i):
-                out[j] += x * y
-    return out
 
 
 def cohen_eisenstein(l: int, prec: int) -> QExp:

@@ -338,7 +338,7 @@ def _solve_F_from_A(A, p, n, xi, deg):
     # g(u) = (1-u) prod_{i=1}^{n/2} (1 - p^{2i} u^2)
     g = [1, -1]
     for i in range(1, n // 2 + 1):
-        g = poly_mul(g, [1, 0, -(p ** (2 * i))])
+        g = poly_mul(g, [1, 0, -(p ** (2 * i))], len(g) + 2)
     c = []
     for k in range(J + 1):
         v = L[k]

@@ -16,12 +16,21 @@ from kmlift.cli import main
 _KMLIFT_ROOT = str(Path(kmlift.__file__).resolve().parent.parent)
 
 
-def _run(args, cwd):
+def _run(args, cwd, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_KMLIFT_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "kmlift.cli"] + args,
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=timeout)
+
+
+def _assert_error(argv, tmp_path, capsys, *words):
+    assert main(["--out", str(tmp_path)] + argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), (argv, err)
+    assert all(w in err for w in words), (argv, err)
+    assert not any(tmp_path.iterdir()), argv
 
 
 def test_cli_prop510_pass(tmp_path):
@@ -91,6 +100,36 @@ def test_cli_local_pseries_refuses_mode(tmp_path, capsys):
     assert main(["--out", str(tmp_path)] + args) == 0
     assert json.load(open(tmp_path / "local-pseries.json"))[
         "brute_equals_closed"] is True
+
+
+def test_cli_local_refuses_nonprime_p(tmp_path, capsys):
+    # --p 1 used to loop forever in the p-adic valuation, so it runs in a
+    # child with a timeout: a regression fails instead of hanging the suite
+    for what in ("density", "siegel"):
+        r = _run(["--out", str(tmp_path), "local", what, "--p", "1"],
+                 cwd=str(tmp_path), timeout=60)
+        assert r.returncode == 2, (what, r.stderr)
+        assert r.stderr.startswith("error: ") and "prime" in r.stderr
+    # 0 divided by zero; 9 and 4 gave a wrong PASS or a traceback
+    for what, p in (("density", 0), ("density", 9), ("siegel", 4),
+                    ("pseries", 4), ("pseries", -3)):
+        _assert_error(["local", what, "--p", str(p)], tmp_path, capsys,
+                      "--p", "prime")
+
+
+def test_cli_refuses_malformed_gram(tmp_path, capsys):
+    for argv in (["local", "density", "--gram", "2 1;1"],
+                 ["local", "density", "--gram", ""],
+                 ["local", "siegel", "--gram", "2 1 0;1 2 0"],
+                 ["forms", "aut", "--gram", "2 1;1"]):
+        _assert_error(argv, tmp_path, capsys, "--gram", "square")
+
+
+def test_cli_forms_aut_refuses_N_below_1(tmp_path, capsys):
+    for N in ("-3", "0"):
+        _assert_error(["forms", "aut", "--N", N], tmp_path, capsys, "--N")
+    assert main(["--out", str(tmp_path), "forms", "aut", "--N", "3"]) == 0
+    assert json.load(open(tmp_path / "forms-aut.json"))["e"] == 1
 
 
 def test_cli_forms_enumerate(tmp_path):
@@ -183,3 +222,20 @@ def test_cli_firstkind_reports_skipped_thm61(tmp_path, monkeypatch, capsys):
     assert "Thm 6.1 was not checked" in data["notes"][-1]
     assert "c_{n,N}" not in data["constants"]
     assert "firstkind: FAIL" in capsys.readouterr().out
+
+
+def test_cli_charsum_refuses_unread_arguments(tmp_path, monkeypatch, capsys):
+    # --primes, --m and --pairs are refused by the suites that never read
+    # them; the suites that do read them get the usual defaults
+    for identity, arg in (("thm5.5", "--primes"), ("thm5.6", "--primes"),
+                          ("prop5.2", "--primes"), ("prop5.2", "--m"),
+                          ("thm5.6", "--pairs"), ("prop5.10", "--m"),
+                          ("lemma5.3", "--pairs")):
+        _assert_error(["charsum", "--identity", identity, arg, "9"],
+                      tmp_path, capsys, identity, arg)
+    calls = []
+    monkeypatch.setattr(charsums, "run_lemma51_suite",
+                        lambda *a: calls.append(a) or _StubReport("lemma5.1"))
+    assert main(["--out", str(tmp_path), "charsum",
+                 "--identity", "lemma5.1"]) == 0
+    assert calls == [((5, 7, 11, 13), 4, 200, 11, charsums.DEFAULT_BUDGET)]

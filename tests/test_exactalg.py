@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kmlift.exactalg import (CycloNum, PPow, QSqrt, TruncSeries, _bareiss_pass,
+from kmlift.characters import euler_phi_int
+from kmlift.exactalg import (CycloNum, Laurent, QSqrt, TruncSeries, _bareiss_pass,
                              _wedge, cyclotomic_poly, leading_minors, mat_det,
-                             p_half_power, poly_deg)
+                             p_half_power, poly_mul)
 from kmlift.quadforms import is_positive_definite
 
 from gramtools import leibniz_det, leibniz_minors
@@ -46,7 +47,7 @@ def _random_cyclo(rng, L):
 
 def test_cyclo_field_axioms_randomized():
     rng = random.Random(20240811)
-    for L in (3, 4, 5, 7, 12, 84):
+    for L in (1, 2, 3, 4, 5, 7, 12, 84):
         for _ in range(6):
             a = _random_cyclo(rng, L)
             b = _random_cyclo(rng, L)
@@ -82,30 +83,42 @@ def test_series_algebra():
     assert (geo * b).coeffs == {0: one}
 
 
-def test_poly_deg_sentinel():
-    assert poly_deg([]) is None
-    assert poly_deg([0, 0]) is None
-    assert poly_deg([5]) == 0
+def test_series_equality_across_prec():
+    # only the coefficients below the smaller precision are compared
+    one = Fraction(1)
+    a = TruncSeries(3, {0: one, 1: one})
+    assert a == TruncSeries(5, {0: one, 1: one, 4: Fraction(7)})
+    assert TruncSeries(6, {0: one, 1: one, 3: one}) == a
+    assert not a == TruncSeries(5, {0: one})
+    assert TruncSeries(2, {0: one}) == TruncSeries(4, {0: one, 2: one})
+
+
+def test_cyclotomic_poly_phi_and_product():
+    # deg Phi_L = phi(L), and the Phi_d over d | L multiply to x^L - 1
+    for L in range(1, 61):
+        assert len(cyclotomic_poly(L)) - 1 == euler_phi_int(L), L
+        prod = [1]
+        for d in range(1, L + 1):
+            if L % d == 0:
+                prod = poly_mul(prod, cyclotomic_poly(d), len(prod) + euler_phi_int(d))
+        assert prod == [-1] + [0] * (L - 1) + [1], L
+
+
+def test_zero_is_falsy():
+    for zero in (CycloNum.zero(5), CycloNum.zeta(3) + CycloNum.zeta(3, 2) + 1,
+                 QSqrt(0, 0, 5), Laurent({0: Fraction(0)}),
+                 Laurent({1: QSqrt(0, 0, 3)})):
+        assert not zero
+    for nonzero in (CycloNum.one(5), CycloNum.zeta(7, 3), QSqrt(0, 1, 5),
+                    QSqrt(Fraction(-1, 2)), Laurent({-1: QSqrt(0, 1, 3)}),
+                    Laurent.const(CycloNum.zeta(4))):
+        assert nonzero
 
 
 def test_qsqrt_arithmetic():
     x = p_half_power(5, 3)
     assert x * x == QSqrt(125)
-    y = QSqrt(Fraction(1, 2), Fraction(2), 5)
-    assert (y * y.inverse()).rational_value() == 1
     assert p_half_power(3, -1) * p_half_power(3, 1) == QSqrt(1)
-
-
-def test_ppow_integrality():
-    x = PPow(Fraction(3, 2), {5: Fraction(21, 4)}) * \
-        PPow(1, {5: Fraction(-17, 4)})
-    assert x.value() == Fraction(3 * 5, 2)
-    try:
-        PPow(1, {3: Fraction(1, 2)}).value()
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("fractional exponent must refuse to collapse")
 
 
 # ---------------------------------------------------------------------------
