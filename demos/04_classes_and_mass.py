@@ -5,7 +5,7 @@ pins the overall 2-power of the displayed mass formula."""
 
 from fractions import Fraction
 
-from kmlift.plocal import dyadic_jordan, mass_formula
+from kmlift.plocal import jordan_decompose, mass_formula
 from kmlift.quadforms import GramMat, automorphism_count, enumerate_classes
 
 print("== binary classes with det(2T) <= 4 ==")
@@ -22,10 +22,14 @@ print("\n== the mass audit ==")
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
 I4 = GramMat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-kinds = sorted(tuple(b.kind for b in dyadic_jordan(c.gram))
-               for c in cl.by_det(16))
-print("the two det-16 classes split into different genera:", kinds)
-assert len(kinds) == 2 and kinds[0] != kinds[1]
+tables = sorted([(b.scale, b.dim, b.detclass, b.oddity)
+                 for b in jordan_decompose(c.gram, 2).blocks]
+                for c in cl.by_det(16))
+print("the two det-16 classes split into different genera; their 2-adic")
+print("constituents (scale, dim, det mod 8, oddity):")
+for t in tables:
+    print("  ", t)
+assert len(tables) == 2 and tables[0] != tables[1]
 for name, G, obs in (("A_2", A2, Fraction(1, 6)), ("D_4", D4, Fraction(1, 576)),
                      ("2*1_4", I4, Fraction(1, 192))):
     mass = 2 * mass_formula(G)

@@ -59,32 +59,48 @@ def xi_tilde(p: int, c) -> int:
 class JordanBlock:
     scale: int
     dim: int
-    detclass: int       # legendre class of the unit determinant (p odd)
+    detclass: int       # unit determinant: Legendre class (p odd), mod 8 (p = 2)
+    oddity: int | None = None   # p = 2, odd type: the sum of the 1x1 units mod 8
 
 
 @dataclass(frozen=True)
 class JordanSymbol:
     p: int
-    blocks: tuple       # sorted by scale
+    blocks: tuple       # one constituent per scale, sorted by scale
 
     def valuation(self) -> int:
         return sum(b.scale * b.dim for b in self.blocks)
 
 
 def jordan_decompose(G, p: int) -> JordanSymbol:
-    """p odd: the 1x1 pivots of the congruence reduction over Z_p, grouped by
-    valuation with the product of their unit classes."""
-    if p == 2:
-        raise ValueError("use dyadic_jordan for p = 2")
+    """The pivots of the congruence reduction over Z_p, grouped by valuation.
+
+    A 1x1 pivot multiplies its unit into the constituent's determinant (its
+    Legendre class for p odd, the unit mod 8 for p = 2, where it also adds to
+    the oddity); a 2x2 pivot (p = 2 only) multiplies in det / 4^v mod 8,
+    which is 7 for H and 3 for V."""
+    _require_prime(p)
     if mat_det(_rows(G)) == 0:
         raise ValueError("degenerate form")
-    blocks: dict = {}
-    for [[d]] in _congruence_blocks(_rows(G), p):
-        a = _pval(d, p)
-        dim, det = blocks.get(a, (0, 1))
-        blocks[a] = (dim + 1, det * _unit_class(d / Fraction(p) ** a, p))
-    return JordanSymbol(p, tuple(JordanBlock(a, dim, det)
-                                 for a, (dim, det) in sorted(blocks.items())))
+    cons: dict = {}
+    for B in _congruence_blocks(_rows(G), p):
+        v = _pval(B[0][-1], p)
+        dim, det, oddity = cons.get(v, (0, 1, None))
+        u = (B[0][0] if len(B) == 1 else B[0][0] * B[1][1] - B[0][1] ** 2) \
+            / Fraction(p) ** (len(B) * v)
+        if p == 2:
+            u = _as_unit_int(u, 2, mod=8)
+            det = det * u % 8
+            oddity = ((oddity or 0) + u) % 8 if len(B) == 1 else oddity
+        else:
+            det *= _unit_class(u, p)
+        cons[v] = (dim + len(B), det, oddity)
+    return JordanSymbol(p, tuple(JordanBlock(a, *cons[a]) for a in sorted(cons)))
+
+
+def _require_prime(p: int):
+    if factorize(p) != [(p, 1)]:
+        raise ValueError(f"p must be a prime, not {p}")
 
 
 def _rows(G):
@@ -112,43 +128,16 @@ def _nonresidue(p):
     return next(r for r in range(2, p) if legendre(r, p) == -1)
 
 
-# dyadic (limited scope): blocks are 1-dim odd units or 2-dim even H/V
-
-@dataclass(frozen=True)
-class DyadicBlock:
-    scale: int
-    kind: str            # 'odd' | 'H' | 'V'
-    units: tuple = ()    # odd case: unit mod 8
-
-
-def dyadic_jordan(G) -> tuple:
-    """Dyadic blocks from the congruence reduction over Z_2: a 1x1 pivot is
-    an odd block (unit mod 8), a 2x2 pivot is H or V by -det mod 8; exact."""
-    blocks, dim = [], 0
-    for B in _congruence_blocks(_rows(G), 2):
-        dim += len(B)
-        v = _pval(B[0][-1], 2)
-        if len(B) == 1:
-            blocks.append(DyadicBlock(v, "odd", (_as_unit_int(B[0][0] / Fraction(2) ** v, 2, mod=8),)))
-        else:
-            det = (B[0][0] * B[1][1] - B[0][1] ** 2) / Fraction(4) ** v
-            blocks.append(DyadicBlock(v, "H" if _as_unit_int(-det, 2, mod=8) == 1 else "V"))
-    if dim < len(_rows(G)):
-        raise ValueError("degenerate form")
-    return tuple(sorted(blocks, key=lambda b: (b.scale, b.kind, b.units)))
-
-
 # ---------------------------------------------------------------------------
 # local densities
 
 def local_density(G, p: int, mode="closed", budget=DEFAULT_BUDGET) -> Fraction:
     """alpha_p(A) = 2^{-1} lim p^{a(-n^2+n(n+1)/2)} #A_a(A,A); exact."""
-    if mode == "brute":
-        return _density_brute(G, p, budget)
     if mode == "closed":
-        if p == 2:
-            return _density_dyadic(G)
         return density_from_symbol(jordan_decompose(G, p), p)
+    if mode == "brute":
+        _require_prime(p)
+        return _density_brute(G, p, budget)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -168,59 +157,38 @@ def _species_factor(species: int, p: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _scale_exponent(constituents) -> int:
-    """E = sum_j a_j (n_j(n_j+1)/2 + n_j sum_{k>j} n_k) over the (scale a_j,
-    dim n_j) pairs, sorted by scale."""
-    E, later = 0, sum(n for _, n in constituents)
-    for a, n in constituents:
-        later -= n
-        E += a * (n * (n + 1) // 2 + n * later)
-    return E
-
-
 def density_from_symbol(sym: JordanSymbol, p: int) -> Fraction:
-    """p odd closed form: alpha = p^E / 2 prod_j factor(species_j); the
-    species of a block is its dim, signed for even dim by whether
-    (-1)^{dim/2} det is a square."""
-    blocks = sorted(sym.blocks, key=lambda b: b.scale)
-    val = Fraction(p ** _scale_exponent([(b.scale, b.dim) for b in blocks]), 2)
-    for b in blocks:
-        sign = legendre((-1) ** (b.dim // 2), p) * b.detclass if b.dim % 2 == 0 else 1
-        val *= _species_factor(sign * b.dim, p)
-    return val
+    """alpha = p^E / 2 prod_j factor(species_j), from the Conway-Sloane p-mass,
+    with E = sum_j a_j (n_j(n_j+1)/2 + n_j sum_{k>j} n_k) over the (scale a_j,
+    dim n_j) of the constituents.
 
-
-def _density_dyadic(G) -> Fraction:
-    """p = 2 closed form, from the Conway-Sloane 2-adic p-mass.
-
-    The dyadic_jordan blocks at each scale form a constituent (dim, det mod 8,
-    odd type, oddity); the octane is the oddity plus 4 when det = +-3 mod 8.
-    Over the scales and one empty scale past each end, a constituent next to
-    an odd-type scale, or of octane +-2, has species 2t + 1; else +2t for
-    octane 0, +-1 and -2t for +-3, 4, with t = dim // 2, less 1 for an
-    even-dim odd-type constituent.  alpha = prod factor(species) times
-    2^(E - n - 1 + n(II) - n(I,I)): n(II) is the dim of the even-type
-    constituents and n(I,I) the number of adjacent odd-type pairs."""
-    cons: dict = {}
-    for b in dyadic_jordan(G):
-        dim, det, odd, oddity = cons.get(b.scale, (0, 1, False, 0))
-        if b.kind == "odd":
-            u = b.units[0]
-            cons[b.scale] = (dim + 1, det * u % 8, True, (oddity + u) % 8)
-        else:
-            cons[b.scale] = (dim + 2, det * (7 if b.kind == "H" else 3) % 8, odd, oddity)
-    scales = sorted(cons)
-    odd_scales = {s for s in scales if cons[s][2]}
-    # E - n - 1 + n(II) - n(I,I), where n - n(II) is the odd-type dim
-    e = (_scale_exponent([(s, cons[s][0]) for s in scales]) - 1
-         - sum(cons[s][0] for s in odd_scales)
-         - sum(1 for s in odd_scales if s + 1 in odd_scales))
-    val = Fraction(2) ** e
-    for s in range(scales[0] - 1, scales[-1] + 2):
-        dim, det, odd, oddity = cons.get(s, (0, 1, False, 0))
-        t = dim // 2 - (odd and dim % 2 == 0)
-        octane = (oddity + 4 * (det in (3, 5))) % 8
-        if s - 1 in odd_scales or s + 1 in odd_scales or octane in (2, 6):
+    p odd: the species of a constituent is its dim, signed for even dim by
+    whether (-1)^{dim/2} det is a square; an empty scale has species 0.
+    p = 2: a further 2^(-n(I) - n(I,I)), n(I) the dim of the odd-type
+    constituents and n(I,I) the number of adjacent odd-type pairs.  The
+    octane is the oddity plus 4 when det = +-3 mod 8.  Over the scales and
+    one empty scale past each end, a constituent next to an odd-type scale,
+    or of octane +-2, has species 2t + 1; else +2t for octane 0, +-1 and -2t
+    for +-3, 4, with t = dim // 2, less 1 for an even-dim odd-type one."""
+    E, later = 0, sum(b.dim for b in sym.blocks)
+    for b in sym.blocks:
+        later -= b.dim
+        E += b.scale * (b.dim * (b.dim + 1) // 2 + b.dim * later)
+    val = Fraction(p ** E, 2)
+    if p != 2:
+        for b in sym.blocks:
+            sign = legendre((-1) ** (b.dim // 2), p) * b.detclass if b.dim % 2 == 0 else 1
+            val *= _species_factor(sign * b.dim, p)
+        return val
+    cons = {b.scale: b for b in sym.blocks}
+    odd = {s for s, b in cons.items() if b.oddity is not None}
+    val /= 2 ** (sum(cons[s].dim for s in odd) + sum(s + 1 in odd for s in odd))
+    empty = JordanBlock(0, 0, 1)
+    for s in range(sym.blocks[0].scale - 1, sym.blocks[-1].scale + 2):
+        b = cons.get(s, empty)
+        t = b.dim // 2 - (b.oddity is not None and b.dim % 2 == 0)
+        octane = ((b.oddity or 0) + 4 * (b.detclass in (3, 5))) % 8
+        if s - 1 in odd or s + 1 in odd or octane in (2, 6):
             val *= _species_factor(2 * t + 1, 2)
         else:
             val *= _species_factor(2 * t if octane in (0, 1, 7) else -2 * t, 2)
@@ -306,6 +274,7 @@ def _siegel_degree(G: GramMat, p: int):
 def siegel_series(G: GramMat, p: int, mode="stratified",
                   budget=DEFAULT_BUDGET) -> SiegelPoly:
     """F_p(T, X) for T = G/2 (n even); plus the F~ symmetry audit."""
+    _require_prime(p)
     n = G.n
     if n % 2:
         raise ValueError("Siegel series implemented for even rank")
@@ -532,18 +501,9 @@ def enumerate_zp_classes(n: int, p: int, d0, max_val: int):
     u0 = d0 / Fraction(p) ** v0
     cls0 = _unit_class(u0, p)
     sign_unit = legendre((-1) ** (n // 2), p)
-    out = []
-    for sym in _all_symbols(n, p, max_val):
-        nu = sym.valuation()
-        if nu % 2 != v0 % 2:
-            continue
-        w = 1
-        for b in sym.blocks:
-            w *= b.detclass
-        if sign_unit * w != cls0:
-            continue
-        out.append(sym)
-    return out
+    return [sym for sym in _all_symbols(n, p, max_val)
+            if sym.valuation() % 2 == v0 % 2
+            and sign_unit * prod(b.detclass for b in sym.blocks) == cls0]
 
 
 def _all_symbols(n, p, max_val):
@@ -555,7 +515,7 @@ def _all_symbols(n, p, max_val):
             results.append(JordanSymbol(p, tuple(blocks)))
             return
         for scale in range(next_scale, max_val + 1):
-            if scale * 1 + val > max_val and scale > 0:
+            if val + scale > max_val:
                 break
             for dim in range(1, remaining + 1):
                 v = val + scale * dim
@@ -565,23 +525,23 @@ def _all_symbols(n, p, max_val):
                     rec(remaining - dim, scale + 1,
                         blocks + [JordanBlock(scale, dim, detclass)], v)
 
+    # scales strictly increase along the recursion, so no symbol repeats
     rec(n, 0, [], 0)
-    # scale 0 blocks with valuation 0 always fine; filter duplicates
-    uniq = {s.blocks: s for s in results}
-    return [uniq[k] for k in sorted(uniq, key=lambda bs: tuple((b.scale, b.dim, b.detclass) for b in bs))]
+    return results
 
 
-def p_series(n: int, p: int, d0, omega: str, prec: int, mode="brute",
-             budget=DEFAULT_BUDGET) -> TruncSeries:
-    """P^(0)_{n,p}(d0, omega, X, t) to t-precision prec; coefficients are
-    Laurent polynomials in X over Q(sqrt p).
+def p_series(n: int, p: int, d0, omega: str, prec: int,
+             mode="brute") -> TruncSeries:
+    """P^(0)_{n,p}(d0, omega, X, t) to t-precision prec, summed class by
+    class; coefficients are Laurent polynomials in X over Q(sqrt p).
 
     omega: 'iota' or 'eps'.  kappa(d0,n,l)_p = 1 for p odd.
     """
+    _require_prime(p)
+    if mode != "brute":
+        raise ValueError(f"unknown mode {mode!r}")
     if omega not in ("iota", "eps"):
         raise ValueError("omega must be 'iota' or 'eps'")
-    if mode == "closed":
-        return p_series_closed(n, p, d0, omega, prec)
     if p == 2:
         raise ValueError("brute genus series needs p odd")
     coeffs: dict = {}
@@ -612,6 +572,7 @@ def _diag_mat(diag):
 
 def p_series_closed(n: int, p: int, d0, omega: str, prec: int) -> TruncSeries:
     """Proposition 4.3 closed rational functions, expanded in t."""
+    _require_prime(p)
     d0 = Fraction(d0)
     v0 = _pval(d0, p)
     xi0 = xi_tilde(p, d0)

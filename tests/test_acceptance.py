@@ -198,13 +198,15 @@ def test_criterion_08_mass_checks(classlist16):
     for G, D in ((D4, 4), (A2A2, 9)):
         observed[G] = sum(Fraction(1, c.e) for c in classlist16.classes
                           if c.gram.det() == D)
-    # the two det-16 classes split into different genera (dyadic symbols)
-    from kmlift.plocal import dyadic_jordan
+    # the two det-16 classes split into different genera (2-adic Jordan
+    # constituents); 2*1_4 is the one whose constituents are all of odd type
     det16 = classlist16.by_det(16)
-    kinds = [tuple(b.kind for b in dyadic_jordan(c.gram)) for c in det16]
-    ok = len(set(kinds)) == 2
-    observed[I4] = sum(Fraction(1, c.e) for c in det16
-                       if all(b.kind == "odd" for b in dyadic_jordan(c.gram)))
+    tables = [jordan_decompose(c.gram, 2).blocks for c in det16]
+    ok = sorted([(b.scale, b.dim, b.detclass, b.oddity) for b in t]
+                for t in tables) == [[(0, 2, 3, None), (2, 2, 3, 4)],
+                                     [(1, 4, 1, 4)]]
+    observed[I4] = sum(Fraction(1, c.e) for c, t in zip(det16, tables)
+                       if all(b.oddity is not None for b in t))
     ratios = {G: observed[G] / mass_formula(G) for G in observed}
     ok &= set(ratios.values()) == {Fraction(2)}
     # margin stability regression

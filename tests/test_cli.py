@@ -239,3 +239,20 @@ def test_cli_charsum_refuses_unread_arguments(tmp_path, monkeypatch, capsys):
     assert main(["--out", str(tmp_path), "charsum",
                  "--identity", "lemma5.1"]) == 0
     assert calls == [((5, 7, 11, 13), 4, 200, 11, charsums.DEFAULT_BUDGET)]
+
+
+def test_cli_refuses_unread_seed(tmp_path, monkeypatch, capsys):
+    # only charsum lemma5.1 reads the global --seed; every other command used
+    # to accept it and ignore it
+    for argv in (["charsum", "--identity", "prop5.10"],
+                 ["charsum", "--identity", "thm5.5"],
+                 ["lseries", "cohen"],
+                 ["local", "density"],
+                 ["forms", "enumerate", "--n", "2", "--det-bound", "4"]):
+        _assert_error(["--seed", "99"] + argv, tmp_path, capsys, "--seed")
+    calls = []
+    monkeypatch.setattr(charsums, "run_lemma51_suite",
+                        lambda *a: calls.append(a) or _StubReport("lemma5.1"))
+    assert main(["--out", str(tmp_path), "--seed", "99", "charsum",
+                 "--identity", "lemma5.1"]) == 0
+    assert calls == [((5, 7, 11, 13), 4, 200, 99, charsums.DEFAULT_BUDGET)]

@@ -1,22 +1,31 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kmlift
 from kmlift.characters import factorize, legendre
 from kmlift.charsums import BudgetExceeded
 from kmlift.exactalg import _pval
-from kmlift.plocal import (dyadic_jordan, density_from_symbol,
+from kmlift.plocal import (density_from_symbol,
                            enumerate_zp_classes, jordan_decompose,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
                            _SNF_BUCKET_CACHE, _aut_cong_count, _density_brute,
                            _modp_vectors, _oracle_A_coeffs, _rank2_modp_sum,
-                           _snf_buckets, _stratified_A)
+                           _siegel_degree, _snf_buckets, _solve_F_from_A,
+                           _stratified_A)
 from kmlift.quadforms import GramMat, is_positive_definite
+
+# the directory of the imported kmlift, for a child process to import it too
+_KMLIFT_ROOT = str(Path(kmlift.__file__).resolve().parent.parent)
 
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
@@ -174,10 +183,12 @@ def test_mass_audit_det40(flagship):
 
 
 def test_dyadic_jordan_shapes():
-    assert [b.kind for b in dyadic_jordan(A2)] == ["V"]
-    kinds = sorted(b.kind for b in dyadic_jordan(A2A2))
-    assert kinds in (["H", "H"], ["H", "V"], ["V", "V"])
-    assert all(b.kind == "odd" and b.scale == 1 for b in dyadic_jordan(I4))
+    def table(G):
+        return [(b.scale, b.dim, b.detclass, b.oddity)
+                for b in jordan_decompose(G, 2).blocks]
+    assert table(A2) == [(0, 2, 3, None)]
+    assert table(A2A2) == [(0, 4, 1, None)]
+    assert table(I4) == [(1, 4, 1, 4)]
 
 
 def test_siegel_series_oracle_vs_stratified_binary():
@@ -352,6 +363,62 @@ def test_siegel_series_stratified_pinned_p3_n4():
         assert siegel_series(G, 3, mode="stratified").fcoeffs == want, G
 
 
+def test_solve_F_completes_by_the_functional_equation():
+    # A_0..A_2 fix c_0..c_2 of F; c_3 and c_4 come from the X <-> 1/X
+    # mirror c_{nu_f + t} = c_{nu_f - t} p^{(n+1) t}, and A_0, A_1 are too few
+    for G, p, F in ((GramMat([[2, 0], [0, 32]]), 2, [1, 0, 8, 0, 64]),
+                    (GramMat([[2, 0], [0, 64]]), 2, [1, 0, 8, 0, 64]),
+                    (GramMat([[2, 0], [0, 162]]), 3, [1, 3, 27, 81, 729])):
+        _, xi, deg = _siegel_degree(G, p)
+        A = _oracle_A_coeffs(G, p, deg)
+        assert deg == 4 and len(A) > 3, (G, p)
+        assert _solve_F_from_A(A, p, G.n, xi, deg) == F, (G, p)
+        assert _solve_F_from_A(A[:3], p, G.n, xi, deg) == F, (G, p)
+        with pytest.raises(RuntimeError, match="not enough"):
+            _solve_F_from_A(A[:2], p, G.n, xi, deg)
+
+
+def test_library_refuses_nonprime_p():
+    # 9 gave alpha = 8/9 for A_2 (alpha_3 is 6), 4 gave F = 1, 0 divided by
+    # zero; each entry point now refuses before any p-adic work
+    for p in (0, 4, 9):
+        for call in (lambda: local_density(A2, p),
+                     lambda: local_density(A2, p, mode="brute"),
+                     lambda: jordan_decompose(A2, p),
+                     lambda: siegel_series(A2, p),
+                     lambda: p_series(2, p, 1, "iota", 3),
+                     lambda: p_series_closed(2, p, 1, "iota", 3)):
+            with pytest.raises(ValueError, match="prime"):
+                call()
+    # p = 1 looped forever in the p-adic valuation, so it runs in a child
+    # with a timeout: a regression fails instead of hanging the suite
+    code = """
+from kmlift.plocal import *
+from kmlift.quadforms import GramMat
+G = GramMat([[2, 1], [1, 2]])
+for call in (lambda: local_density(G, 1), lambda: jordan_decompose(G, 1),
+             lambda: siegel_series(G, 1), lambda: p_series(2, 1, 1, "iota", 3),
+             lambda: p_series_closed(2, 1, 1, "iota", 3)):
+    try:
+        call()
+    except ValueError as exc:
+        assert "prime" in str(exc), exc
+    else:
+        raise SystemExit("p = 1 was accepted")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (_KMLIFT_ROOT, env.get("PYTHONPATH")) if x)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+
+
+def test_p_series_refuses_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        p_series(2, 3, 1, "iota", 3, mode="closed")
+
+
 def test_enumerate_zp_classes():
     out = enumerate_zp_classes(2, 3, 1, 0)
     assert len(out) == 1 and out[0].blocks[0].dim == 2
@@ -524,12 +591,14 @@ def test_oracle_caps_refuse_with_computed_cost():
 
 
 # Exact values taken before symmetric congruence reduction had one home:
-# Jordan symbols at p = 3, 5 as (scale, dim, detclass) blocks, dyadic blocks
-# as (scale, kind, units), and Hasse invariants at (-1, 2, 3, 5).  The forms
-# reach every pivot rule: a diagonal pivot, an off-diagonal one that is
-# folded into a diagonal (p odd, Q) and a 2x2 dyadic block.  Dyadic blocks
-# are not invariants: the last form's depend on the order the rows left
-# after a pivot keep.
+# Jordan symbols at p = 3, 5 as (scale, dim, detclass) blocks, 2-adic
+# constituents as (scale, dim, det mod 8, oddity), and Hasse invariants at
+# (-1, 2, 3, 5).  The 2-adic pins are the pinned dyadic pivots (a unit mod 8,
+# or H / V) regrouped by scale.  The forms reach every pivot rule: a diagonal
+# pivot, an off-diagonal one that is folded into a diagonal (p odd, Q) and a
+# 2x2 dyadic block.  The 2-adic constituents are not invariants (that needs
+# oddity fusion and sign walking): the pivots of the last form depend on the
+# order the rows left after a pivot keep.
 PINNED_FORMS = [
     [[2, 1], [1, 2]],
     [[2, 0], [0, 18]],
@@ -575,26 +644,26 @@ PINNED_JORDAN = [
     (((0, 1, -1), (1, 1, 1), (2, 1, 1)), ((0, 3, -1),)),
 ]
 PINNED_DYADIC = [
-    ((0, "V", ()),),
-    ((1, "odd", (1,)), (1, "odd", (1,))),
-    ((0, "H", ()),),
-    ((0, "H", ()),),
-    ((0, "odd", (3,)), (3, "odd", (3,))),
-    ((0, "odd", (5,)), (3, "odd", (7,))),
-    ((1, "V", ()),),
-    ((1, "H", ()),),
-    ((0, "odd", (1,)), (0, "odd", (3,))),
-    ((0, "H", ()),),
-    ((0, "H", ()), (3, "odd", (3,))),
-    ((0, "V", ()), (1, "odd", (5,))),
-    ((0, "H", ()), (2, "odd", (7,))),
-    ((0, "V", ()), (1, "V", ())),
-    ((0, "V", ()), (0, "V", ())),
-    ((0, "V", ()), (1, "H", ())),
-    ((0, "V", ()), (0, "V", ())),
-    ((0, "H", ()), (1, "H", ())),
-    ((0, "H", ()), (4, "odd", (7,)), (5, "odd", (1,))),
-    ((0, "odd", (1,)), (0, "odd", (7,)), (1, "odd", (1,))),
+    ((0, 2, 3, None),),
+    ((1, 2, 1, 2),),
+    ((0, 2, 7, None),),
+    ((0, 2, 7, None),),
+    ((0, 1, 3, 3), (3, 1, 3, 3)),
+    ((0, 1, 5, 5), (3, 1, 7, 7)),
+    ((1, 2, 3, None),),
+    ((1, 2, 7, None),),
+    ((0, 2, 3, 4),),
+    ((0, 2, 7, None),),
+    ((0, 2, 7, None), (3, 1, 3, 3)),
+    ((0, 2, 3, None), (1, 1, 5, 5)),
+    ((0, 2, 7, None), (2, 1, 7, 7)),
+    ((0, 2, 3, None), (1, 2, 3, None)),
+    ((0, 4, 1, None),),
+    ((0, 2, 3, None), (1, 2, 7, None)),
+    ((0, 4, 1, None),),
+    ((0, 2, 7, None), (1, 2, 7, None)),
+    ((0, 2, 7, None), (4, 1, 7, 7), (5, 1, 1, 1)),
+    ((0, 2, 7, 0), (1, 1, 1, 1)),
 ]
 PINNED_HASSE = [
     (1, 1, 1, 1), (1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, 1, 1),
@@ -612,11 +681,9 @@ def test_pinned_jordan_dyadic_hasse(i):
     got = tuple(tuple((b.scale, b.dim, b.detclass)
                       for b in jordan_decompose(G, p).blocks) for p in (3, 5))
     assert got == PINNED_JORDAN[i]
-    assert tuple((b.scale, b.kind, b.units)
-                 for b in dyadic_jordan(G)) == PINNED_DYADIC[i]
+    assert tuple((b.scale, b.dim, b.detclass, b.oddity)
+                 for b in jordan_decompose(G, 2).blocks) == PINNED_DYADIC[i]
     assert tuple(hasse_invariant(G, p) for p in (-1, 2, 3, 5)) == PINNED_HASSE[i]
-    with pytest.raises(ValueError):
-        jordan_decompose(G, 2)
 
 
 def test_pinned_mass_formula():
