@@ -227,11 +227,6 @@ def parse_descriptor(desc: str) -> DirichletChar:
     return DirichletChar(N, exps)
 
 
-def subgroup_Dm(G: CharGroup, m: int):
-    """Characters mod N whose m-th power is trivial (the set D_{N,m})."""
-    return [chi for chi in G if (chi ** m).is_trivial()]
-
-
 def local_component(chi: DirichletChar, p: int) -> DirichletChar:
     """chi^(p) mod p^e: evaluate chi at the CRT lift (n mod p^e, 1 mod N/p^e)."""
     N = chi.modulus

@@ -823,11 +823,15 @@ def zero_branch(chi: DirichletChar, n: int) -> bool:
 
 
 def h_closed(gram, chi: DirichletChar, variant="corrected",
-             budget=DEFAULT_BUDGET):
+             budget=DEFAULT_BUDGET, weights=None):
     """Theorems 5.5/5.6 closed evaluation; exact CycloNum (0 in branch (1)).
     The theorems take chi primitive, so an imprimitive chi is refused.  The
     "printed" variant conjugates the first Jacobi factor as Theorem 5.5's
-    display does; against the SL brute force it fails at p = 5 and 7."""
+    display does; against the SL brute force it fails at p = 5 and 7.
+
+    weights: root_weights(chi, m, variant), which do not depend on the gram,
+    so a caller that weights many grams of one size by one chi computes them
+    once; computed here when not given."""
     _is_printed(variant)                # refused before the early returns
     N = chi.modulus
     if N == 1:
@@ -839,7 +843,8 @@ def h_closed(gram, chi: DirichletChar, variant="corrected",
         return CycloNum.zero(chi.order)
     if m % 2 == 1 and (chi ** 2).conductor != N:
         raise ValueError("odd m closed form needs chi^2 primitive")
-    weights = root_weights(chi, m, variant, budget)
+    if weights is None:
+        weights = root_weights(chi, m, variant, budget)
     total = sum((chi_det_halfintegral(lam, gram) * w for lam, w in weights),
                 CycloNum.zero())
     return total * thm56_constant(m, N)
@@ -864,13 +869,14 @@ def thm56_constant(m: int, N: int, variant="corrected") -> Fraction:
 
 
 def h_sum(gram, chi: DirichletChar, mode="closed",
-          budget=DEFAULT_BUDGET) -> CycloNum:
+          budget=DEFAULT_BUDGET, weights=None) -> CycloNum:
+    """h(A, chi) by ``mode``; weights go to ``h_closed`` (closed mode only)."""
     if mode == "brute_sl":
         return h_brute_sl(gram, chi, budget)
     if mode == "brute_sym":
         return h_brute_sym(gram, chi, budget)
     if mode == "closed":
-        return h_closed(gram, chi, budget=budget)
+        return h_closed(gram, chi, budget=budget, weights=weights)
     raise ValueError(f"unknown h_sum mode {mode!r}")
 
 

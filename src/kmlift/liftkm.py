@@ -209,8 +209,10 @@ def km_stream(table: IkedaCoeffTable, chi: DirichletChar, kind: str,
               bound: int) -> DirStream:
     """Det-indexed coefficients: second kind weights by chi(det 2T); first kind
     weights by h(A, chi) (whose normalization carries e_N versus e through the
-    coset identity)."""
+    coset identity), with the eta-sum weights of the closed h computed once
+    per stream, since they depend on chi and the size of T only."""
     out: dict = {}
+    eta = None
     for rec, cv in table.classes:
         D = rec.gram.det()
         if D > bound or cv == 0:
@@ -218,7 +220,9 @@ def km_stream(table: IkedaCoeffTable, chi: DirichletChar, kind: str,
         if kind == "second":
             w = chi(D)
         elif kind == "first":
-            w = h_sum(rec.gram.rows(), chi)
+            if eta is None:
+                eta = root_weights(chi, rec.gram.n)
+            w = h_sum(rec.gram.rows(), chi, "closed", weights=eta)
         else:
             raise ValueError("kind must be 'first' or 'second'")
         term = w * Fraction(cv, rec.e)

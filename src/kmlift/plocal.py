@@ -40,6 +40,7 @@ _ORACLE_CAP = 4_500_000
 
 def xi_tilde(p: int, c) -> int:
     """1, -1 or 0: Q_p(sqrt c) equal to Q_p, unramified quadratic, ramified."""
+    _require_prime(p)
     c = Fraction(c)
     if c == 0:
         raise ValueError("xi~ undefined at 0")
@@ -490,6 +491,7 @@ def enumerate_zp_classes(n: int, p: int, d0, max_val: int):
     d0 in F_p = {nu_p(d0) <= 1}; the even-type set is 2 * S_n(Z_p) for p odd, so
     symbols enumerate T' with B = 2T'.
     """
+    _require_prime(p)
     if p == 2:
         raise ValueError("dyadic class enumeration out of scope")
     if n % 2:

@@ -159,14 +159,22 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                      congruence=1):
     """Backtracking over columns: U with G1[U] = G2.
 
-    need_det: +1 for an SL witness, None for any; count_all counts solutions
-    with det = +1 (and U = 1 mod congruence) instead of returning the first.
+    need_det: +1 for an SL witness, None for any; count_all (G1 = G2 only)
+    returns the order of the group of solutions with det = +1 (and
+    U = 1 mod congruence) instead of the first solution.
 
     Column j runs over G1.pool(G2[j][j]) in pool order; its candidates are
     the AND over i < j of the ``compat`` bitsets of the chosen u_i at the
     value G2[i][j].  At the last column, the wedge of the columns before it
     (``_wedge_plan``) gives the cofactors c with det U = c . v, so a leaf
     costs one dot product.
+
+    The order is counted by orbit-stabilizer along the basis, not leaf by
+    leaf: with columns 0..j-1 fixed to e_0..e_{j-1}, the orbit of e_j under
+    their pointwise stabilizer is the set of candidates v for column j with
+    some completion (one first-hit search each), and the stabilizer of all n
+    basis vectors is trivial, so the orbit lengths multiply to the order
+    (Plesken-Souvignier, J. Symb. Comput. 24 (1997)).
     """
     n = G1.n
     if G2.n != n or G1.det() != G2.det():
@@ -175,11 +183,15 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
     norms = [G2e[j][j] for j in range(n)]
     plan = _wedge_plan(n)
     picks = [0] * n
-    found = 0
+    order = 1
+    units = [tuple(int(r == j) for r in range(n))
+             for j in range(n)] if count_all else None
 
-    def rec(j, bits):
-        # bits: the pool indices for column j compatible with columns < j
-        nonlocal found
+    def rec(j, bits, walk=False):
+        # bits: the pool indices for column j compatible with columns < j;
+        # walk: columns < j are e_0..e_{j-1}, and the orbit of e_j is counted
+        # into ``order`` before the walk descends along e_j
+        nonlocal order
         pool = G1.pool(norms[j])
         last = j == n - 1
         if last:
@@ -200,6 +212,7 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
             if not base:
                 return False
             s, c = norms[j], G2e[j][j + 1]
+        orbit, stay = 0, None
         while bits:
             low = bits & -bits
             bits ^= low
@@ -209,24 +222,32 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                                       for r, x in enumerate(v)):
                 continue
             picks[j] = k
+            if walk and v == units[j]:
+                orbit, stay = orbit + 1, k      # e_j, completed by the identity
+                continue
             if last:
                 if need_det is not None and sum(map(mul, cof, v)) != need_det:
                     continue
-                if not count_all:
-                    return True
-                found += 1
-                continue
-            nxt = base & G1.compat(s, k, t).get(c, 0)
-            if nxt and rec(j + 1, nxt):
+            else:
+                nxt = base & G1.compat(s, k, t).get(c, 0)
+                if not (nxt and rec(j + 1, nxt)):
+                    continue
+            if not walk:
                 return True
+            orbit += 1
+        if walk:
+            order *= orbit
+            if not last:
+                picks[j] = stay
+                rec(j + 1, base & G1.compat(s, stay, t).get(c, 0), True)
         return False
 
     # as in the column order, pool(norms[j + 1]) is built only once column j
     # has candidates
     top = (1 << len(G1.pool(norms[0]))) - 1
-    hit = rec(0, top) if top else False
+    hit = rec(0, top, count_all) if top else False
     if count_all:
-        return found
+        return order
     if hit:
         cols = [G1.pool(t)[k][0] for t, k in zip(norms, picks)]
         return [[cols[c][r] for c in range(n)] for r in range(n)]

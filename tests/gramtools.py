@@ -3,8 +3,9 @@ G[U] = U^t G U on integer matrices given as lists of rows, the plain column
 backtracking that the isometry search is checked against, the row-by-row
 representation count that ``charsums._rep_count`` is checked against, the
 one-row-bordered SL_m(F_p) sweep that ``charsums.sl_gram_counts`` is checked
-against, and the Leibniz determinant that every determinant and minor kernel
-is checked against."""
+against, the Leibniz determinant that every determinant and minor kernel
+is checked against, and the set D_{N,m} that ``charsums.root_weights`` is
+checked against."""
 
 from itertools import combinations, permutations
 
@@ -168,3 +169,9 @@ def reference_sl_gram_counts(m, p):
                + weight[:k, k] @ cross + last_key)
         table += np.bincount(idx[cof @ last.T % p == 1], minlength=p ** E)
     return table
+
+
+def subgroup_Dm(G, m):
+    """The characters of the group G (a ``characters.CharGroup`` mod N)
+    whose m-th power is trivial: the set D_{N,m}."""
+    return [chi for chi in G if (chi ** m).is_trivial()]

@@ -8,12 +8,13 @@ import pytest
 from kmlift.characters import (char_group, factorize,
                                find_primitive_root_of_unity_mod, gauss_sum,
                                hilbert_symbol, jacobi, jacobi_sum, kronecker,
-                               legendre, local_component, parse_descriptor,
-                               subgroup_Dm)
+                               legendre, local_component, parse_descriptor)
 from kmlift.charsums import Im_closed, _weight_counts, _weight_dt, legendre_char
 from kmlift.exactalg import CycloNum
 from kmlift.lseries import bernoulli_poly_coeffs, gen_bernoulli
 from kmlift.plocal import xi_tilde
+
+from gramtools import subgroup_Dm
 
 
 def test_group_sizes_and_orders():

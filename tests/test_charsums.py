@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kmlift.characters import char_group, jacobi_sum, subgroup_Dm
+from kmlift.characters import char_group, jacobi_sum
 from kmlift.charsums import (THM55_FORMS, BudgetExceeded,
                              Im_brute, Im_closed, Jm_brute, Jm_chi,
                              Jm_recursion, _sym_dt_table,
@@ -20,7 +20,8 @@ from kmlift.charsums import (THM55_FORMS, BudgetExceeded,
                              sym_dettarget_trace_counts, _vectors)
 from kmlift.exactalg import CycloNum, mat_det
 
-from gramtools import reference_rep_count, reference_sl_gram_counts
+from gramtools import (reference_rep_count, reference_sl_gram_counts,
+                       subgroup_Dm)
 
 
 def test_lemma51_examples():

@@ -299,6 +299,43 @@ def test_first_kind_conjugation_equivariance(flagship):
         assert sbar.coeff(D) == s.coeff(D).conjugate()
 
 
+def test_first_kind_stream_computes_the_eta_weights_once(flagship,
+                                                         monkeypatch):
+    # km_stream hands one root_weights table to the closed h of every class,
+    # and its stream is still the per-det sum of h_closed(gram, chi) a(T)/e(T)
+    # with each h computing its own weights; the imprimitive 35:0,2 is still
+    # refused by the closed h
+    import kmlift.charsums as cs
+    import kmlift.liftkm as lk
+    table = flagship[2]
+    root_weights = cs.root_weights
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(a)
+        return root_weights(*a, **k)
+
+    for desc in ("7:2", "91:2,4"):
+        chi = parse_descriptor(desc)
+        want = {}
+        for rec, cv in table.classes:
+            D = rec.gram.det()
+            if D <= 40 and cv != 0:
+                want[D] = want.get(D, CycloNum.zero()) + cs.h_closed(
+                    rec.gram.rows(), chi) * Fraction(cv, rec.e)
+        assert any(not v.is_zero() for v in want.values())
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(cs, "root_weights", counted)
+            mp.setattr(lk, "root_weights", counted)
+            got = km_stream(table, chi, "first", 40)
+        assert len(calls) == 1, desc
+        for D in range(1, 41):
+            assert got.coeff(D) == want.get(D, CycloNum.zero()), (desc, D)
+    with pytest.raises(ValueError, match="primitive"):
+        km_stream(table, parse_descriptor("35:0,2"), "first", 40)
+
+
 def test_verify_thm42(flagship):
     h, cl, table = flagship
     rep = verify_thm42(h, char_group(1).trivial(), table, 8, 4, 40)

@@ -380,14 +380,17 @@ def test_solve_F_completes_by_the_functional_equation():
 
 def test_library_refuses_nonprime_p():
     # 9 gave alpha = 8/9 for A_2 (alpha_3 is 6), 4 gave F = 1, 0 divided by
-    # zero; each entry point now refuses before any p-adic work
+    # zero, and enumerate_zp_classes(2, 9, 1, 2) gave 4 "symbols"; each entry
+    # point now refuses before any p-adic work
     for p in (0, 4, 9):
         for call in (lambda: local_density(A2, p),
                      lambda: local_density(A2, p, mode="brute"),
                      lambda: jordan_decompose(A2, p),
                      lambda: siegel_series(A2, p),
                      lambda: p_series(2, p, 1, "iota", 3),
-                     lambda: p_series_closed(2, p, 1, "iota", 3)):
+                     lambda: p_series_closed(2, p, 1, "iota", 3),
+                     lambda: xi_tilde(p, 3),
+                     lambda: enumerate_zp_classes(2, p, 1, 2)):
             with pytest.raises(ValueError, match="prime"):
                 call()
     # p = 1 looped forever in the p-adic valuation, so it runs in a child
@@ -398,7 +401,8 @@ from kmlift.quadforms import GramMat
 G = GramMat([[2, 1], [1, 2]])
 for call in (lambda: local_density(G, 1), lambda: jordan_decompose(G, 1),
              lambda: siegel_series(G, 1), lambda: p_series(2, 1, 1, "iota", 3),
-             lambda: p_series_closed(2, 1, 1, "iota", 3)):
+             lambda: p_series_closed(2, 1, 1, "iota", 3),
+             lambda: xi_tilde(1, 3), lambda: enumerate_zp_classes(2, 1, 1, 2)):
     try:
         call()
     except ValueError as exc:

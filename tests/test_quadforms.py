@@ -25,6 +25,7 @@ from gramtools import reference_isometry_search, transform
 A2 = GramMat([[2, 1], [1, 2]])
 D4 = GramMat([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
 I4 = GramMat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+A2A2 = GramMat([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
 
 _KMLIFT_ROOT = str(Path(kmlift.__file__).resolve().parent.parent)
 
@@ -39,8 +40,7 @@ def test_automorphism_counts():
 
 
 def test_isometry_invariants():
-    assert isometry_test(GramMat([[2, 1, 0, 0], [1, 2, 0, 0],
-                                  [0, 0, 2, 1], [0, 0, 1, 2]]), D4) is None
+    assert isometry_test(A2A2, D4) is None
     U = isometry_test(A2, GramMat([[2, -1], [-1, 2]]))
     assert U is not None
     assert transform(A2.entries, U) == [[2, -1], [-1, 2]]
@@ -83,7 +83,7 @@ def test_isometry_search_matches_reference(n, B):
     rng = random.Random(n * 1000 + B)
     classes = [c.gram for c in enumerate_classes(n, B).classes]
     for G in classes:
-        for N in (1, 2, 3):
+        for N in (1, 2, 3, 7):
             assert automorphism_count(G, N) == reference_isometry_search(
                 G, G, count_all=True, congruence=N), (G, N)
         assert automorphism_count_full(G) == reference_isometry_search(
@@ -97,6 +97,20 @@ def test_isometry_search_matches_reference(n, B):
             if H != G and H.det() == G.det():
                 assert isometry_test(G, H) is None
                 assert reference_isometry_search(G, H) is None
+
+
+@pytest.mark.parametrize("G, e, full", [(I4, 192, 384), (D4, 576, 1152),
+                                        (A2A2, 144, 288)],
+                         ids=["I4", "D4", "A2+A2"])
+def test_orbit_counts_of_large_groups_match_the_leaf_walk(G, e, full):
+    # the orbit-stabilizer count against the reference's leaf-by-leaf count,
+    # on the forms whose groups are largest at n = 4
+    for N in (1, 2, 3, 7):
+        assert automorphism_count(G, N) == reference_isometry_search(
+            G, G, count_all=True, congruence=N), N
+    assert automorphism_count(G) == e
+    assert automorphism_count_full(G) == reference_isometry_search(
+        G, G, need_det=None, count_all=True) == full
 
 
 def test_binary_form_without_improper_automorphisms():
