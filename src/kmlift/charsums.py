@@ -120,12 +120,12 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     Every Z is bordered as [[Z1, w], [w^t, z]], so that
     det Z = z det Z1 - w^t Adj(Z1) w and
     tr(BZ) = tr(B1 Z1) + sum_a (B[a,k] + B[k,a]) w_a + B[k,k] z.
-    Each chunk of Z1 is taken with every w at once and tallied by
-    (det Z1, w^t Adj(Z1) w, trace without z); z then runs over every residue
-    (``_border_z``), so each cell of S_m(Z/N) is counted once and the count
-    is exact for composite N too.  The tallies are summed over the chunks
-    into N^3 bins while that table is small; past that, each chunk goes to
-    the z step on its own."""
+    Each chunk of Z1 is taken with every w at once and tallied by the key
+    (T N + det Z1) N + Q, Q = w^t Adj(Z1) w mod N and T the trace without z,
+    unreduced (T < 2N - 1); z then runs over every residue (``_border_z``),
+    reducing T once per key, so each cell of S_m(Z/N) is counted once, for
+    composite N too.  The tallies go into (2N - 1) N^2 bins while that
+    table is small; past that, each chunk goes to the z step alone."""
     forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
     m = forms[0].shape[0]
     _check_budget(N ** (m * (m + 1) // 2), budget)
@@ -133,40 +133,40 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
         return [np.bincount([1 % N * N], minlength=N * N).reshape(N, N)
                 for _ in forms]
     k = m - 1
-    nw = N ** k
+    nw, NN, bins = N ** k, N * N, (2 * N - 1) * N * N
     W = _digit_arrays(0, nw, N, k)
     quads = _adj_quads(W, N)
-    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) for B in forms]
-    dense = N ** 3 <= _CHUNK
-    tally = [np.zeros(N ** 3, dtype=np.int64) for _ in forms] if dense else None
-    tables = [np.zeros(N * N, dtype=np.int64) for _ in forms]
-    total = N ** (k * (k + 1) // 2)
-    step = max(1, _CHUNK // nw)
+    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) % N * NN
+          for B in forms]
+    dense = bins <= _CHUNK
+    tally = [np.zeros(bins, dtype=np.int64) for _ in forms] if dense else None
+    tables = [np.zeros(NN, dtype=np.int64) for _ in forms]
+    total, step = N ** (k * (k + 1) // 2), max(1, _CHUNK // nw)
     for lo in range(0, total, step):
         hi = min(total, lo + step)
         M = _sym_entries(lo, hi, N, k)
-        d1 = np.broadcast_to(_wedge(M, N)[0], (hi - lo,))
-        Q = _sym_adj_batch(M, N, hi - lo) @ quads % N
-        base = (d1[:, None] * N + Q) * N
+        d1 = _wedge(M, N)[0] % N * N
+        Q = _sym_adj_batch(M, N, hi - lo) @ quads
+        Q %= N
         for f, B in enumerate(forms):
-            key = (base + (_sym_trace(B, M, N)[:, None] + tw[f]) % N).ravel()
+            key = Q + (_sym_trace(B, M, N) * NN + d1)[:, None]
+            key += tw[f]
             if dense:
-                tally[f] += np.bincount(key, minlength=N ** 3)
+                tally[f] += np.bincount(key.ravel(), minlength=bins)
             else:
-                _border_z(tables[f], key, np.broadcast_to(1, key.shape),
+                _border_z(tables[f], key.ravel(), np.broadcast_to(1, key.size),
                           int(B[k, k]), N)
     for f, B in enumerate(forms):
         if dense:
             key = np.flatnonzero(tally[f])
             _border_z(tables[f], key, tally[f][key], int(B[k, k]), N)
-        tables[f] = tables[f].reshape(N, N)
-    return tables
+    return [t.reshape(N, N) for t in tables]
 
 
 def _border_z(table, key, counts, bkk, N):
-    """Add counts[i] to the flat (det, trace) table at
-    (z d1 - Q, T + bkk z) for every z mod N, where key[i] = (d1 N + Q) N + T."""
-    d1, Q, T = key // (N * N), key // N % N, key % N
+    """Add counts[i] to the flat (det, trace) table at (z d1 - Q, T + bkk z)
+    mod N for every z mod N, where key[i] = (T N + d1) N + Q, T unreduced."""
+    T, d1, Q = key // (N * N), key // N % N, key % N
     zs = np.arange(N, dtype=np.int64)[:, None]
     step = max(1, _CHUNK // N)
     for lo in range(0, len(key), step):

@@ -165,8 +165,10 @@ def cmd_forms(args):
 
 def _flagship(args):
     from .liftkm import build_coeff_table, build_plus_eigenform
-    h = build_plus_eigenform(args.k, args.n, prec=max(260, args.det_bound * 6 + 10))
     cl = quadforms.enumerate_classes(args.n, args.det_bound)
+    if not cl.classes:  # every compared sum would be empty
+        raise ValueError(f"--det-bound {args.det_bound} gives no class")
+    h = build_plus_eigenform(args.k, args.n, prec=max(260, args.det_bound * 6 + 10))
     table = build_coeff_table(cl, h, args.k, args.n)
     return h, cl, table
 

@@ -181,6 +181,7 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
         return 0 if count_all else None
     G2e = G2.entries
     norms = [G2e[j][j] for j in range(n)]
+    pools = [G1.pool(norms[0])]     # pools[j] = G1.pool(norms[j])
     plan = _wedge_plan(n)
     picks = [0] * n
     order = 1
@@ -192,13 +193,13 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
         # walk: columns < j are e_0..e_{j-1}, and the orbit of e_j is counted
         # into ``order`` before the walk descends along e_j
         nonlocal order
-        pool = G1.pool(norms[j])
+        pool = pools[j]
         last = j == n - 1
         if last:
             if need_det is not None:
                 w = (1,)            # the j-wedge of columns 0..j-1
                 for i in range(j):
-                    u = G1.pool(norms[i])[picks[i]][0]
+                    u = pools[i][picks[i]][0]
                     w = [sum(sg * u[r] * w[q] for r, q, sg in terms)
                          for terms in plan[i]]
                 cof = [0] * n       # det U = sum_r cof[r] v[r]
@@ -206,7 +207,9 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                     cof[r] += sg * w[q]
         else:
             t = norms[j + 1]
-            base = (1 << len(G1.pool(t))) - 1
+            if len(pools) == j + 1:     # built once column j is reached
+                pools.append(G1.pool(t))
+            base = (1 << len(pools[j + 1])) - 1
             for i in range(j):
                 base &= G1.compat(norms[i], picks[i], t).get(G2e[i][j + 1], 0)
             if not base:
@@ -242,15 +245,11 @@ def _isometry_search(G1: GramMat, G2: GramMat, need_det=1, count_all=False,
                 rec(j + 1, base & G1.compat(s, stay, t).get(c, 0), True)
         return False
 
-    # as in the column order, pool(norms[j + 1]) is built only once column j
-    # has candidates
-    top = (1 << len(G1.pool(norms[0]))) - 1
-    hit = rec(0, top, count_all) if top else False
+    hit = bool(pools[0]) and rec(0, (1 << len(pools[0])) - 1, count_all)
     if count_all:
         return order
-    if hit:
-        cols = [G1.pool(t)[k][0] for t, k in zip(norms, picks)]
-        return [[cols[c][r] for c in range(n)] for r in range(n)]
+    if hit:     # U has the picked vectors as its columns
+        return [list(r) for r in zip(*(p[k][0] for p, k in zip(pools, picks)))]
     return None
 
 

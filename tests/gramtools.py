@@ -3,9 +3,10 @@ G[U] = U^t G U on integer matrices given as lists of rows, the plain column
 backtracking that the isometry search is checked against, the row-by-row
 representation count that ``charsums._rep_count`` is checked against, the
 one-row-bordered SL_m(F_p) sweep that ``charsums.sl_gram_counts`` is checked
-against, the Leibniz determinant that every determinant and minor kernel
-is checked against, and the set D_{N,m} that ``charsums.root_weights`` is
-checked against."""
+against, the per-cell-reduced symmetric sweep that ``charsums._sym_tables``
+is checked against, the Leibniz determinant that every determinant and minor
+kernel is checked against, and the set D_{N,m} that ``charsums.root_weights``
+is checked against."""
 
 from itertools import combinations, permutations
 
@@ -169,6 +170,47 @@ def reference_sl_gram_counts(m, p):
                + weight[:k, k] @ cross + last_key)
         table += np.bincount(idx[cof @ last.T % p == 1], minlength=p ** E)
     return table
+
+
+def reference_sym_tables(forms, N):
+    """``charsums._sym_tables`` for m >= 1 as a per-cell-reduced sweep: each
+    cell's key (det Z1, w^t Adj(Z1) w, trace without z) is reduced mod N in
+    the sweep and tallied in N^3 bins, and z then runs over every residue
+    for each nonzero bin."""
+    import numpy as np
+
+    from kmlift.charsums import (_CHUNK, _adj_quads, _digit_arrays,
+                                 _sym_adj_batch, _sym_entries, _sym_trace)
+    from kmlift.exactalg import _wedge
+
+    forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
+    k = forms[0].shape[0] - 1
+    nw = N ** k
+    W = _digit_arrays(0, nw, N, k)
+    quads = _adj_quads(W, N)
+    tally = [np.zeros(N ** 3, dtype=np.int64) for _ in forms]
+    total = N ** (k * (k + 1) // 2)
+    step = max(1, _CHUNK // nw)
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        M = _sym_entries(lo, hi, N, k)
+        d1 = np.broadcast_to(_wedge(M, N)[0] % N, (hi - lo,))
+        Q = _sym_adj_batch(M, N, hi - lo) @ quads % N
+        base = (d1[:, None] * N + Q) * N
+        for f, B in enumerate(forms):
+            tw = sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k))
+            key = base + (_sym_trace(B, M, N)[:, None] + tw) % N
+            tally[f] += np.bincount(key.ravel(), minlength=N ** 3)
+    tables = []
+    for f, B in enumerate(forms):
+        key = np.flatnonzero(tally[f])
+        d1, Q, T = key // (N * N), key // N % N, key % N
+        table = np.zeros((N, N), dtype=np.int64)
+        for z in range(N):
+            np.add.at(table, ((z * d1 - Q) % N, (T + int(B[k, k]) * z) % N),
+                      tally[f][key])
+        tables.append(table)
+    return tables
 
 
 def subgroup_Dm(G, m):

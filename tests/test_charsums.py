@@ -21,7 +21,7 @@ from kmlift.charsums import (THM55_FORMS, BudgetExceeded,
 from kmlift.exactalg import CycloNum, mat_det
 
 from gramtools import (reference_rep_count, reference_sl_gram_counts,
-                       subgroup_Dm)
+                       reference_sym_tables, subgroup_Dm)
 
 
 def test_lemma51_examples():
@@ -359,8 +359,31 @@ def test_sym_dettarget_trace_counts_every_cell_counted():
         assert total == N ** (m * (m + 1) // 2)
 
 
+@pytest.mark.parametrize("m,N,nforms", [(4, 5, 3), (2, 35, 4), (2, 81, 4),
+                                         (1, 7, 4), (1, 60, 4)])
+def test_sym_tables_match_the_per_cell_reduced_sweep(m, N, nforms):
+    # (4, 5) with 3 forms is the shape of the benchmark's Thm 5.6 oracle; 35
+    # is composite; at (2, 81) the (2N - 1) N^2 bins of the dense tally pass
+    # the chunk size, so the per-chunk branch runs without a patched _CHUNK;
+    # m = 1 borders the empty matrix
+    from kmlift import charsums
+    forms = _forms(m, N, np.random.default_rng(m * N))[:nforms]
+    assert ((2 * N - 1) * N * N > charsums._CHUNK) == (N == 81)
+    got = charsums._sym_tables(forms, N)
+    want = reference_sym_tables(forms, N)
+    assert [t.tolist() for t in got] == [t.tolist() for t in want]
+
+
+def test_sym_tables_mod_1():
+    # one matrix, of det 0 and trace 0; m = 1 used to fail, its det 1 unreduced
+    from kmlift import charsums
+    for m in (1, 2, 3):
+        assert charsums._sym_tables([np.eye(m)], 1)[0].tolist() == [[1]]
+
+
 def test_sym_tables_without_the_dense_tally(monkeypatch):
-    # with N^3 bins over the chunk size, each chunk goes to the z step alone:
+    # with (2N - 1) N^2 bins over the chunk size (every case here, at
+    # _CHUNK = 16), each chunk goes to the z step alone:
     # one _border_z call per chunk and form instead of one per form (m = 1
     # sweeps a single chunk, where both branches make the same calls).
     # (1, 7), (2, 5) and (3, 5) are checked by enumeration; (2, 6) and (4, 3)

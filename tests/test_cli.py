@@ -151,6 +151,16 @@ def test_cli_firstkind_refuses_imprimitive_chi(tmp_path, capsys):
     assert not (tmp_path / "firstkind.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift", "coeffs", "--det-bound", "-5"],
+    ["kmverify", "--det-bound", "3"],
+    ["firstkind", "--chi", "7:2", "--det-bound", "3"]])
+def test_cli_refuses_a_det_bound_without_classes(argv, tmp_path, capsys):
+    # the smallest det(2T) at n = 4 is 4 (D_4): below it every compared sum
+    # is empty, which used to report PASS
+    _assert_error(argv, tmp_path, capsys, "--det-bound", "no class")
+
+
 def test_cli_report_determinism(tmp_path):
     outs = []
     for sub in ("a", "b"):
