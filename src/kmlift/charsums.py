@@ -12,8 +12,10 @@ sweeps.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -25,6 +27,7 @@ from .characters import (DirichletChar, _as_unit_int, _root_sum, char_group,
 
 DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
+_budget = DEFAULT_BUDGET    # the run budget; set only through budget_limit
 
 
 class BudgetExceeded(RuntimeError):
@@ -33,9 +36,21 @@ class BudgetExceeded(RuntimeError):
         self.cost, self.budget = cost, budget
 
 
-def _check_budget(cost, budget=DEFAULT_BUDGET):
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
+@contextmanager
+def budget_limit(limit):
+    """Run the block with every exhaustive enumeration refusing a cost over
+    ``limit``; the previous limit comes back when the block exits or raises."""
+    global _budget
+    prev, _budget = _budget, limit
+    try:
+        yield
+    finally:
+        _budget = prev
+
+
+def _check_budget(cost):
+    if cost > _budget:
+        raise BudgetExceeded(cost, _budget)
 
 
 def _is_printed(variant) -> bool:
@@ -113,7 +128,7 @@ def _adj_quads(W, N):
                     dtype=np.int64).reshape(-1, len(W[0]) if W else 1)
 
 
-def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
+def _sym_tables(forms, N):
     """For each m x m form B in ``forms``: table[d, t] = #{Z in S_m(Z/N) :
     det Z = d, tr(BZ) = t}.
 
@@ -128,7 +143,7 @@ def _sym_tables(forms, N, budget=DEFAULT_BUDGET):
     table is small; past that, each chunk goes to the z step alone."""
     forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
     m = forms[0].shape[0]
-    _check_budget(N ** (m * (m + 1) // 2), budget)
+    _check_budget(N ** (m * (m + 1) // 2))
     if m == 0:  # S_0 is the empty matrix alone, of det 1 and trace 0
         return [np.bincount([1 % N * N], minlength=N * N).reshape(N, N)
                 for _ in forms]
@@ -175,33 +190,24 @@ def _border_z(table, key, counts, bkk, N):
         np.add.at(table, cell, np.broadcast_to(counts[s], cell.shape))
 
 
-def sym_dettarget_trace_counts(A, N, det_target=1, budget=DEFAULT_BUDGET,
-                               forms=None):
+def sym_dettarget_trace_counts(A, N, det_target=1, forms=None):
     """counts[t] over {Z in S_m(Z/N): det Z = det_target, tr(A Z) = t}, the
     det_target row of ``_sym_tables``.  Given ``forms``, one such array per
     form B in ``forms`` (A is then not read), always as a list."""
     out = [t[det_target % N] for t in
-           _sym_tables([A] if forms is None else forms, N, budget)]
+           _sym_tables([A] if forms is None else forms, N)]
     return out if forms is not None else out[0]
 
 
-_SYM_DT_CACHE: dict = {}
-
-
-def _sym_dt_table(m, N, budget=DEFAULT_BUDGET):
+@lru_cache(maxsize=None)
+def _sym_dt_table(m, N):
     """counts[d, t] = #{Z in S_m(Z/N) : det Z = d, tr Z = t}, one sweep per
     (m, N)."""
-    key = (m, N)
-    if key not in _SYM_DT_CACHE:
-        _SYM_DT_CACHE[key] = _sym_tables([np.eye(m, dtype=np.int64)], N,
-                                         budget)[0]
-    return _SYM_DT_CACHE[key]
+    return _sym_tables([np.eye(m, dtype=np.int64)], N)[0]
 
 
-_SL_GRAM_CACHE: dict = {}
-
-
-def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
+@lru_cache(maxsize=None)
+def sl_gram_counts(m: int, p: int):
     """table[idx(P)] = #{X in SL_m(F_p) : X X^t = P}, P symmetric encoded as a
     base-p integer over its upper-triangle entries.  One sweep per (m, p);
     every trace sum over SL reduces to a weighting of this table because
@@ -217,10 +223,7 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
     [0, m (p-1)^2], so with B = m (p-1)^2 + 1 they travel as one integer
     dot x . sum_a B^a r_a, which a table of size B^(m-1) splits into its
     base-B digits and reduces into the Gram key."""
-    key = (m, p)
-    if key in _SL_GRAM_CACHE:
-        return _SL_GRAM_CACHE[key]
-    _check_budget(p ** (m * m), budget)
+    _check_budget(p ** (m * m))
     k = m - 1
     E = m * (m + 1) // 2
     weight = np.zeros((m, m), dtype=np.int64)
@@ -265,11 +268,10 @@ def sl_gram_counts(m: int, p: int, budget=DEFAULT_BUDGET):
             dots = sum(hx[j][at] * v[j, :, None] for j in range(m))
             idx = split[dots] + hkey[at] + gram[sel, None]
             table += np.bincount(idx.ravel(), minlength=p ** E)
-    _SL_GRAM_CACHE[key] = table
     return table
 
 
-def sl_trace_counts(A, p: int, budget=DEFAULT_BUDGET):
+def sl_trace_counts(A, p: int):
     """counts[t] = #{X in SL_m(F_p) : tr(A[X]) = t}."""
     A = np.asarray(A, dtype=np.int64) % p
     m = A.shape[0]
@@ -277,7 +279,7 @@ def sl_trace_counts(A, p: int, budget=DEFAULT_BUDGET):
         counts = np.zeros(p, dtype=np.int64)
         counts[int(A[0, 0]) % p] = 1
         return counts
-    table = sl_gram_counts(m, p, budget)
+    table = sl_gram_counts(m, p)
     tr = _sym_trace(A, _sym_entries(0, p ** (m * (m + 1) // 2), p, m), p)
     counts = np.zeros(p, dtype=np.int64)
     np.add.at(counts, tr, table)
@@ -305,13 +307,13 @@ def _chi_even(detval: int, size: int, p: int) -> int:
     return legendre((-1) ** (size // 2) * detval, p)
 
 
-def count_A_brute(S, T, p, budget=DEFAULT_BUDGET) -> int:
+def count_A_brute(S, T, p) -> int:
     """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion,
     one row of Y at a time through ``_rep_count``."""
     S = np.asarray(S, dtype=np.int64) % p
     T = np.asarray(T, dtype=np.int64) % p
     m, r = S.shape[0], T.shape[0]
-    _check_budget(p ** (r * m), budget)
+    _check_budget(p ** (r * m))
     if r == 0:
         return 1
     nvec = p ** m
@@ -473,12 +475,12 @@ def gamma_const(m: int, p: int, variant="corrected") -> Fraction:
 # ---------------------------------------------------------------------------
 # Lemma 5.3: I_{eta,S,c} = sum_w eta(S[tw] + c)
 
-def quad_char_sum_brute(eta: DirichletChar, S, c, budget=DEFAULT_BUDGET) -> CycloNum:
+def quad_char_sum_brute(eta: DirichletChar, S, c) -> CycloNum:
     p = eta.modulus
     S = np.asarray(S, dtype=np.int64) % p
     l = S.shape[0]
     total = p ** l
-    _check_budget(total, budget)
+    _check_budget(total)
     counts = np.zeros(p, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         hi = min(total, lo + _CHUNK)
@@ -534,11 +536,11 @@ def legendre_char(p: int) -> DirichletChar:
 # ---------------------------------------------------------------------------
 # Proposition 5.4: bordered determinant sums
 
-def bordered_det_sum_brute(eta: DirichletChar, Z1, z, budget=DEFAULT_BUDGET) -> CycloNum:
+def bordered_det_sum_brute(eta: DirichletChar, Z1, z) -> CycloNum:
     p = eta.modulus
     Z1 = (np.asarray(Z1, dtype=np.int64) % p).tolist()
     total = p ** len(Z1)
-    _check_budget(total, budget)
+    _check_budget(total)
     # det [[Z1, w],[w^t, z]] = det(Z1) z - w^t Adj(Z1) w
     quads = _adj_quads(_digit_arrays(0, total, p, len(Z1)), p)
     vals = (_wedge(Z1, p)[0] * z - _sym_adj_batch(Z1, p, 1) @ quads) % p
@@ -570,16 +572,12 @@ def bordered_det_sum_closed(eta: DirichletChar, Z1, z, variant="corrected") -> C
 # ---------------------------------------------------------------------------
 # I_m and J_m: brute sums, closed forms (Prop 5.7), recursions (Prop 5.8)
 
-def Im_brute(chi: DirichletChar, eta: DirichletChar, m: int,
-             budget=DEFAULT_BUDGET) -> CycloNum:
-    N = chi.modulus
-    return _weight_dt(_sym_dt_table(m, N, budget), chi, eta, shift=False)
+def Im_brute(chi: DirichletChar, eta: DirichletChar, m: int) -> CycloNum:
+    return _weight_dt(_sym_dt_table(m, chi.modulus), chi, eta, shift=False)
 
 
-def Jm_brute(chi: DirichletChar, eta: DirichletChar, m: int,
-             budget=DEFAULT_BUDGET) -> CycloNum:
-    N = chi.modulus
-    return _weight_dt(_sym_dt_table(m, N, budget), chi, eta, shift=True)
+def Jm_brute(chi: DirichletChar, eta: DirichletChar, m: int) -> CycloNum:
+    return _weight_dt(_sym_dt_table(m, chi.modulus), chi, eta, shift=True)
 
 
 def _weight_dt(counts, chi, eta, shift):
@@ -662,16 +660,16 @@ def Jm_recursion(chi: DirichletChar, eta: DirichletChar, m: int,
     return (J1 * Jm1 + inner_eta) * jacobi_sum(chi, leg) * pref
 
 
-def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
-           budget=DEFAULT_BUDGET) -> CycloNum:
+def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int,
+           mode="auto") -> CycloNum:
     """J_m(chi, eta); mode in {brute, recursion, auto}.
 
     auto uses the recursion when its hypotheses hold and the modulus is an
-    odd prime, else falls back to exhaustion (budget permitting).
+    odd prime, else falls back to exhaustion.
     """
     N = chi.modulus
     if mode == "brute":
-        return Jm_brute(chi, eta, m, budget)
+        return Jm_brute(chi, eta, m)
     if mode == "recursion":
         return Jm_recursion(chi, eta, m)
     fac = factorize(N)
@@ -683,7 +681,7 @@ def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int, mode="auto",
         return CycloNum.one()
     if m == 1:
         return jacobi_sum(chi, eta)
-    return Jm_brute(chi, eta, m, budget)
+    return Jm_brute(chi, eta, m)
 
 
 def jacobi_symbol_char(N: int) -> DirichletChar:
@@ -705,17 +703,16 @@ def _local_parts(chi: DirichletChar):
             for p, _ in fac]
 
 
-def Jm_chi(chi: DirichletChar, m: int, budget=DEFAULT_BUDGET) -> CycloNum:
+def Jm_chi(chi: DirichletChar, m: int) -> CycloNum:
     """J_m(chi) = J_m(chi (*/N)^(m-1), chi), factored over primes of N."""
     out = CycloNum.one()
     for p, cp in _local_parts(chi):
         first = cp * (legendre_char(p) ** ((m - 1) % 2))
-        out = out * Jm_sum(first, cp, m, mode="auto", budget=budget)
+        out = out * Jm_sum(first, cp, m, mode="auto")
     return out
 
 
-def root_weights(chi: DirichletChar, m: int, variant="corrected",
-                 budget=DEFAULT_BUDGET) -> list:
+def root_weights(chi: DirichletChar, m: int, variant="corrected") -> list:
     """(lam, J(lam, (*/N)) J_{m-1}(conj(lam))) over the lam mod N with
     lam^m = chi: the eta-sum of Theorems 5.5/5.6, 5.11/6.1 and the section-7
     assembly, since these lam are chi~ D_{N,m} for any root chi~ (none when
@@ -734,7 +731,7 @@ def root_weights(chi: DirichletChar, m: int, variant="corrected",
     for lam in char_group(chi.modulus):
         if lam ** m != chi:
             continue
-        w = Jm_chi(lam.conjugate(), m - 1, budget)
+        w = Jm_chi(lam.conjugate(), m - 1)
         if m % 2 == 0:
             w = jacobi_sum(lam.conjugate() if conj else lam, jac) * w
         out.append((lam, w))
@@ -795,23 +792,23 @@ def gram_mod_p(gram, p: int):
     return (G * inv2) % p
 
 
-def h_brute_sl(gram, chi: DirichletChar, budget=DEFAULT_BUDGET) -> CycloNum:
+def h_brute_sl(gram, chi: DirichletChar) -> CycloNum:
     """sum over SL_m(Z/N) of chi(tr(A[U])), computed prime by prime via CRT."""
     m = np.asarray(gram).shape[0]
     total = CycloNum.one()
     for p, chip in _local_parts(chi):
-        _check_budget(sl_group_order(m, p) + p ** (m * m), budget)
-        counts = sl_trace_counts(gram_mod_p(gram, p), p, budget)
+        _check_budget(sl_group_order(m, p) + p ** (m * m))
+        counts = sl_trace_counts(gram_mod_p(gram, p), p)
         total = total * _weight_counts(counts, chip)
     return total
 
 
-def h_brute_sym(gram, chi: DirichletChar, budget=DEFAULT_BUDGET) -> CycloNum:
+def h_brute_sym(gram, chi: DirichletChar) -> CycloNum:
     """h via the Prop 5.2 route: gamma * sum_c chi(c) #M_p(A, c), per prime."""
     m = np.asarray(gram).shape[0]
     total = CycloNum.one()
     for p, chip in _local_parts(chi):
-        counts = sym_dettarget_trace_counts(gram_mod_p(gram, p), p, 1, budget)
+        counts = sym_dettarget_trace_counts(gram_mod_p(gram, p), p, 1)
         total = total * (_weight_counts(counts, chip) * gamma_const(m, p))
     return total
 
@@ -822,8 +819,7 @@ def zero_branch(chi: DirichletChar, n: int) -> bool:
                for p, chip in _local_parts(chi))
 
 
-def h_closed(gram, chi: DirichletChar, variant="corrected",
-             budget=DEFAULT_BUDGET, weights=None):
+def h_closed(gram, chi: DirichletChar, variant="corrected", weights=None):
     """Theorems 5.5/5.6 closed evaluation; exact CycloNum (0 in branch (1)).
     The theorems take chi primitive, so an imprimitive chi is refused.  The
     "printed" variant conjugates the first Jacobi factor as Theorem 5.5's
@@ -844,7 +840,7 @@ def h_closed(gram, chi: DirichletChar, variant="corrected",
     if m % 2 == 1 and (chi ** 2).conductor != N:
         raise ValueError("odd m closed form needs chi^2 primitive")
     if weights is None:
-        weights = root_weights(chi, m, variant, budget)
+        weights = root_weights(chi, m, variant)
     total = sum((chi_det_halfintegral(lam, gram) * w for lam, w in weights),
                 CycloNum.zero())
     return total * thm56_constant(m, N)
@@ -868,15 +864,14 @@ def thm56_constant(m: int, N: int, variant="corrected") -> Fraction:
     return const
 
 
-def h_sum(gram, chi: DirichletChar, mode="closed",
-          budget=DEFAULT_BUDGET, weights=None) -> CycloNum:
+def h_sum(gram, chi: DirichletChar, mode="closed", weights=None) -> CycloNum:
     """h(A, chi) by ``mode``; weights go to ``h_closed`` (closed mode only)."""
     if mode == "brute_sl":
-        return h_brute_sl(gram, chi, budget)
+        return h_brute_sl(gram, chi)
     if mode == "brute_sym":
-        return h_brute_sym(gram, chi, budget)
+        return h_brute_sym(gram, chi)
     if mode == "closed":
-        return h_closed(gram, chi, budget=budget, weights=weights)
+        return h_closed(gram, chi, weights=weights)
     raise ValueError(f"unknown h_sum mode {mode!r}")
 
 
@@ -926,8 +921,7 @@ class CharSumReport:
 # ---------------------------------------------------------------------------
 # identity suite runners (shared by the CLI and the test suite)
 
-def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
-                      budget=DEFAULT_BUDGET):
+def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11):
     """Brute #A(S, T) against the general product formulas on random diagonal
     nondegenerate pairs, plus the two documented discrepancies of the printed
     odd-m specialized display."""
@@ -943,7 +937,7 @@ def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
             continue
         S = np.diag(rng.integers(1, p, size=m))
         T = np.diag(rng.integers(1, p, size=r))
-        b = count_A_brute(S, T, p, budget)
+        b = count_A_brute(S, T, p)
         c = count_A_closed(S, T, p)
         rep.record(b == c, {"p": p, "S": S.diagonal().tolist(),
                             "T": T.diagonal().tolist()}, b, c)
@@ -959,8 +953,7 @@ def run_lemma51_suite(primes=(3, 5, 7), max_m=4, pairs=200, seed=11,
     return rep
 
 
-def run_prop52_suite(grid=((2, 3), (2, 5), (3, 3), (3, 5), (4, 3)), seed=5,
-                     budget=DEFAULT_BUDGET):
+def run_prop52_suite(grid=((2, 3), (2, 5), (3, 3), (3, 5), (4, 3)), seed=5):
     """#R_p(A, c) = gamma_corrected * #M_p(A, c) for diagonal A and every c
     (R: X in SL_m(F_p) with tr(A[X]) = c; M: Z in S_m(F_p) with det Z = 1
     and tr(AZ) = c); the ratio is constant across (A, c)."""
@@ -971,8 +964,8 @@ def run_prop52_suite(grid=((2, 3), (2, 5), (3, 3), (3, 5), (4, 3)), seed=5,
         gam_p = gamma_const(m, p, "printed")
         for _ in range(2):                  # two forms per cell
             A = np.diag(rng.integers(1, p, size=m))
-            rc = sl_trace_counts(gram_like(A, p), p, budget)
-            mc = sym_dettarget_trace_counts(gram_like(A, p), p, 1, budget)
+            rc = sl_trace_counts(gram_like(A, p), p)
+            mc = sym_dettarget_trace_counts(gram_like(A, p), p, 1)
             for c in range(p):
                 R, M = int(rc[c]), int(mc[c])
                 ok = R == gam_c * M
@@ -989,7 +982,7 @@ def gram_like(A, p):
     return np.asarray(A, dtype=np.int64) % p
 
 
-def run_lemma53_suite(primes=(5, 7, 11, 13), seed=3, budget=DEFAULT_BUDGET):
+def run_lemma53_suite(primes=(5, 7, 11, 13), seed=3):
     rng = np.random.default_rng(seed)
     rep = CharSumReport("lemma5.3", {"primes": list(primes)})
     for p in primes:
@@ -1003,7 +996,7 @@ def run_lemma53_suite(primes=(5, 7, 11, 13), seed=3, budget=DEFAULT_BUDGET):
                 if r % 2 == 1 and (eta ** 2).is_trivial():
                     continue
                 for c in (0, 1, p - 1):
-                    b = quad_char_sum_brute(eta, S, c, budget)
+                    b = quad_char_sum_brute(eta, S, c)
                     cl = quad_char_sum_closed(eta, S, c)
                     rep.record(b == cl, {"p": p, "eta": eta.descriptor(),
                                          "S": S.diagonal().tolist(), "c": c},
@@ -1013,14 +1006,14 @@ def run_lemma53_suite(primes=(5, 7, 11, 13), seed=3, budget=DEFAULT_BUDGET):
         S = np.diag([1, 2])
         r, _ = _rank_and_det0(S, p)
         for d in (2, 3):
-            lhs = quad_char_sum_brute(eta, S, (1 * d) % p, budget)
-            rhs = quad_char_sum_brute(eta, S, 1, budget) * eta(d) \
+            lhs = quad_char_sum_brute(eta, S, (1 * d) % p)
+            rhs = quad_char_sum_brute(eta, S, 1) * eta(d) \
                 * Fraction(legendre(d, p) ** r)
             rep.record(lhs == rhs, {"p": p, "scaling d": d}, lhs, rhs)
     return rep
 
 
-def run_prop54_suite(primes=(5, 7, 11, 13), budget=DEFAULT_BUDGET):
+def run_prop54_suite(primes=(5, 7, 11, 13)):
     rep = CharSumReport("prop5.4", {"primes": list(primes)})
     printed_even_fail = 0
     for p in primes:
@@ -1031,7 +1024,7 @@ def run_prop54_suite(primes=(5, 7, 11, 13), budget=DEFAULT_BUDGET):
         for eta in etas[:3]:
             for Z1 in mats:
                 for z in (0, 1, 2):
-                    b = bordered_det_sum_brute(eta, Z1, z, budget)
+                    b = bordered_det_sum_brute(eta, Z1, z)
                     cl = bordered_det_sum_closed(eta, Z1, z)
                     rep.record(b == cl, {"p": p, "eta": eta.descriptor(),
                                          "l": Z1.shape[0] + 1, "z": z}, b, cl)
@@ -1045,7 +1038,7 @@ def run_prop54_suite(primes=(5, 7, 11, 13), budget=DEFAULT_BUDGET):
 
 
 def run_prop57_58_thm59_suite(primes=(5, 7, 11, 13), brute_max_m=3,
-                              rec_max_m=5, budget=DEFAULT_BUDGET):
+                              rec_max_m=5):
     rep = CharSumReport("prop5.7+5.8+thm5.9", {"primes": list(primes),
                                                "brute_max_m": brute_max_m,
                                                "rec_max_m": rec_max_m})
@@ -1059,8 +1052,8 @@ def run_prop57_58_thm59_suite(primes=(5, 7, 11, 13), brute_max_m=3,
         for chi in chis[:4]:
             for eta in etas[:4]:
                 for m in range(1, (brute_max_m if brute_ok else 2) + 1):
-                    bI = Im_brute(chi, eta, m, budget)
-                    bJ = Jm_brute(chi, eta, m, budget)
+                    bI = Im_brute(chi, eta, m)
+                    bJ = Jm_brute(chi, eta, m)
                     rep.record(bI == Im_closed(chi, eta, m),
                                {"p": p, "m": m, "which": "I"}, bI, "closed")
                     rec = Jm_recursion(chi, eta, m) if m >= 1 else bJ
@@ -1116,8 +1109,7 @@ THM55_FORMS = {
 }
 
 
-def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None,
-                       budget=DEFAULT_BUDGET):
+def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None):
     """h closed (corrected variant) against the SL brute route."""
     rep = CharSumReport("thm5.5+5.6", {"primes": list(primes), "ms": list(ms)})
     if forms is None:
@@ -1132,7 +1124,7 @@ def run_thm55_56_suite(primes=(5, 7), ms=(2, 3), forms=None,
                 if m % 2 == 1 and (chi ** 2).conductor != p:
                     continue
                 for gram in forms[m]:
-                    b = h_brute_sl(gram, chi, budget)
+                    b = h_brute_sl(gram, chi)
                     c = h_closed(gram, chi)
                     rep.record(b == c, {"p": p, "m": m,
                                         "chi": chi.descriptor()}, b, c)

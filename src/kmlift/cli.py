@@ -3,9 +3,10 @@
 Subcommands: charsum, jacobi, local {density,siegel,pseries},
 lseries {cohen,stream}, forms {enumerate,aut}, lift coeffs, kmverify,
 firstkind.  Parameters are validated against module preconditions before any
-heavy work; exhaustive enumerations refuse with the computed cost bound when
-over budget.  Exit status is 0 iff every requested identity check has an
-empty residual list.
+heavy work; each command runs inside ``charsums.budget_limit(--budget)``, and
+an exhaustive enumeration refuses with its computed cost when that is over
+``--budget`` or over a fixed ``plocal`` cap.  Exit status is 0 iff every
+requested identity check has an empty residual list.
 
 Character descriptors are strings "N:e1,e2,..." listing exponents on the
 fixed generators of each prime-power component of (Z/N)^*, ascending primes
@@ -53,15 +54,14 @@ _CHARSUM_ARGS = {
 
 def cmd_charsum(args):
     t0 = time.time()
-    budget = args.budget
-    sec57 = lambda: charsums.run_prop57_58_thm59_suite(primes, budget=budget)
-    sec55 = lambda: charsums.run_thm55_56_suite(budget=budget)
+    sec57 = lambda: charsums.run_prop57_58_thm59_suite(primes)
+    sec55 = charsums.run_thm55_56_suite
     runners = {
         "lemma5.1": lambda: charsums.run_lemma51_suite(
-            primes, args.m, args.pairs, args.seed, budget),
-        "prop5.2": lambda: charsums.run_prop52_suite(budget=budget),
-        "lemma5.3": lambda: charsums.run_lemma53_suite(primes, budget=budget),
-        "prop5.4": lambda: charsums.run_prop54_suite(primes, budget),
+            primes, args.m, args.pairs, args.seed),
+        "prop5.2": charsums.run_prop52_suite,
+        "lemma5.3": lambda: charsums.run_lemma53_suite(primes),
+        "prop5.4": lambda: charsums.run_prop54_suite(primes),
         "prop5.7": sec57, "prop5.8": sec57, "thm5.9": sec57,
         "prop5.10": lambda: charsums.run_prop510_suite(primes),
         "thm5.5": sec55, "thm5.6": sec55,
@@ -76,6 +76,8 @@ def cmd_charsum(args):
                 raise ValueError(f"charsum {args.identity} takes no --{name}")
         elif getattr(args, name) is None:
             setattr(args, name, default)
+    if args.m is not None and args.m < 1:
+        raise ValueError(f"--m must be at least 1, not {args.m}")
     primes = tuple(args.primes or ())
     rep = runners[args.identity]()
     return _finish(args, f"charsum-{args.identity}", rep.to_dict(),
@@ -86,7 +88,9 @@ def cmd_jacobi(args):
     t0 = time.time()
     chi = parse_descriptor(args.chi)
     eta = parse_descriptor(args.eta) if args.eta else chi
-    val = charsums.Jm_sum(chi, eta, args.m, mode=args.mode, budget=args.budget)
+    if args.m < 0:
+        raise ValueError(f"--m must be at least 0, not {args.m}")
+    val = charsums.Jm_sum(chi, eta, args.m, mode=args.mode)
     data = {"chi": args.chi, "eta": eta.descriptor(), "m": args.m,
             "mode": args.mode, "value": val.serialize()}
     return _finish(args, "jacobi", data, True, t0)
@@ -99,15 +103,17 @@ def cmd_local(args):
     G = GramMat(_parse_gram(args.gram))
     if args.what == "pseries" and args.mode is not None:
         raise ValueError("pseries compares brute and closed; it takes no --mode")
+    if args.what == "pseries" and args.prec < 1:  # else nothing is compared
+        raise ValueError(f"--prec must be at least 1, not {args.prec}")
     if args.mode is None:
         args.mode = "stratified" if args.what == "siegel" else "closed"
     if args.what == "density":
-        v = plocal.local_density(G, args.p, mode=args.mode, budget=args.budget)
+        v = plocal.local_density(G, args.p, mode=args.mode)
         data = {"gram": G.rows(), "p": args.p, "mode": args.mode,
                 "alpha": f"{v.numerator}/{v.denominator}"}
         return _finish(args, "local-density", data, True, t0)
     if args.what == "siegel":
-        sp = plocal.siegel_series(G, args.p, mode=args.mode, budget=args.budget)
+        sp = plocal.siegel_series(G, args.p, mode=args.mode)
         data = sp.to_dict()
         # siegel_series raises unless F~ satisfies its functional equation
         return _finish(args, "local-siegel", data, True, t0)
@@ -232,7 +238,9 @@ def build_parser():
                     "series of Ikeda lifts")
     ap.add_argument("--out", default="reports", help="output directory")
     ap.add_argument("--budget", type=int, default=charsums.DEFAULT_BUDGET,
-                    help="elementary-step budget for exhaustive enumeration")
+                    help="largest cost of an exhaustive charsums enumeration, "
+                         "the cost being the size of the enumerated space; "
+                         "the plocal oracle and brute-density caps are fixed")
     ap.add_argument("--seed", type=int, help="charsum lemma5.1 only; default 11")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -312,7 +320,8 @@ def main(argv=None):
     try:
         if args.seed is not None and args.command != "charsum":
             raise ValueError(f"{args.command} takes no --seed")
-        return args.func(args)
+        with charsums.budget_limit(args.budget):
+            return args.func(args)
     except charsums.BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

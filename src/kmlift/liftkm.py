@@ -357,14 +357,13 @@ def _eta_sum(weights: list, stream, bound: int) -> DirStream:
     return total
 
 
-def _r_chi(h: PlusForm, weights: list, k: int, n: int, bound: int) -> DirStream:
-    return _eta_sum(weights, lambda lam: rankin_side_stream(h, lam, k, n, bound),
-                    bound)
-
-
-def _m_chi(h: PlusForm, weights: list, n: int, bound: int) -> DirStream:
-    return _eta_sum(weights, lambda lam: shifted_l_side_stream(h, lam, n, bound),
-                    bound)
+def _rm_chi(h: PlusForm, weights: list, k: int, n: int, bound: int):
+    """(R^(chi), M^(chi)): the eta-sums of the Rankin-side and of the
+    shifted-L-side streams of Theorem 4.1."""
+    return (_eta_sum(weights, lambda lam: rankin_side_stream(h, lam, k, n, bound),
+                     bound),
+            _eta_sum(weights, lambda lam: shifted_l_side_stream(h, lam, n, bound),
+                     bound))
 
 
 def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
@@ -394,8 +393,7 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
         f"{CN.numerator}/{CN.denominator}"
     if cn is None:
         return report
-    R = _r_chi(h, weights, k, n, bound)
-    M = _m_chi(h, weights, n, bound)
+    R, M = _rm_chi(h, weights, k, n, bound)
     for D in idxs:
         rhs = (cn * R.coeff(D) + dn * Fraction(h.coeff(1)) * M.coeff(D)) * CN
         report.compare(D, direct.coeff(D), rhs, "6.1")
@@ -406,25 +404,20 @@ def verify_thm511_61(h: PlusForm, chi: DirichletChar, table: IkedaCoeffTable,
     return report
 
 
-def r_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
-                   bound: int = 40, variant: str = "corrected") -> DirStream:
-    """R^(chi)(s, h, E_{n/2+1/2}): the finite eta-sum of Jacobi-weighted
-    twisted Rankin x shifted-L streams (chi^n primitive required).
+def rm_chi_assemble(h: PlusForm, chi: DirichletChar, k: int, n: int,
+                    bound: int = 40, variant: str = "corrected"):
+    """(R^(chi)(s, h, E_{n/2+1/2}), M^(chi)): the section-7 eta-sums of
+    Jacobi-weighted twisted Rankin x shifted-L streams and of pure shifted-L
+    products (chi^n primitive required).
 
     variant "printed" follows the section-7 display and conjugates the
-    J(chi eta, (*/N)) factor; "corrected" leaves it unconjugated, matching
-    the brute-validated Theorem 5.6 weights so that the L(s, I_n(h), chi^n)
-    reconstruction is internally consistent.
+    J(chi eta, (*/N)) factor of both; "corrected" leaves it unconjugated,
+    matching the brute-validated Theorem 5.6 weights so that the
+    L(s, I_n(h), chi^n) reconstruction is internally consistent.
     """
     if (chi ** n).conductor != chi.modulus:
         raise ValueError("chi^n must be primitive for the section-7 assembly")
-    return _r_chi(h, _eta_weights(chi ** n, n, variant), k, n, bound)
-
-
-def mchi_assemble(h: PlusForm, chi: DirichletChar, n: int,
-                  bound: int = 40) -> DirStream:
-    """The companion M^(chi) combination of pure shifted-L products."""
-    return _m_chi(h, _eta_weights(chi ** n, n), n, bound)
+    return _rm_chi(h, _eta_weights(chi ** n, n, variant), k, n, bound)
 
 
 # ---------------------------------------------------------------------------

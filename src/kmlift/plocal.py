@@ -3,7 +3,8 @@ local representation densities alpha_p, local Siegel series b_p / F_p / F~_p,
 GL_n(Z_p)-class enumeration, the genus power series P^(0)_{n,p} with its
 closed rational form, and the Siegel mass assembly.
 
-Two independent routes exist for every Siegel series within budget: ``oracle``
+Two independent routes exist for every Siegel series within the oracle's
+fixed cap ``_ORACLE_CAP``, which ``--budget`` does not move: ``oracle``
 enumerates cosets R = S/p^j of S_n(Q_p)/S_n(Z_p) and extracts F_p from the
 exponential-sum series by exact division, while ``stratified`` computes the
 first two series coefficients from the rank strata of the cosets, reduced to
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 import numpy as np
 
 from .characters import _as_unit_int, _root_sum, factorize, kronecker, legendre
-from .charsums import (_CHUNK, DEFAULT_BUDGET, BudgetExceeded, _rep_count,
-                       _sym_entries, _sym_trace, _vectors)
+from .charsums import (_CHUNK, BudgetExceeded, _rep_count, _sym_entries,
+                       _sym_trace, _vectors)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
                        geometric_inverse, mat_det, p_half_power, poly_mul)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
@@ -132,13 +134,13 @@ def _nonresidue(p):
 # ---------------------------------------------------------------------------
 # local densities
 
-def local_density(G, p: int, mode="closed", budget=DEFAULT_BUDGET) -> Fraction:
+def local_density(G, p: int, mode="closed") -> Fraction:
     """alpha_p(A) = 2^{-1} lim p^{a(-n^2+n(n+1)/2)} #A_a(A,A); exact."""
     if mode == "closed":
         return density_from_symbol(jordan_decompose(G, p), p)
     if mode == "brute":
         _require_prime(p)
-        return _density_brute(G, p, budget)
+        return _density_brute(G, p)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -196,19 +198,19 @@ def density_from_symbol(sym: JordanSymbol, p: int) -> Fraction:
     return val
 
 
-def _density_brute(G, p: int, budget=DEFAULT_BUDGET) -> Fraction:
+def _density_brute(G, p: int) -> Fraction:
     """Backtracking count of #A_a(A, A) at a = nu_p(det) + 1 + [p = 2] and at
     a + 1, which must agree (odd-type dyadic forms settle one digit later)."""
     A = np.asarray(_rows(G), dtype=np.int64)
     a = _pval(mat_det(A), p) + 1 + (p == 2)
-    v1 = _aut_cong_count(A, p, a, budget)
-    v2 = _aut_cong_count(A, p, a + 1, budget)
+    v1 = _aut_cong_count(A, p, a)
+    v2 = _aut_cong_count(A, p, a + 1)
     if v1 != v2:
         raise RuntimeError("density did not stabilize")
     return v2
 
 
-def _aut_cong_count(A, p: int, a: int, budget=DEFAULT_BUDGET) -> Fraction:
+def _aut_cong_count(A, p: int, a: int) -> Fraction:
     """(1/2) p^{-a n(n-1)/2} #{X mod p^a : A[X] = A mod p^a S_e}, counted by
     the representation-count kernel ``charsums._rep_count`` over the rows of
     X (the diagonal of A[X] is read mod 2^{a+1} at p = 2)."""
@@ -272,8 +274,7 @@ def _siegel_degree(G: GramMat, p: int):
     return nu, xi, deg
 
 
-def siegel_series(G: GramMat, p: int, mode="stratified",
-                  budget=DEFAULT_BUDGET) -> SiegelPoly:
+def siegel_series(G: GramMat, p: int, mode="stratified") -> SiegelPoly:
     """F_p(T, X) for T = G/2 (n even); plus the F~ symmetry audit."""
     _require_prime(p)
     n = G.n
@@ -284,7 +285,7 @@ def siegel_series(G: GramMat, p: int, mode="stratified",
     if deg == 0:
         return SiegelPoly(p, n, (1,), nu, 0, xi)
     if mode == "oracle":
-        A = _oracle_A_coeffs(G, p, deg, budget)
+        A = _oracle_A_coeffs(G, p, deg)
     elif mode == "stratified":
         if deg > _STRATIFIED_DEG:
             raise ValueError("stratified extraction scoped to "
@@ -342,10 +343,8 @@ def _solve_F_from_A(A, p, n, xi, deg):
 
 # -- oracle route: honest coset enumeration
 
-_SNF_BUCKET_CACHE: dict = {}
-
-
-def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
+@lru_cache(maxsize=None)
+def _snf_buckets(n: int, p: int, j: int):
     """For every S in S_n(Z/p^j) (encoded base p^j over the upper triangle):
     -1 if S = 0 mod p, else log_p |S (Z/p^j)^n| = sum_i max(0, j - v_i)
     over the p-valuations v_i of the elementary divisors of S.
@@ -355,9 +354,6 @@ def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
     Each step takes an entry of least valuation v of the remaining block,
     clears its column with f = (x / p^v) u^-1 mod q and drops its row and
     column; the row needs no clearing, being a multiple of the pivot."""
-    key = (n, p, j)
-    if key in _SNF_BUCKET_CACHE:
-        return _SNF_BUCKET_CACHE[key]
     q = p ** j
     E = n * (n + 1) // 2
     total = q ** E
@@ -393,11 +389,10 @@ def _snf_buckets(n: int, p: int, j: int, budget=DEFAULT_BUDGET):
                                    (rest + (rest >= c))[:, None, :], axis=2)
         bucket[zero_mod_p] = -1
         buckets[lo:hi] = bucket
-    _SNF_BUCKET_CACHE[key] = buckets
     return buckets
 
 
-def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
+def _oracle_A_coeffs(G: GramMat, p: int, deg: int):
     """A_0..A_J (J = deg + 1 when affordable) of b_p(T, s) by enumeration."""
     n = G.n
     E = n * (n + 1) // 2
@@ -409,7 +404,7 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int, budget=DEFAULT_BUDGET):
     T = [[Fraction(x, 2) for x in row] for row in G.rows()]
     for j in range(1, J + 1):
         q = p ** j
-        buckets = _snf_buckets(n, p, j, budget)
+        buckets = _snf_buckets(n, p, j)
         total = q ** E
         # counts[bucket][residue of tr(TS) mod q]
         counts = np.zeros((J + 1, q), dtype=np.int64)

@@ -16,3 +16,16 @@ def flagship():
 def classlist16():
     from kmlift.quadforms import enumerate_classes
     return enumerate_classes(4, 16)
+
+
+@pytest.fixture(autouse=True)
+def run_budget_restored():
+    """Fail a test that leaves the charsums run budget at anything but
+    DEFAULT_BUDGET, and restore it, so the one process-wide value never
+    carries from one test into the next."""
+    from kmlift import charsums
+    yield
+    left = charsums._budget
+    charsums._budget = charsums.DEFAULT_BUDGET
+    if left != charsums.DEFAULT_BUDGET:
+        pytest.fail(f"the test left the run budget at {left}")

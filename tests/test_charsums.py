@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kmlift.characters import char_group, jacobi_sum
-from kmlift.charsums import (THM55_FORMS, BudgetExceeded,
+from kmlift.charsums import (THM55_FORMS, BudgetExceeded, budget_limit,
                              Im_brute, Im_closed, Jm_brute, Jm_chi,
                              Jm_recursion, _sym_dt_table,
                              bordered_det_sum_brute,
@@ -490,29 +490,30 @@ def test_rep_count_matches_row_by_row_reference(monkeypatch, chunk):
             reference_rep_count(X, S, T, q, dq), (S, T, q)
 
 
-def test_exhaustive_kernels_budget_pins(monkeypatch):
-    from kmlift import charsums
+def test_exhaustive_kernels_budget_pins():
     A = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 3]])
     cost = 5 ** 6
-    with pytest.raises(BudgetExceeded) as exc:
-        sym_dettarget_trace_counts(A, 5, 1, budget=cost - 1)
+    with budget_limit(cost - 1), pytest.raises(BudgetExceeded) as exc:
+        sym_dettarget_trace_counts(A, 5, 1)
     assert exc.value.cost == cost
-    assert sym_dettarget_trace_counts(A, 5, 1, budget=cost).sum() > 0
-    monkeypatch.setattr(charsums, "_SL_GRAM_CACHE", {})
+    with budget_limit(cost):
+        assert sym_dettarget_trace_counts(A, 5, 1).sum() > 0
     for m, p in ((2, 5), (3, 3)):
         cost = p ** (m * m)
-        with pytest.raises(BudgetExceeded) as exc:
-            sl_gram_counts(m, p, budget=cost - 1)
+        with budget_limit(cost - 1), pytest.raises(BudgetExceeded) as exc:
+            sl_gram_counts.__wrapped__(m, p)
         assert exc.value.cost == cost
-        assert sl_gram_counts(m, p, budget=cost).sum() == \
-            sl_group_order(m, p)
+        with budget_limit(cost):
+            assert sl_gram_counts.__wrapped__(m, p).sum() == \
+                sl_group_order(m, p)
     S, T = np.eye(3, dtype=np.int64), np.array([[1, 1], [1, 2]])
     cost = 3 ** (2 * 3)
-    with pytest.raises(BudgetExceeded) as exc:
-        count_A_brute(S, T, 3, budget=cost - 1)
+    with budget_limit(cost - 1), pytest.raises(BudgetExceeded) as exc:
+        count_A_brute(S, T, 3)
     assert exc.value.cost == cost
-    assert count_A_brute(S, T, 3, budget=cost) == _ref_count_A(
-        S.tolist(), T.tolist(), 3)
+    with budget_limit(cost):
+        assert count_A_brute(S, T, 3) == _ref_count_A(S.tolist(),
+                                                      T.tolist(), 3)
 
 
 def _echelon_rank_mod(M, p):
@@ -656,11 +657,11 @@ def test_sl_gram_counts_match_bordered_reference(monkeypatch, chunk):
     from kmlift import charsums
     shapes = ((1, 5), (2, 5), (2, 7), (3, 3), (3, 5), (2, 37))
     want = [reference_sl_gram_counts(m, p).tolist() for m, p in shapes]
-    monkeypatch.setattr(charsums, "_SL_GRAM_CACHE", {})
     if chunk:
         monkeypatch.setattr(charsums, "_CHUNK", chunk)
     for (m, p), table in zip(shapes, want):
-        assert charsums.sl_gram_counts(m, p).tolist() == table, (m, p)
+        assert charsums.sl_gram_counts.__wrapped__(m, p).tolist() == table, \
+            (m, p)
 
 
 @pytest.mark.parametrize("m,p", [(3, 5), (4, 3)])

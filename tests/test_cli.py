@@ -9,6 +9,7 @@ import pytest
 import kmlift
 from kmlift import charsums
 from kmlift.cli import main
+from kmlift.exactalg import CycloNum
 
 # The CLI runs in tmp_path, where a relative PYTHONPATH (the "src" of the
 # tier-1 command) points nowhere; putting the absolute directory of the
@@ -67,6 +68,29 @@ def test_cli_budget_refusal(tmp_path):
         assert "exceeds budget" in r.stderr, (args, r.stderr)
 
 
+def test_cli_budget_is_scoped_to_the_command(tmp_path, capsys):
+    # budget_limit restores the previous limit on a normal exit and when
+    # BudgetExceeded leaves the block, so a refused command leaves later
+    # library calls in the process on the default
+    A = [[1, 2, 0], [2, 0, 1], [0, 1, 3]]
+    with charsums.budget_limit(10):
+        with charsums.budget_limit(20):
+            assert charsums._budget == 20
+        assert charsums._budget == 10
+        with pytest.raises(charsums.BudgetExceeded) as exc:
+            with charsums.budget_limit(30):
+                charsums.sym_dettarget_trace_counts(A, 5, 1)
+        assert (exc.value.cost, exc.value.budget) == (5 ** 6, 30)
+        assert charsums._budget == 10
+    assert charsums._budget == charsums.DEFAULT_BUDGET
+    charsums._sym_dt_table.cache_clear()    # a cache hit is not charged
+    assert main(["--out", str(tmp_path), "--budget", "10", "jacobi",
+                 "--chi", "7:1", "--m", "3", "--mode", "brute"]) == 2
+    assert "exceeds budget 10" in capsys.readouterr().err
+    # 5^6 cells, over the 10 of the refused command
+    assert charsums.sym_dettarget_trace_counts(A, 5, 1).sum() > 0
+
+
 def test_cli_local_density(tmp_path):
     r = _run(["--out", str(tmp_path), "local", "density",
               "--gram", "2 1;1 2", "--p", "3"], cwd=str(tmp_path))
@@ -100,6 +124,24 @@ def test_cli_local_pseries_refuses_mode(tmp_path, capsys):
     assert main(["--out", str(tmp_path)] + args) == 0
     assert json.load(open(tmp_path / "local-pseries.json"))[
         "brute_equals_closed"] is True
+
+
+def test_cli_refuses_arguments_that_check_nothing(tmp_path, capsys):
+    # pseries --prec 0 compared two empty series and reported PASS; jacobi
+    # --m -1 and lemma5.1 --m 0 stopped in numpy with its own message
+    for argv, flag in ((["local", "pseries", "--prec", "0"], "--prec"),
+                       (["local", "pseries", "--prec", "-2"], "--prec"),
+                       (["jacobi", "--chi", "7:1", "--m", "-1"], "--m"),
+                       (["charsum", "--identity", "lemma5.1", "--m", "0"],
+                        "--m"),
+                       (["charsum", "--identity", "lemma5.1", "--m", "-3"],
+                        "--m")):
+        _assert_error(argv, tmp_path, capsys, flag, "at least")
+    # J_0 = 1 is a valid Jacobi sum
+    assert main(["--out", str(tmp_path), "jacobi", "--chi", "7:1",
+                 "--m", "0"]) == 0
+    assert json.load(open(tmp_path / "jacobi.json"))["value"] == \
+        CycloNum.one().serialize()
 
 
 def test_cli_local_refuses_nonprime_p(tmp_path, capsys):
@@ -248,7 +290,7 @@ def test_cli_charsum_refuses_unread_arguments(tmp_path, monkeypatch, capsys):
                         lambda *a: calls.append(a) or _StubReport("lemma5.1"))
     assert main(["--out", str(tmp_path), "charsum",
                  "--identity", "lemma5.1"]) == 0
-    assert calls == [((5, 7, 11, 13), 4, 200, 11, charsums.DEFAULT_BUDGET)]
+    assert calls == [((5, 7, 11, 13), 4, 200, 11)]
 
 
 def test_cli_refuses_unread_seed(tmp_path, monkeypatch, capsys):
@@ -265,4 +307,4 @@ def test_cli_refuses_unread_seed(tmp_path, monkeypatch, capsys):
                         lambda *a: calls.append(a) or _StubReport("lemma5.1"))
     assert main(["--out", str(tmp_path), "--seed", "99", "charsum",
                  "--identity", "lemma5.1"]) == 0
-    assert calls == [((5, 7, 11, 13), 4, 200, 99, charsums.DEFAULT_BUDGET)]
+    assert calls == [((5, 7, 11, 13), 4, 200, 99)]

@@ -9,7 +9,7 @@ from kmlift.charsums import thm56_constant, zero_branch
 from kmlift.exactalg import CycloNum
 from kmlift.liftkm import (admissible_indices, build_coeff_table,
                            build_plus_eigenform, hecke_Tp2, ikeda_coeff,
-                           km_stream, mchi_assemble, r_chi_assemble,
+                           km_stream, rm_chi_assemble,
                            satake_symmetric_eval, verify_thm41, verify_thm42,
                            verify_thm511_61)
 from kmlift.plocal import siegel_series
@@ -246,7 +246,7 @@ def test_verify_thm511_61_at_composite_modulus(flagship, classlist16):
     with pytest.raises(ValueError, match="primitive"):
         verify_thm511_61(h, imprimitive, table, 8, 4, 16, cn=cn, dn=dn)
     with pytest.raises(ValueError):
-        r_chi_assemble(h, imprimitive, 8, 4, 16)
+        rm_chi_assemble(h, imprimitive, 8, 4, 16)
 
 
 def test_thm61_residuals_name_the_route(flagship):
@@ -351,15 +351,14 @@ def test_r_chi_assembly_consistency(flagship):
     h, cl, table = flagship
     chi7 = parse_descriptor("7:2")
     direct = km_stream(table, chi7, "first", 40)
-    R = r_chi_assemble(h, chi7, 8, 4, 40, variant="corrected")
-    M = mchi_assemble(h, chi7, 4, 40)
+    R, M = rm_chi_assemble(h, chi7, 8, 4, 40, variant="corrected")
     CN = thm56_constant(4, 7)
     cn, dn = Fraction(-1, 48), Fraction(-1, 576)
     for D in admissible_indices(40):
         want = (R.coeff(D) * cn + M.coeff(D) * dn) * CN
         assert direct.coeff(D) == want, D
     with pytest.raises(ValueError, match="variant must be"):
-        r_chi_assemble(h, chi7, 8, 4, 40, variant="bogus")
+        rm_chi_assemble(h, chi7, 8, 4, 40, variant="bogus")
     # trivial eta-collapse example: N = 11, n = 4 -> D_{11,4} = {1, quadratic}?
     # gcd(4, 10) = 2: size 2; a collapse case is gcd(n, p-1) = 1: p = 11, n = 3
     from kmlift.characters import factorize
@@ -390,7 +389,8 @@ PRINTED_RCHI_7_2 = {
 
 def test_r_chi_printed_variant_pinned(flagship):
     h, cl, table = flagship
-    R = r_chi_assemble(h, parse_descriptor("7:2"), 8, 4, 40, variant="printed")
+    R, _ = rm_chi_assemble(h, parse_descriptor("7:2"), 8, 4, 40,
+                           variant="printed")
     want = {D: CycloNum.from_rational(Fraction(a))
             + CycloNum.zeta(6) * Fraction(b)
             for D, (a, b) in PRINTED_RCHI_7_2.items()}

@@ -18,7 +18,7 @@ from kmlift.plocal import (density_from_symbol,
                            enumerate_zp_classes, jordan_decompose,
                            local_density, mass_formula, p_series,
                            p_series_closed, siegel_series, xi_tilde,
-                           _SNF_BUCKET_CACHE, _aut_cong_count, _density_brute,
+                           _aut_cong_count, _density_brute,
                            _modp_vectors, _oracle_A_coeffs, _rank2_modp_sum,
                            _siegel_degree, _snf_buckets, _solve_F_from_A,
                            _stratified_A)
@@ -582,12 +582,13 @@ def test_snf_buckets_match_scalar_smith_form_sampled(n, p, j):
 
 def test_oracle_caps_refuse_with_computed_cost():
     # S_3(Z/27) has 27^6 entries: refused before any entry is classified
+    cached = _snf_buckets.cache_info().currsize
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded) as exc:
         _snf_buckets(3, 3, 3)
     assert exc.value.cost == 27 ** 6
     assert time.perf_counter() - t0 < 1.0
-    assert (3, 3, 3) not in _SNF_BUCKET_CACHE
+    assert _snf_buckets.cache_info().currsize == cached
     # degree 2 at n = 4, p = 3 needs the 3^20 table
     with pytest.raises(BudgetExceeded) as exc:
         _oracle_A_coeffs(I4, 3, 2)
