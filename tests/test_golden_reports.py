@@ -30,6 +30,15 @@ CASES = [
      ["charsum", "--identity", "lemma5.3", "--primes", "5", "7"],
      "77f17ecf30069d01c234f3caac3f57fa11d3a41c066bcda1935e7a9c526ac60f",
      "fe40de15943f641c3f7ded3f75289b2f4422a4c7d1f5d122f60b812af080f08b"),
+    ("charsum-prop5.2", ["charsum", "--identity", "prop5.2"],
+     "1d34c59643a80dc5886074527aebdb15e179d8d17b41093bb85e0961f4a0fd04",
+     "27216b0c3d4c437759c8ce376024d75242f5e715847f3811b3065036e28135b1"),
+    ("charsum-prop5.7", ["charsum", "--identity", "prop5.7"],
+     "b322fe17e6188e9df255b695cc36fedb843535b5ac6d6c7b07e12babad1b1c30",
+     "3dc1dbbc94224d4809346cf1f4906c1d91e12fb451d683e0ca3982ec1d88b319"),
+    ("charsum-thm5.5", ["charsum", "--identity", "thm5.5"],
+     "c56764baf9071f15776a272d08bd6ee741421000ceec511996a169877102bd2f",
+     "d3ba47927e3e26d7932a10c43aa7135ecb5e5b571992fe787a70b0fe51632511"),
     ("jacobi", ["jacobi", "--chi", "7:1", "--m", "3"],
      "537a249e743a80f6998b9ef0cb4caf40e8306ae6282d879eda1efb4c143a95f8",
      "22d055de14c9c49b9bd57f06716cc306b7f7e7dc1e29623f24b4e6709190817f"),
