@@ -26,7 +26,7 @@ print(f"{len(table.classes)} classes within scope, "
 for rec, v in table.classes:
     print(f"  det {rec.gram.det():3d}: c_I = {v}")
 
-rep = verify_thm41(h, char_group(1).trivial(), table, 8, 4, B)
+rep = verify_thm41(h, char_group(1)[0], table, 8, 4, B)
 print("\nsecond-kind identity, untwisted:", "PASS" if rep.passed else "FAIL",
       rep.constants)
 rep5 = verify_thm41(h, parse_descriptor("5:1"), table, 8, 4, B)

@@ -35,6 +35,14 @@ def factorize(n: int):
     return out
 
 
+def require_prime(p: int, odd=False, name="p"):
+    """ValueError unless p is a prime (an odd one when ``odd``); the message
+    names the argument as ``name``."""
+    if factorize(p) != [(p, 1)] or (odd and p == 2):
+        raise ValueError(f"{name} must be {'an odd' if odd else 'a'} prime, "
+                         f"not {p}")
+
+
 def primitive_root(q: int) -> int:
     """Smallest primitive root mod q = p^e, p odd (or q in {1, 2, 4})."""
     if q in (1, 2):
@@ -190,26 +198,10 @@ def divisors(n):
     return sorted(out)
 
 
-class CharGroup:
-    """All phi(N) Dirichlet characters mod N."""
-
-    def __init__(self, N: int):
-        self.modulus = int(N)
-        self.chars = [DirichletChar(self.modulus, ex) for ex in
-                      product(*(range(n) for _, n in unit_group_basis(self.modulus)))]
-
-    def __iter__(self):
-        return iter(self.chars)
-
-    def __len__(self):
-        return len(self.chars)
-
-    def trivial(self):
-        return DirichletChar(self.modulus, [0] * len(unit_group_basis(self.modulus)))
-
-
-def char_group(N: int) -> CharGroup:
-    return CharGroup(N)
+def char_group(N: int) -> tuple:
+    """All phi(N) Dirichlet characters mod N, the trivial one first."""
+    return tuple(DirichletChar(N, ex) for ex in
+                 product(*(range(n) for _, n in unit_group_basis(N))))
 
 
 def parse_descriptor(desc: str) -> DirichletChar:

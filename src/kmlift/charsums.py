@@ -23,7 +23,7 @@ import numpy as np
 from .exactalg import CycloNum, _congruence_blocks, _wedge, mat_det
 from .characters import (DirichletChar, _as_unit_int, _root_sum, char_group,
                          factorize, find_primitive_root_of_unity_mod,
-                         jacobi_sum, legendre, local_component)
+                         jacobi_sum, legendre, local_component, require_prime)
 
 DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
@@ -275,10 +275,6 @@ def sl_trace_counts(A, p: int):
     """counts[t] = #{X in SL_m(F_p) : tr(A[X]) = t}."""
     A = np.asarray(A, dtype=np.int64) % p
     m = A.shape[0]
-    if m == 1:
-        counts = np.zeros(p, dtype=np.int64)
-        counts[int(A[0, 0]) % p] = 1
-        return counts
     table = sl_gram_counts(m, p)
     tr = _sym_trace(A, _sym_entries(0, p ** (m * (m + 1) // 2), p, m), p)
     counts = np.zeros(p, dtype=np.int64)
@@ -308,20 +304,18 @@ def _chi_even(detval: int, size: int, p: int) -> int:
 
 
 def count_A_brute(S, T, p) -> int:
-    """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion,
-    one row of Y at a time through ``_rep_count``."""
+    """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion:
+    one norm count for r = 1, else one row of Y at a time through
+    ``_rep_count``."""
     S = np.asarray(S, dtype=np.int64) % p
     T = np.asarray(T, dtype=np.int64) % p
     m, r = S.shape[0], T.shape[0]
     _check_budget(p ** (r * m))
     if r == 0:
         return 1
-    nvec = p ** m
     if r == 1:
-        step = max(1, _CHUNK // max(1, m))
-        return sum(int((_norms(_vectors(lo, min(nvec, lo + step), p, m), S, p)
-                        == T[0, 0]).sum()) for lo in range(0, nvec, step))
-    return _rep_count(_vectors(0, nvec, p, m), S, T, p, p)
+        return int(_norm_counts(S, p)[T[0, 0]])
+    return _rep_count(_vectors(0, p ** m, p, m), S, T, p, p)
 
 
 def _vectors(lo, hi, p, m):
@@ -333,6 +327,16 @@ def _vectors(lo, hi, p, m):
 def _norms(X, S, p):
     """x S x^t mod p for every row x of X."""
     return (X @ S % p * X).sum(axis=1) % p
+
+
+def _norm_counts(S, p):
+    """counts[t] = #{x in (Z/p)^m : x S x^t = t} for S reduced mod p, over
+    chunks of _CHUNK // m vectors (m digits each)."""
+    m = S.shape[0]
+    total, step = p ** m, max(1, _CHUNK // max(1, m))
+    return sum((np.bincount(_norms(_vectors(lo, min(total, lo + step), p, m),
+                                   S, p), minlength=p)
+                for lo in range(0, total, step)), np.zeros(p, dtype=np.int64))
 
 
 def _rep_count(X, S, T, q, dq):
@@ -478,14 +482,8 @@ def gamma_const(m: int, p: int, variant="corrected") -> Fraction:
 def quad_char_sum_brute(eta: DirichletChar, S, c) -> CycloNum:
     p = eta.modulus
     S = np.asarray(S, dtype=np.int64) % p
-    l = S.shape[0]
-    total = p ** l
-    _check_budget(total)
-    counts = np.zeros(p, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        np.add.at(counts, (_norms(_vectors(lo, hi, p, l), S, p) + c) % p, 1)
-    return _weight_counts(counts, eta)
+    _check_budget(p ** S.shape[0])
+    return _weight_counts(np.roll(_norm_counts(S, p), c), eta)
 
 
 def _weight_counts(counts, chi: DirichletChar) -> CycloNum:
@@ -529,7 +527,7 @@ def quad_char_sum_closed(eta: DirichletChar, S, c) -> CycloNum:
 
 def legendre_char(p: int) -> DirichletChar:
     """The quadratic character mod an odd prime p as a DirichletChar."""
-    _require_prime(p)
+    require_prime(p, odd=True)
     return DirichletChar(p, [(p - 1) // 2])
 
 
@@ -595,7 +593,7 @@ def _weight_dt(counts, chi, eta, shift):
 def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int) -> CycloNum:
     """Prop 5.7 (chi primitive mod p, chi^2 != 1, eta primitive)."""
     p = chi.modulus
-    _require_prime(p)
+    require_prime(p, odd=True)
     if m == 0:
         return CycloNum.zero()
     if m == 1:
@@ -617,11 +615,6 @@ def Im_closed(chi: DirichletChar, eta: DirichletChar, m: int) -> CycloNum:
     return Jm1 * jacobi_sum(chi, leg) * chi(-1) * pref
 
 
-def _require_prime(p):
-    if p == 2 or factorize(p) != [(p, 1)]:
-        raise ValueError(f"odd prime modulus required, got {p}")
-
-
 def _odd_squarefree_factors(N):
     """factorize(N), or ValueError unless N is odd and squarefree."""
     fac = factorize(N)
@@ -639,7 +632,7 @@ def Jm_recursion(chi: DirichletChar, eta: DirichletChar, m: int,
     """
     printed = _is_printed(variant)
     p = chi.modulus
-    _require_prime(p)
+    require_prime(p, odd=True)
     if m == 0:
         return CycloNum.one()
     if m == 1:
@@ -692,7 +685,7 @@ def jacobi_symbol_char(N: int) -> DirichletChar:
         comp = legendre_char(p).extend(N)
         chi = comp if chi is None else chi * comp
     if chi is None:
-        return char_group(1).trivial()
+        return char_group(1)[0]
     return chi
 
 
@@ -746,7 +739,7 @@ def thm59_display(chi: DirichletChar, i: int, m: int, variant="corrected") -> Cy
     """
     printed = _is_printed(variant)
     p = chi.modulus
-    _require_prime(p)
+    require_prime(p, odd=True)
     leg = legendre_char(p)
     lchar = chi * (leg ** (i % 2))
     l1 = chi * (leg ** ((i + 1) % 2))

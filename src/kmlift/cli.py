@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import charsums, lseries, plocal, quadforms
-from .characters import char_group, factorize, parse_descriptor
+from .characters import char_group, parse_descriptor, require_prime
 from .exactalg import CycloNum
 from .quadforms import GramMat
 from .reports import manifest, write_report
@@ -98,8 +98,7 @@ def cmd_jacobi(args):
 
 def cmd_local(args):
     t0 = time.time()
-    if factorize(args.p) != [(args.p, 1)]:
-        raise ValueError(f"--p must be a prime, not {args.p}")
+    require_prime(args.p, name="--p")
     G = GramMat(_parse_gram(args.gram))
     if args.what == "pseries" and args.mode is not None:
         raise ValueError("pseries compares brute and closed; it takes no --mode")
@@ -195,7 +194,7 @@ def cmd_kmverify(args):
     t0 = time.time()
     from .liftkm import verify_thm41
     h, cl, table = _flagship(args)
-    chi = parse_descriptor(args.chi) if args.chi else char_group(1).trivial()
+    chi = parse_descriptor(args.chi) if args.chi else char_group(1)[0]
     rep = verify_thm41(h, chi, table, args.k, args.n, args.det_bound)
     data = rep.to_dict()
     data["chi"] = chi.descriptor()
@@ -209,7 +208,7 @@ def cmd_firstkind(args):
     chi = parse_descriptor(args.chi)
     cn = dn = None
     if args.with_thm41:
-        base = verify_thm41(h, char_group(1).trivial(), table, args.k, args.n,
+        base = verify_thm41(h, char_group(1)[0], table, args.k, args.n,
                             args.det_bound)
         if base.passed:
             cn = CycloNum.from_rational(Fraction(base.constants["c_n"]))

@@ -25,7 +25,8 @@ from math import factorial, prod
 
 import numpy as np
 
-from .characters import _as_unit_int, _root_sum, factorize, kronecker, legendre
+from .characters import (_as_unit_int, _root_sum, factorize, kronecker,
+                         legendre, require_prime)
 from .charsums import (_CHUNK, BudgetExceeded, _rep_count, _sym_entries,
                        _sym_trace, _vectors)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
@@ -42,7 +43,7 @@ _ORACLE_CAP = 4_500_000
 
 def xi_tilde(p: int, c) -> int:
     """1, -1 or 0: Q_p(sqrt c) equal to Q_p, unramified quadratic, ramified."""
-    _require_prime(p)
+    require_prime(p)
     c = Fraction(c)
     if c == 0:
         raise ValueError("xi~ undefined at 0")
@@ -82,7 +83,7 @@ def jordan_decompose(G, p: int) -> JordanSymbol:
     Legendre class for p odd, the unit mod 8 for p = 2, where it also adds to
     the oddity); a 2x2 pivot (p = 2 only) multiplies in det / 4^v mod 8,
     which is 7 for H and 3 for V."""
-    _require_prime(p)
+    require_prime(p)
     if mat_det(_rows(G)) == 0:
         raise ValueError("degenerate form")
     cons: dict = {}
@@ -99,11 +100,6 @@ def jordan_decompose(G, p: int) -> JordanSymbol:
             det *= _unit_class(u, p)
         cons[v] = (dim + len(B), det, oddity)
     return JordanSymbol(p, tuple(JordanBlock(a, *cons[a]) for a in sorted(cons)))
-
-
-def _require_prime(p: int):
-    if factorize(p) != [(p, 1)]:
-        raise ValueError(f"p must be a prime, not {p}")
 
 
 def _rows(G):
@@ -139,7 +135,7 @@ def local_density(G, p: int, mode="closed") -> Fraction:
     if mode == "closed":
         return density_from_symbol(jordan_decompose(G, p), p)
     if mode == "brute":
-        _require_prime(p)
+        require_prime(p)
         return _density_brute(G, p)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -276,7 +272,7 @@ def _siegel_degree(G: GramMat, p: int):
 
 def siegel_series(G: GramMat, p: int, mode="stratified") -> SiegelPoly:
     """F_p(T, X) for T = G/2 (n even); plus the F~ symmetry audit."""
-    _require_prime(p)
+    require_prime(p)
     n = G.n
     if n % 2:
         raise ValueError("Siegel series implemented for even rank")
@@ -427,13 +423,15 @@ def _oracle_A_coeffs(G: GramMat, p: int, deg: int):
 
 def _modp_vectors(G, p):
     """The nonzero v of F_p^n (entries 0..p-1), the rows v G, the exact
-    T[v] = v G v^t / 2, and A_1 = sum over the lines of p [p | T[v]] - 1."""
+    T[v] = v G v^t / 2, A_1 = sum over the lines of p [p | T[v]] - 1, and
+    G as an int64 array."""
     n = G.n
+    G = np.asarray(G.rows(), dtype=np.int64)
     V = _vectors(1, p ** n, p, n)
-    GV = V @ np.asarray(G.rows(), dtype=np.int64)
+    GV = V @ G
     Q = (GV * V).sum(axis=1) // 2
     A1 = (p * int((Q % p == 0).sum()) - (p ** n - 1)) // (p - 1)
-    return V, GV, Q, A1
+    return V, GV, Q, A1, G
 
 
 def _stratified_A(G, p) -> list:
@@ -446,7 +444,7 @@ def _stratified_A(G, p) -> list:
     w, has the same T[v] mod p^2."""
     n = G.n
     vecs = _modp_vectors(G, p)
-    _, GV, Q, A1 = vecs
+    _, GV, Q, A1, _ = vecs
     rad = Q[(Q % p == 0) & (GV % p == 0).all(axis=1)]
     rank1 = p ** (n - 1) * int(np.where(rad % (p * p), -p, p * p - p).sum())
     return [1, A1, rank1 // (p - 1) + _rank2_modp_sum(vecs, p)]
@@ -464,15 +462,14 @@ def _rank2_modp_sum(vecs, p) -> int:
     p^3 I_2 - [n, 2]_p - [n-1, 1]_p A_1, where I_2 counts the planes with
     T_W = 0 mod p: their ordered bases are the independent pairs (v, w) in
     Z = {v : p | T[v]} with v G w = 0 mod p, and the dependent such pairs are
-    the |Z| (p - 1) pairs w = a v."""
-    V, GV, Q, A1 = vecs
+    the |Z| (p - 1) pairs w = a v.  The pairs are the representations of the
+    2x2 zero matrix by T, read through ``charsums._rep_count`` with the norms
+    v G v^t = 2 T[v] taken mod 2p."""
+    V, _, Q, A1, G = vecs
     n = V.shape[1]
-    Z = Q % p == 0
-    VZ, GZ = V[Z], GV[Z]
-    step = max(1, _CHUNK // max(1, len(VZ)))
-    pairs = sum(int((GZ[i:i + step] @ VZ.T % p == 0).sum())
-                for i in range(0, len(VZ), step))
-    singular = (pairs - len(VZ) * (p - 1)) // ((p * p - 1) * (p * p - p))
+    pairs = _rep_count(V, G, np.zeros((2, 2), dtype=np.int64), p, 2 * p)
+    singular = (pairs - int((Q % p == 0).sum()) * (p - 1)) \
+        // ((p * p - 1) * (p * p - p))
     planes = (p ** n - 1) * (p ** (n - 1) - 1) // ((p * p - 1) * (p - 1))
     return p ** 3 * singular - planes - (p ** (n - 1) - 1) // (p - 1) * A1
 
@@ -486,9 +483,7 @@ def enumerate_zp_classes(n: int, p: int, d0, max_val: int):
     d0 in F_p = {nu_p(d0) <= 1}; the even-type set is 2 * S_n(Z_p) for p odd, so
     symbols enumerate T' with B = 2T'.
     """
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("dyadic class enumeration out of scope")
+    require_prime(p, odd=True)
     if n % 2:
         raise ValueError("even rank only")
     d0 = Fraction(d0)
@@ -534,13 +529,11 @@ def p_series(n: int, p: int, d0, omega: str, prec: int,
 
     omega: 'iota' or 'eps'.  kappa(d0,n,l)_p = 1 for p odd.
     """
-    _require_prime(p)
+    require_prime(p, odd=True)
     if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
     if omega not in ("iota", "eps"):
         raise ValueError("omega must be 'iota' or 'eps'")
-    if p == 2:
-        raise ValueError("brute genus series needs p odd")
     coeffs: dict = {}
     for nu, sp, iota, eps in _genus_class_terms(n, p, d0, prec - 1):
         w = iota if omega == "iota" else eps
@@ -569,7 +562,7 @@ def _diag_mat(diag):
 
 def p_series_closed(n: int, p: int, d0, omega: str, prec: int) -> TruncSeries:
     """Proposition 4.3 closed rational functions, expanded in t."""
-    _require_prime(p)
+    require_prime(p)
     d0 = Fraction(d0)
     v0 = _pval(d0, p)
     xi0 = xi_tilde(p, d0)

@@ -214,6 +214,6 @@ def reference_sym_tables(forms, N):
 
 
 def subgroup_Dm(G, m):
-    """The characters of the group G (a ``characters.CharGroup`` mod N)
-    whose m-th power is trivial: the set D_{N,m}."""
+    """The characters in G = ``characters.char_group(N)`` whose m-th power
+    is trivial: the set D_{N,m}."""
     return [chi for chi in G if (chi ** m).is_trivial()]

@@ -42,7 +42,7 @@ def test_local_component_reconstruction():
 
 def test_local_component_trivial_cases():
     G15 = char_group(15)
-    tr = G15.trivial()
+    tr = G15[0]
     assert local_component(tr, 3).is_trivial()
     chi5 = next(c for c in char_group(5) if c.order == 4)
     ext = chi5.extend(5)
@@ -64,7 +64,7 @@ def test_jacobi_sum_identities():
     G7 = char_group(7)
     quad5 = next(c for c in char_group(5) if c.order == 2)
     assert jacobi_sum(quad5, quad5).rational_value() == -1
-    tr = G7.trivial()
+    tr = G7[0]
     eta = next(c for c in G7 if c.order == 6)
     assert jacobi_sum(tr, eta).rational_value() == -1
     for chi in G7:
@@ -121,7 +121,7 @@ def test_conductor():
     assert chi5.conductor == 5
     ind = chi5.extend(35)
     assert ind.conductor == 5
-    assert char_group(9).trivial().conductor == 1
+    assert char_group(9)[0].conductor == 1
 
 
 def test_hilbert_symbol_is_int_at_negative_valuations():

@@ -47,7 +47,7 @@ def test_fitted_constants_do_not_depend_on_k(flagship):
         for p in (2, 3, 5):
             assert h.shimura.coeff(p) == h.eigenvalues[p]
         table = table8 if k == 8 else build_coeff_table(cl, h, k, 4)
-        rep = verify_thm41(h, char_group(1).trivial(), table, k, 4, 40)
+        rep = verify_thm41(h, char_group(1)[0], table, k, 4, 40)
         assert rep.passed, k
         assert rep.constants == {"c_n": "-1/48", "d_n": "-1/576"}, k
         cn, dn = (CycloNum.from_rational(Fraction(rep.constants[c]))
@@ -161,7 +161,7 @@ def test_ikeda_genus_invariance_under_sl(flagship):
 
 def test_verify_thm41_flagship(flagship):
     h, cl, table = flagship
-    tr = char_group(1).trivial()
+    tr = char_group(1)[0]
     rep = verify_thm41(h, tr, table, 8, 4, 40)
     assert rep.passed
     assert rep.constants["c_n"] == "-1/48"
@@ -175,7 +175,7 @@ def test_verify_thm41_flagship(flagship):
 def test_no_pass_without_a_checked_index(flagship):
     # bound 1 leaves no fit pair; bound 0 leaves no index at all
     h, cl, table = flagship
-    rep = verify_thm41(h, char_group(1).trivial(), table, 8, 4, bound=1)
+    rep = verify_thm41(h, char_group(1)[0], table, 8, 4, bound=1)
     assert rep.residuals == [] and not rep.passed
     rep = verify_thm511_61(h, parse_descriptor("7:2"), table, 8, 4, bound=0)
     assert rep.residuals == [] and not rep.passed
@@ -217,7 +217,7 @@ def test_classes_past_the_stratified_degree_are_excluded():
     assert all(r.startswith("nu_2(") for D, r in reasons if D < 81)
     note = "indices skipped, a class of that det is excluded: [81]"
     idxs = admissible_indices(81)
-    rep = verify_thm41(h, char_group(1).trivial(), table, 8, 4, 81)
+    rep = verify_thm41(h, char_group(1)[0], table, 8, 4, 81)
     assert rep.passed and note in rep.notes
     assert rep.checked == len(idxs) - 3       # the fit pair and D = 81
     rep = verify_thm511_61(h, parse_descriptor("7:2"), table, 8, 4, 81)
@@ -338,7 +338,7 @@ def test_first_kind_stream_computes_the_eta_weights_once(flagship,
 
 def test_verify_thm42(flagship):
     h, cl, table = flagship
-    rep = verify_thm42(h, char_group(1).trivial(), table, 8, 4, 40)
+    rep = verify_thm42(h, char_group(1)[0], table, 8, 4, 40)
     assert rep.passed
     assert rep.constants["fitted 2-power"] == "2/1"
     rep7 = verify_thm42(h, parse_descriptor("7:2"), table, 8, 4, 40)

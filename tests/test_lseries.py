@@ -207,7 +207,7 @@ def test_delta_and_hecke_stream():
 
 def test_lfactor_stream_shape():
     d = delta_qexp(40)
-    tr = char_group(1).trivial()
+    tr = char_group(1)[0]
     st = lfactor_stream(d, tr, 2, 36)
     assert st.coeff(3).is_zero()           # non-square index
     assert st.coeff(4) == Fraction(-24 * 4)
@@ -222,7 +222,7 @@ def test_lfactor_stream_shape():
 def test_rankin_stream_basics():
     h = delta_qexp(45)        # any eigenform-shaped series works structurally
     E = cohen_eisenstein(2, 45)
-    tr = char_group(1).trivial()
+    tr = char_group(1)[0]
     st = rankin_stream(h, E, tr, 6, 2, 40, variant="R")
     assert st.coeff(1) == Fraction(h.coeff(1)) * E.coeff(1)
     # squarefree index: only d = 1 contributes
