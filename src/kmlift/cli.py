@@ -79,6 +79,8 @@ def cmd_charsum(args):
     if args.m is not None and args.m < 1:
         raise ValueError(f"--m must be at least 1, not {args.m}")
     primes = tuple(args.primes or ())
+    for p in primes:        # the closed forms of section 5 take p odd
+        require_prime(p, odd=True, name="--primes")
     rep = runners[args.identity]()
     return _finish(args, f"charsum-{args.identity}", rep.to_dict(),
                    rep.passed, t0)

@@ -484,8 +484,8 @@ def enumerate_zp_classes(n: int, p: int, d0, max_val: int):
     symbols enumerate T' with B = 2T'.
     """
     require_prime(p, odd=True)
-    if n % 2:
-        raise ValueError("even rank only")
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be an even integer >= 2, not {n}")
     d0 = Fraction(d0)
     v0 = _pval(d0, p)
     if v0 is None or v0 > 1:
@@ -563,6 +563,8 @@ def _diag_mat(diag):
 def p_series_closed(n: int, p: int, d0, omega: str, prec: int) -> TruncSeries:
     """Proposition 4.3 closed rational functions, expanded in t."""
     require_prime(p)
+    if n < 2 or n % 2:      # as enumerate_zp_classes, behind p_series
+        raise ValueError(f"n must be an even integer >= 2, not {n}")
     d0 = Fraction(d0)
     v0 = _pval(d0, p)
     xi0 = xi_tilde(p, d0)

@@ -72,7 +72,7 @@ def test_criterion_03_charsum_suites():
     primes = (5, 7, 11, 13)
     r53 = run_lemma53_suite(primes)
     r54 = run_prop54_suite(primes)
-    r5789 = run_prop57_58_thm59_suite(primes, brute_max_m=3, rec_max_m=5)
+    r5789 = run_prop57_58_thm59_suite(primes)
     ok = r53.passed and r54.passed and r5789.passed
     _announce("3 Lemma 5.3 / Prop 5.4 / Props 5.7-5.8 / Thm 5.9 suites",
               t0, ok, 900)
@@ -112,8 +112,7 @@ def test_criterion_05_thm55_56(flagship):
         if mat_det(G) > 0 and key not in seen:
             seen.add(key)
             forms3.append(G)
-    rep = run_thm55_56_suite(primes=(5, 7), ms=(2, 3),
-                             forms={2: forms2, 3: forms3})
+    rep = run_thm55_56_suite(forms={2: forms2, 3: forms3})
     ok = rep.passed
     # m = 4 via the symmetric-matrix brute route on flagship classes
     h, cl, table = flagship

@@ -7,7 +7,7 @@ import pytest
 from kmlift.characters import char_group, jacobi_sum
 from kmlift.charsums import (THM55_FORMS, BudgetExceeded, budget_limit,
                              Im_brute, Im_closed, Jm_brute, Jm_chi,
-                             Jm_recursion, _sym_dt_table,
+                             Jm_recursion, Jm_sum, _sym_dt_table,
                              bordered_det_sum_brute,
                              bordered_det_sum_closed, chi_det_halfintegral,
                              count_A_brute,
@@ -224,6 +224,15 @@ def test_erratum_functions_refuse_unknown_variant():
     with pytest.raises(ValueError, match="variant must be"):
         h_closed(np.diag([2, 2, 2, 2]).tolist(),
                  next(c for c in char_group(5) if c.order == 4), "bogus")
+
+
+def test_Jm_sum_refuses_unknown_mode():
+    # an unknown mode used to run "auto" silently
+    chi = next(c for c in char_group(7) if c.order == 3)
+    for mode in ("auto", "brute", "recursion"):
+        Jm_sum(chi, chi, 2, mode=mode)
+    with pytest.raises(ValueError, match="unknown Jm_sum mode"):
+        Jm_sum(chi, chi, 2, mode="bogus")
 
 
 def test_printed_h_variants_mismatch_brute():

@@ -159,6 +159,50 @@ def test_cli_local_refuses_nonprime_p(tmp_path, capsys):
                       "--p", "prime")
 
 
+def test_cli_local_pseries_refuses_n(tmp_path, capsys):
+    # --n 0 stopped in a ZeroDivisionError traceback and --n -2 in a
+    # TypeError; the genus series is defined for even n >= 2
+    for n in ("0", "-2", "3"):
+        _assert_error(["local", "pseries", "--n", n, "--p", "3"], tmp_path,
+                      capsys, "even integer")
+
+
+CHARSUM_PRIMES_READERS = ("lemma5.1", "lemma5.3", "prop5.4", "prop5.7",
+                          "prop5.8", "thm5.9", "prop5.10")
+
+
+def test_cli_charsum_refuses_primes_that_are_not_odd_primes(
+        tmp_path, monkeypatch, capsys):
+    # the closed forms are for odd p: lemma5.1 --primes 2 reported FAIL on
+    # 164 of 200 points and lemma5.3 --primes 2 stopped in a StopIteration
+    # traceback; each entry is checked before any suite runs
+    calls = []
+    for suite in set(CHARSUM_SUITES.values()):
+        monkeypatch.setattr(charsums, suite,
+                            lambda *a, **k: calls.append(a) or _StubReport(""))
+    for identity in CHARSUM_PRIMES_READERS:
+        for p in ("2", "9"):
+            _assert_error(["charsum", "--identity", identity,
+                           "--primes", "5", p], tmp_path, capsys,
+                          "--primes", "odd prime")
+    assert calls == []
+
+
+def test_cli_charsum_says_when_nothing_was_compared(tmp_path):
+    # mod 3 no character has a nontrivial square, so these suites compare
+    # no point; their notes used to claim agreement over those zero points
+    for identity in ("prop5.4", "prop5.7"):
+        assert main(["--out", str(tmp_path), "charsum", "--identity",
+                     identity, "--primes", "3"]) == 1
+        data = json.load(open(tmp_path / f"charsum-{identity}.json"))
+        assert (data["total"], data["passed"]) == (0, False)
+        assert data["variant_notes"] == ["no point was compared"]
+    # lemma5.3 skips its scaling check mod 3 instead of stopping in next()
+    assert main(["--out", str(tmp_path), "charsum", "--identity",
+                 "lemma5.3", "--primes", "3"]) == 0
+    assert json.load(open(tmp_path / "charsum-lemma5.3.json"))["total"] > 0
+
+
 def test_cli_refuses_malformed_gram(tmp_path, capsys):
     for argv in (["local", "density", "--gram", "2 1;1"],
                  ["local", "density", "--gram", ""],

@@ -418,6 +418,14 @@ for call in (lambda: local_density(G, 1), lambda: jordan_decompose(G, 1),
     assert r.returncode == 0, r.stderr
 
 
+def test_p_series_refuses_n_that_is_not_even_and_at_least_2():
+    # n = 0 divided by zero and n = -2 stopped in pow()
+    for n in (0, -2, 1, 3):
+        for series in (p_series, p_series_closed):
+            with pytest.raises(ValueError, match="even integer"):
+                series(n, 3, 1, "iota", 3)
+
+
 def test_p_series_refuses_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         p_series(2, 3, 1, "iota", 3, mode="closed")
