@@ -305,8 +305,7 @@ def _chi_even(detval: int, size: int, p: int) -> int:
 
 def count_A_brute(S, T, p) -> int:
     """#{Y in M_{r,m}(F_p) : Y_i S Y_j^t = T[i, j] for i <= j} by exhaustion:
-    one norm count for r = 1, else one row of Y at a time through
-    ``_rep_count``."""
+    ``_norm_counts`` for r = 1, else ``_rep_count``, one row at a time."""
     S = np.asarray(S, dtype=np.int64) % p
     T = np.asarray(T, dtype=np.int64) % p
     m, r = S.shape[0], T.shape[0]

@@ -248,7 +248,8 @@ def build_parser():
     c = sub.add_parser("charsum", help="section-5 identity suites")
     c.add_argument("--identity", required=True)
     c.add_argument("--primes", type=int, nargs="+",
-                   help="default 5 7 11 13; not read by prop5.2, thm5.5, thm5.6")
+                   help="odd primes, default 5 7 11 13; not read by prop5.2, "
+                        "thm5.5, thm5.6")
     c.add_argument("--m", type=int, help="lemma5.1 only; default 4")
     c.add_argument("--pairs", type=int, help="lemma5.1 only; default 200")
     c.set_defaults(func=cmd_charsum)
