@@ -35,10 +35,15 @@ def factorize(n: int):
     return out
 
 
+def _is_prime(p: int, odd=False) -> bool:
+    """Whether p is a prime (an odd one when ``odd``)."""
+    return factorize(p) == [(p, 1)] and not (odd and p == 2)
+
+
 def require_prime(p: int, odd=False, name="p"):
-    """ValueError unless p is a prime (an odd one when ``odd``); the message
-    names the argument as ``name``."""
-    if factorize(p) != [(p, 1)] or (odd and p == 2):
+    """ValueError unless ``_is_prime(p, odd)``; the message names the
+    argument as ``name``."""
+    if not _is_prime(p, odd):
         raise ValueError(f"{name} must be {'an odd' if odd else 'a'} prime, "
                          f"not {p}")
 

@@ -21,9 +21,10 @@ from math import gcd, lcm
 import numpy as np
 
 from .exactalg import CycloNum, _congruence_blocks, _wedge, mat_det
-from .characters import (DirichletChar, _as_unit_int, _root_sum, char_group,
-                         factorize, find_primitive_root_of_unity_mod,
-                         jacobi_sum, legendre, local_component, require_prime)
+from .characters import (DirichletChar, _as_unit_int, _is_prime, _root_sum,
+                         char_group, factorize,
+                         find_primitive_root_of_unity_mod, jacobi_sum,
+                         legendre, local_component, require_prime)
 
 DEFAULT_BUDGET = 2 * 10 ** 9
 _CHUNK = 1 << 20
@@ -65,6 +66,33 @@ def _is_printed(variant) -> bool:
 
 # ---------------------------------------------------------------------------
 # numpy enumeration kernels
+
+def _rows(width):
+    """Rows per step of a kernel whose arrays live at once, numpy's
+    temporaries among them, hold ``width`` entries per row in total: every
+    step of a count kernel holds at most _CHUNK entries."""
+    return max(1, _CHUNK // max(1, width))
+
+
+def _exact_float(a, b):
+    """The float type in which a BLAS product a @ b of integer arrays is
+    exact: float32 while max|a| max|b| times the inner dimension stays below
+    2^24, float64 while it stays below 2^53 (asserted), since that bounds
+    every partial sum."""
+    bound = _abs_max(a) * _abs_max(b) * a.shape[-1]
+    assert bound < 2 ** 53, bound
+    return np.float32 if bound < 2 ** 24 else np.float64
+
+
+def _abs_max(a):
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact_product(a, b):
+    """a @ b for integer arrays, as floats of ``_exact_float(a, b)``."""
+    ft = _exact_float(a, b)
+    return a.astype(ft, copy=False) @ b.astype(ft, copy=False)
+
 
 def _digit_arrays(lo, hi, N, E):
     return _digits(np.arange(lo, hi, dtype=np.int64), N, E)
@@ -140,7 +168,13 @@ def _sym_tables(forms, N):
     unreduced (T < 2N - 1); z then runs over every residue (``_border_z``),
     reducing T once per key, so each cell of S_m(Z/N) is counted once, for
     composite N too.  The tallies go into (2N - 1) N^2 bins while that
-    table is small; past that, each chunk goes to the z step alone."""
+    table is small; past that, each chunk goes to the z step alone.
+
+    A chunk holds two (N^(m-1) x chunk) arrays, Q and one key buffer that
+    every form refills (before that, Q and the quarter of _CHUNK that
+    ``_table_at_product`` builds it in), and the chunk's Z1 entries and
+    adjugates; in the per-chunk branch it leaves half of _CHUNK to the z
+    step."""
     forms = [np.asarray(B, dtype=np.int64) % N for B in forms]
     m = forms[0].shape[0]
     _check_budget(N ** (m * (m + 1) // 2))
@@ -151,26 +185,35 @@ def _sym_tables(forms, N):
     nw, NN, bins = N ** k, N * N, (2 * N - 1) * N * N
     W = _digit_arrays(0, nw, N, k)
     quads = _adj_quads(W, N)
-    tw = [sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k)) % N * NN
-          for B in forms]
+    tw = [np.reshape(sum(int(B[a, k] + B[k, a]) * W[a] for a in range(k))
+                     % N * NN, (-1, 1)) for B in forms]
     dense = bins <= _CHUNK
     tally = [np.zeros(bins, dtype=np.int64) for _ in forms] if dense else None
     tables = [np.zeros(NN, dtype=np.int64) for _ in forms]
-    total, step = N ** (k * (k + 1) // 2), max(1, _CHUNK // nw)
+    E1 = k * (k + 1) // 2
+    # Q before reduction lies in [0, E1 (N-1)^2]; reduced, it takes the
+    # smallest integer type that holds N - 1
+    mod_n = (np.arange(E1 * (N - 1) ** 2 + 1) % N).astype(
+        np.min_scalar_type(N - 1))
+    total = N ** E1
+    step = _rows((1 if dense else 2) * (2 * nw + 3 * E1 + 4))
     for lo in range(0, total, step):
         hi = min(total, lo + step)
         M = _sym_entries(lo, hi, N, k)
         d1 = _wedge(M, N)[0] % N * N
-        Q = _sym_adj_batch(M, N, hi - lo) @ quads
-        Q %= N
+        # Q[w, Z1] = w^t Adj(Z1) w mod N, one column per Z1 of the chunk
+        Q = _table_at_product(mod_n, quads.T,
+                              _sym_adj_batch(M, N, hi - lo).T)
+        key = np.empty(Q.shape, dtype=np.int64)
         for f, B in enumerate(forms):
-            key = Q + (_sym_trace(B, M, N) * NN + d1)[:, None]
+            np.add(Q, _sym_trace(B, M, N) * NN + d1, out=key)
             key += tw[f]
             if dense:
                 tally[f] += np.bincount(key.ravel(), minlength=bins)
             else:
                 _border_z(tables[f], key.ravel(), np.broadcast_to(1, key.size),
                           int(B[k, k]), N)
+        del Q, key                  # freed before the next chunk's product
     for f, B in enumerate(forms):
         if dense:
             key = np.flatnonzero(tally[f])
@@ -180,14 +223,17 @@ def _sym_tables(forms, N):
 
 def _border_z(table, key, counts, bkk, N):
     """Add counts[i] to the flat (det, trace) table at (z d1 - Q, T + bkk z)
-    mod N for every z mod N, where key[i] = (T N + d1) N + Q, T unreduced."""
-    T, d1, Q = key // (N * N), key // N % N, key % N
+    mod N for every z mod N, where key[i] = (T N + d1) N + Q, T unreduced.
+    The keys are decoded a slice at a time; a slice, its cells and their
+    temporaries hold at most half of _CHUNK entries."""
     zs = np.arange(N, dtype=np.int64)[:, None]
-    step = max(1, _CHUNK // N)
+    step = _rows(2 * (3 * N + 3))
     for lo in range(0, len(key), step):
-        s = slice(lo, lo + step)
-        cell = (zs * d1[s] - Q[s]) % N * N + (T[s] + bkk * zs) % N
-        np.add.at(table, cell, np.broadcast_to(counts[s], cell.shape))
+        s = key[lo:lo + step]
+        T, d1, Q = s // (N * N), s // N % N, s % N
+        cell = (zs * d1 - Q) % N * N + (T + bkk * zs) % N
+        np.add.at(table, cell, np.broadcast_to(counts[lo:lo + step],
+                                               cell.shape))
 
 
 def sym_dettarget_trace_counts(A, N, det_target=1, forms=None):
@@ -238,7 +284,9 @@ def sl_gram_counts(m: int, p: int):
     total = p ** (k * m)
     cof = np.empty(total, dtype=np.int64)
     gram = np.empty(total, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, k * m))  # k m digit arrays per chunk
+    # a chunk of first rows: k m digit arrays, the wedge built from them
+    # (at most 2^m arrays at once) and the Gram sum
+    step = _rows(k * m + 2 ** m + 4)
     for lo in range(0, total, step):
         hi = min(total, lo + step)
         digs = _digit_arrays(lo, hi, p, k * m)
@@ -251,23 +299,39 @@ def sl_gram_counts(m: int, p: int):
     order = np.argsort(cof, kind="stable")
     bounds = np.searchsorted(cof[order], np.arange(nx + 1))
     table = np.zeros(p ** E, dtype=np.int64)
-    cstep, rstep = max(1, _CHUNK // nx), max(1, _CHUNK // h)
+    # half of _CHUNK for a block of c: the sums c . x over every x, their
+    # residues and the mask, then the block's hyperplanes (m + 2 arrays of
+    # p^(m-1) per c); the other half for a step of rows R: three
+    # (rows x p^(m-1)) arrays at once (a gathered row, its product and the
+    # dots, then the dots, the keys and a gathered key) beside R's digits
+    cstep = _rows(2 * (3 * nx + (m + 2) * h))
+    rstep = _rows(2 * (3 * h + 2 * k * m + m + 5))
     for c0 in range(1, nx, cstep):
         c1 = min(nx, c0 + cstep)
         C = _digit_arrays(c0, c1, p, m)
-        hyper = np.nonzero(sum(c[:, None] * x for c, x in zip(C, last)) % p
-                           == 1)[1].reshape(c1 - c0, h)
+        dot = C[0][:, None] * last[0]
+        for c, x in zip(C[1:], last[1:]):
+            dot += c[:, None] * x
+        hyper = np.nonzero(dot % p == 1)[1].reshape(c1 - c0, h)
+        del dot
         hx = [x[hyper] for x in last]
         hkey = last_key[hyper]
         for lo in range(bounds[c0], bounds[c1], rstep):
             sel = order[lo:min(bounds[c1], lo + rstep)]
             at = cof[sel] - c0
-            R = np.array(_digits(sel, p, k * m),
-                         dtype=np.int64).reshape(k, m, len(sel))
-            v = np.tensordot(B ** np.arange(k), R, 1)
-            dots = sum(hx[j][at] * v[j, :, None] for j in range(m))
-            idx = split[dots] + hkey[at] + gram[sel, None]
+            R = np.array(_digits(sel, p, k * m), dtype=np.int64)
+            v = _exact_product(B ** np.arange(k), R.reshape(k, m * len(sel)))
+            v = v.astype(np.int64).reshape(m, len(sel))
+            dots = hx[0][at] * v[0, :, None]
+            for j in range(1, m):
+                dots += hx[j][at] * v[j, :, None]
+            idx = split[dots]
+            del dots
+            idx += hkey[at]
+            idx += gram[sel, None]
             table += np.bincount(idx.ravel(), minlength=p ** E)
+            del idx
+        del hyper, hx, hkey
     return table
 
 
@@ -324,15 +388,17 @@ def _vectors(lo, hi, p, m):
 
 
 def _norms(X, S, p):
-    """x S x^t mod p for every row x of X."""
-    return (X @ S % p * X).sum(axis=1) % p
+    """x S x^t mod p for every row x of X, summed exactly in int64 before
+    the one reduction (the entries of X and S are residues)."""
+    return np.einsum("ij,jk,ik->i", X, S, X) % p
 
 
 def _norm_counts(S, p):
     """counts[t] = #{x in (Z/p)^m : x S x^t = t} for S reduced mod p, over
-    chunks of _CHUNK // m vectors (m digits each)."""
+    chunks of vectors; a chunk holds the digits and the vectors, 2 m + 2
+    entries a vector."""
     m = S.shape[0]
-    total, step = p ** m, max(1, _CHUNK // max(1, m))
+    total, step = p ** m, _rows(2 * m + 2)
     return sum((np.bincount(_norms(_vectors(lo, min(total, lo + step), p, m),
                                    S, p), minlength=p)
                 for lo in range(0, total, step)), np.zeros(p, dtype=np.int64))
@@ -357,11 +423,15 @@ def _rep_count(X, S, T, q, dq):
 def _rep_rows(X, S, T, q, cands):
     """Completions of the last len(cands) rows; cands[k] indexes the rows of
     X still allowed for row r - len(cands) + k.  With more than three rows
-    left, or three whose m12 table or residue table would pass _CHUNK
-    entries, the first of them is fixed candidate by candidate.  (Blocking
-    m12 instead would rebuild m02 for every block, and the pair count
-    grows like len(c0) len(c1) len(c2) / q: on the ternary lists mod 121
-    that took ten times the per-candidate loop.)"""
+    left, or three whose residue table would pass _CHUNK entries or whose
+    table P could not build one row in a quarter of _CHUNK, the first of
+    them is fixed candidate by candidate; so it is with three rows where
+    that is cheaper.  Per row of c0, the pair tables of ``_rep_triples`` cost
+    about 1/16 ns per entry of c1 x c2, and the candidate loop about 100 us
+    plus 16 ns per entry of c1 and of c2 (a 2-vCPU x86 host, one BLAS
+    thread), so the tables take three rows while
+    len(c1) len(c2) <= 1.6e6 + 256 (len(c1) + len(c2)): the ternary lists
+    mod 27 of the brute densities, but not those mod 49."""
     i = T.shape[0] - len(cands)
     if len(cands) == 1:
         return len(cands[0])
@@ -369,12 +439,13 @@ def _rep_rows(X, S, T, q, cands):
         left = X[cands[0]] @ S % q
         right = X[cands[1]].T
         count = 0
-        step = max(1, _CHUNK // max(1, right.shape[1]))
+        step = _rows(3 * right.shape[1])    # the products, residues and mask
         for lo in range(0, left.shape[0], step):
             count += int((left[lo:lo + step] @ right % q == T[i, i + 1]).sum())
         return count
-    if len(cands) == 3 and max(len(cands[1]) * len(cands[2]),
-                               X.shape[1] * (q - 1) ** 2) < _CHUNK:
+    n1, n2 = (len(c) for c in cands[-2:])
+    if (len(cands) == 3 and X.shape[1] * (q - 1) ** 2 < _CHUNK
+            and 8 * n1 <= _CHUNK and n1 * n2 <= 1_600_000 + 256 * (n1 + n2)):
         return _rep_triples(X, S, T, q, i, *cands)
     count = 0
     for x in X[cands[0]]:
@@ -394,28 +465,53 @@ def _rep_triples(X, S, T, q, i, c0, c1, c2):
     """The triples (x0, x1, x2) of rows of X[c0], X[c1], X[c2] with
     x_a S x_b^t = T[i + a, i + b] mod q for a < b.
 
-    Two boolean tables over c2, m02[x0, x2] and m12[x1, x2], hold the
-    congruences with row i + 2; each compatible pair (x0, x1) then counts
-    the x2 of m02[x0] & m12[x1], so every triple is still decided by its
-    three congruences.  A product (x S mod q) . x' of rows reduced mod q lies
-    in [0, m (q-1)^2] and is read off a residue table of that length instead
-    of being reduced.  m12 and the residue table are one array each (the
-    caller keeps both within _CHUNK entries); c0 is taken in blocks, so that
-    m02, the pair mask and each slice of gathered rows also hold at most
-    _CHUNK entries."""
+    With the 0/1 tables P[x0, x1], m12[x1, x2] and m02[x0, x2] of the three
+    congruences, the count is the sum of (P @ m12) * m02, an exact product
+    (``_exact_float``), so every triple is still decided by its three
+    congruences.  A product (x S mod q) . x' of rows reduced mod q lies in
+    [0, m (q-1)^2] and is read off a residue table of that length
+    (``_table_at_product``, which holds a quarter of _CHUNK while it
+    builds a table).  c0 is taken in blocks whose P holds at most half of
+    _CHUNK; c2 in blocks that fit m12, m02 and P @ m12 into the quarter
+    left."""
     res = np.arange(X.shape[1] * (q - 1) ** 2 + 1) % q
-    X1, X2 = X[c1] % q, X[c2].T % q
-    m12 = (res == T[i + 1, i + 2])[X1 @ S % q @ X2]
-    step = max(1, _CHUNK // max(1, len(c1), len(c2)))
+    # P and m12 in float32, which _exact_product takes as they are while
+    # len(c1) < 2^24
+    ok01 = (res == T[i, i + 1]).astype(np.float32)
+    ok12 = (res == T[i + 1, i + 2]).astype(np.float32)
+    ok02 = res == T[i, i + 2]
+    Y1, X1 = X[c1] @ S % q, X[c1].T % q
+    n1 = len(c1)
+    step0 = _rows(2 * n1)
     count = 0
-    for lo0 in range(0, len(c0), step):
-        Y0 = X[c0[lo0:lo0 + step]] @ S % q
-        m02 = (res == T[i, i + 2])[Y0 @ X2]
-        e0, e1 = np.nonzero((res == T[i, i + 1])[Y0 @ X1.T])
-        for lo in range(0, len(e0), step):
-            count += int(np.count_nonzero(
-                m02[e0[lo:lo + step]] & m12[e1[lo:lo + step]]))
+    for lo0 in range(0, len(c0), step0):
+        Y0 = X[c0[lo0:lo0 + step0]] @ S % q
+        P = _table_at_product(ok01, Y0, X1)
+        step = max(1, (_CHUNK * 3 // 4 - P.size) // (n1 + 2 * len(Y0)))
+        for lo2 in range(0, len(c2), step):
+            X2 = X[c2[lo2:lo2 + step]].T % q
+            m12 = _table_at_product(ok12, Y1, X2)
+            pairs = _exact_product(P, m12)
+            pairs *= _table_at_product(ok02, Y0, X2)
+            count += int(pairs.sum(dtype=np.float64))
+            del m12, pairs
+        del P
     return count
+
+
+def _table_at_product(table, a, b):
+    """table[a @ b] for integer arrays a and b whose product indexes table,
+    a block of rows of a at a time: each block's exact product (see
+    ``_exact_float``) and its int64 index copy hold at most a quarter of
+    _CHUNK entries."""
+    ft = _exact_float(a, b)
+    b = b.astype(ft, copy=False)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=table.dtype)
+    step = _rows(8 * b.shape[1])
+    for lo in range(0, a.shape[0], step):
+        out[lo:lo + step] = table[(a[lo:lo + step].astype(ft) @ b)
+                                  .astype(np.int64)]
+    return out
 
 
 def count_A_closed(S, T, p) -> Fraction:
@@ -666,7 +762,7 @@ def Jm_sum(chi: DirichletChar, eta: DirichletChar, m: int,
         return Jm_recursion(chi, eta, m)
     if mode != "auto":
         raise ValueError(f"unknown Jm_sum mode {mode!r}")
-    if (factorize(N) == [(N, 1)] and N > 2 and m >= 2
+    if (_is_prime(N, odd=True) and m >= 2
             and not (chi ** 2).is_trivial() and not eta.is_trivial()):
         return Jm_recursion(chi, eta, m)
     if m == 0:

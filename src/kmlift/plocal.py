@@ -27,8 +27,8 @@ import numpy as np
 
 from .characters import (_as_unit_int, _root_sum, factorize, kronecker,
                          legendre, require_prime)
-from .charsums import (_CHUNK, BudgetExceeded, _rep_count, _sym_entries,
-                       _sym_trace, _vectors)
+from .charsums import (_CHUNK, BudgetExceeded, _rep_count, _rep_rows,
+                       _sym_entries, _sym_trace, _vectors)
 from .exactalg import (Laurent, QSqrt, TruncSeries, _congruence_blocks, _pval,
                        geometric_inverse, mat_det, p_half_power, poly_mul)
 from .lseries import gen_bernoulli_kronecker, zeta_even_rational
@@ -463,13 +463,13 @@ def _rank2_modp_sum(vecs, p) -> int:
     T_W = 0 mod p: their ordered bases are the independent pairs (v, w) in
     Z = {v : p | T[v]} with v G w = 0 mod p, and the dependent such pairs are
     the |Z| (p - 1) pairs w = a v.  The pairs are the representations of the
-    2x2 zero matrix by T, read through ``charsums._rep_count`` with the norms
-    v G v^t = 2 T[v] taken mod 2p."""
+    2x2 zero matrix by T, counted by ``charsums._rep_rows`` on Z, which the
+    norms T[v] of ``vecs`` give."""
     V, _, Q, A1, G = vecs
     n = V.shape[1]
-    pairs = _rep_count(V, G, np.zeros((2, 2), dtype=np.int64), p, 2 * p)
-    singular = (pairs - int((Q % p == 0).sum()) * (p - 1)) \
-        // ((p * p - 1) * (p * p - p))
+    Z = np.flatnonzero(Q % p == 0)
+    pairs = _rep_rows(V, G % p, np.zeros((2, 2), dtype=np.int64), p, [Z, Z])
+    singular = (pairs - len(Z) * (p - 1)) // ((p * p - 1) * (p * p - p))
     planes = (p ** n - 1) * (p ** (n - 1) - 1) // ((p * p - 1) * (p - 1))
     return p ** 3 * singular - planes - (p ** (n - 1) - 1) // (p - 1) * A1
 

@@ -679,3 +679,99 @@ def test_sl_gram_counts_total_is_sl_order(m, p):
     for i in range(2, m + 1):
         order *= p ** i - 1
     assert int(sl_gram_counts(m, p).sum()) == order
+
+
+# ---------------------------------------------------------------------------
+# the working-set rule: the arrays one step of a count kernel holds at once
+# stay within _CHUNK entries, so each kernel's traced peak stays within
+# _CHUNK int64 entries (8 MiB)
+
+def _traced_peak(fn):
+    import tracemalloc
+    fn()                        # one-time caches stay out of the peak
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bench_sym_forms():
+    # the shape of the benchmark's Theorem 5.6 oracle: three 4 x 4 forms
+    # mod 5
+    return _forms(4, 5, np.random.default_rng(45))[:3]
+
+
+@pytest.mark.parametrize("kernel", ["sym_tables", "sl_gram", "density"])
+def test_count_kernels_stay_within_8_mib(kernel):
+    from kmlift import charsums, plocal
+    forms = _bench_sym_forms()
+    fn = {"sym_tables": lambda: charsums._sym_tables(forms, 5),
+          "sl_gram": lambda: charsums.sl_gram_counts.__wrapped__(3, 5),
+          "density": lambda: plocal.local_density(np.diag([1, 2, 3]), 3,
+                                                  mode="brute")}[kernel]
+    assert _traced_peak(fn) <= 8 * 2 ** 20
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name; the returned list grows by one per call."""
+    calls, orig = [], getattr(module, name)
+
+    def wrapper(*a, **k):
+        calls.append(1)
+        return orig(*a, **k)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_sym_tables_and_sl_gram_steps_cross_their_edges(monkeypatch):
+    # at 2^17 entries the (4, 5) sweep takes about 30 Z1 steps, each with
+    # one _table_at_product call, and the (3, 5) SL sweep one cofactor
+    # block of about 20 row steps, each with one _exact_product call
+    from kmlift import charsums
+    forms = _bench_sym_forms()
+    want_sym = [t.tolist() for t in reference_sym_tables(forms, 5)]
+    want_sl = reference_sl_gram_counts(3, 5).tolist()
+    monkeypatch.setattr(charsums, "_CHUNK", 1 << 17)
+    sym_steps = _counting(monkeypatch, charsums, "_table_at_product")
+    sl_steps = _counting(monkeypatch, charsums, "_exact_product")
+    assert [t.tolist() for t in charsums._sym_tables(forms, 5)] == want_sym
+    assert len(sym_steps) > 1
+    assert charsums.sl_gram_counts.__wrapped__(3, 5).tolist() == want_sl
+    assert len(sl_steps) > 1
+
+
+def _density_lists(diag, q):
+    A = np.diag(diag).astype(np.int64)
+    return _vectors(0, q ** 3, q, 3), A
+
+
+def test_rep_triples_cross_their_c2_blocks(monkeypatch):
+    # diag(1, 2, 3) mod 9 gives lists of 54, 54 and 162 rows; at 2 * 54^2
+    # entries c0 is one block and c2 takes several, one pair product P @ m12
+    # each
+    from kmlift import charsums
+    X, A = _density_lists([1, 2, 3], 9)
+    want = reference_rep_count(X, A, A, 9, 9)
+    monkeypatch.setattr(charsums, "_CHUNK", 2 * 54 * 54)
+    blocks = _counting(monkeypatch, charsums, "_exact_product")
+    triples = _counting(monkeypatch, charsums, "_rep_triples")
+    assert charsums._rep_count(X, A, A, 9, 9) == want
+    assert len(triples) == 1 and len(blocks) > 1
+
+
+def test_bench_density_lists_take_the_three_row_step(monkeypatch):
+    # the benchmark's density at p = 3, nu = 1 counts diag(2, 1, 3) mod 27
+    # over lists of 486, 486 and 1458 rows: one pair-table count, with no
+    # row fixed candidate by candidate
+    from kmlift import charsums
+    X, A = _density_lists([2, 1, 3], 27)
+    norms = (X @ A % 27 * X).sum(axis=1) % 27
+    assert [int((norms == A[i, i]).sum()) for i in range(3)] == \
+        [486, 486, 1458]
+    want = reference_rep_count(X, A, A, 27, 27)
+    rows = _counting(monkeypatch, charsums, "_rep_rows")
+    triples = _counting(monkeypatch, charsums, "_rep_triples")
+    assert charsums._rep_count(X, A, A, 27, 27) == want
+    assert len(rows) == 1 and len(triples) == 1
